@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder, partial_sum_trend
 from .errors import NotPositiveDefinite
-from .operators import OperatorBundle, build_bundle
+from .operators import OperatorBundle, build_bundle, lower_frame_data
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -106,22 +106,17 @@ def _verdict_dict(v: ConvergenceVerdict) -> dict:
 def classify_finite(
     bundle: OperatorBundle, tol: Tolerances = DEFAULT_TOL
 ) -> ClassificationReport:
-    """Exact classification of the truncated sequence from the SVD of C."""
+    """Exact classification at the truncation from the singular values of C."""
     s = bundle.singular_values
     dim, count = bundle.dim, bundle.count
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = tol.rank_tol * smax
-    rank = int(np.count_nonzero(s > cutoff)) if smax > 0 else 0
+    smax, sigma_dim, rank, frame = lower_frame_data(s, dim, count, tol)
 
     B = smax**2
-    sigma_dim = float(s[dim - 1]) if (count >= dim and s.size >= dim) else 0.0
     A = sigma_dim**2
     complete = rank == dim
-    frame = sigma_dim > cutoff and smax > 0
     riesz_basis = frame and count == dim
 
-    nonzero = s[s > cutoff]
-    rf_bound = float(nonzero[-1] ** 2) if nonzero.size else 0.0
+    rf_bound = float(s[rank - 1] ** 2) if rank else 0.0
     rf_possible = count <= dim
 
     notes: List[str] = []

@@ -21,7 +21,7 @@ import numpy as np
 from .classify import classify_finite, diagnose_asymptotic
 from .core import DEFAULT_TOL, CoeffVector, Tolerances, TruncationLadder
 from .errors import SeqFormsError
-from .forms import zero_closed_check
+from .forms import zero_closed_check, zero_closed_from_bundles
 from .operators import build_bundle
 from .reconstruct import canonical_dual, reconstruct_with, reproducing_pair_duals
 from .scenarios import run_scenario, scenario_ids
@@ -61,6 +61,13 @@ def _tolerances(args) -> Tolerances:
         return dataclasses.replace(DEFAULT_TOL, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_sizes(args) -> None:
+    for name in ("dim", "count", "trials"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be at least 1, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,9 +164,9 @@ def _report_reconstruct(args, tol):
     elif pair and args.spec is None:
         left = _load_sequence(args.left)
         right = _load_sequence(args.right)
-        fa = zero_closed_check(left, right, args.dim, count, tol)
         b_left = build_bundle(left, args.dim, count, tol)
         b_right = build_bundle(right, args.dim, count, tol)
+        fa = zero_closed_from_bundles(b_left, b_right, tol)
         systems = list(reproducing_pair_duals(fa, b_left, b_right, tol))
     else:
         raise UsageError(
@@ -207,7 +214,7 @@ def _emit(payload, args):
         writer.writerow([row[k] for k in keys])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -223,6 +230,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        _check_sizes(args)
         tol = _tolerances(args)
         t0 = time.perf_counter()
         runtime = None

@@ -9,6 +9,7 @@ inconclusive.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -47,8 +48,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eq_tol", "rank_tol", "cauchy_tol", "growth_min"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()

@@ -27,12 +27,9 @@ from .core import (
 from .errors import DegenerateNormWarning, DimensionMismatch
 from .operators import (
     OperatorBundle,
-    SubspaceBasis,
     build_bundle,
-    complement_basis,
     direct_sum_check,
-    principal_angles,
-    range_basis,
+    lower_frame_data,
 )
 from .sequences import SequenceSpec
 
@@ -122,9 +119,6 @@ class InfSupConstants:
     degenerate_xi: bool  # C_xi has a nontrivial kernel at this truncation
     degenerate_eta: bool
 
-    def __iter__(self):
-        return iter((self.c1, self.c2, self.angles))
-
 
 def infsup_constants(
     bundle_xi: OperatorBundle,
@@ -140,38 +134,31 @@ def infsup_constants(
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
-    deg_xi = bundle_xi.rank(tol) < bundle_xi.dim
-    deg_eta = bundle_eta.rank(tol) < bundle_eta.dim
+    Qxi = bundle_xi.subspaces(tol)[0]
+    Qeta = bundle_eta.subspaces(tol)[0]
+    deg_xi = Qxi.dim < bundle_xi.dim
+    deg_eta = Qeta.dim < bundle_eta.dim
     if deg_xi or deg_eta:
         warnings.warn(
             "analysis operator has a nontrivial kernel; inf-sup constants "
             "computed on the quotient",
             DegenerateNormWarning,
         )
-    Qxi = range_basis(bundle_xi.C, tol)
-    Qeta = range_basis(bundle_eta.C, tol)
-    c1 = _min_projection(Qxi, Qeta)
-    c2 = _min_projection(Qeta, Qxi)
-    angles = principal_angles(Qxi, Qeta)
+    if Qxi.dim == 0 or Qeta.dim == 0:
+        return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
+    # cosines of the principal angles; min over the smaller range is c1 or c2
+    s = np.linalg.svd(Qxi.Q.conj().T @ Qeta.Q, compute_uv=False)
+    c1 = float(s[-1]) if Qxi.dim <= Qeta.dim else 0.0
+    c2 = float(s[-1]) if Qeta.dim <= Qxi.dim else 0.0
+    angles = np.arccos(np.clip(s, 0.0, 1.0))
     return InfSupConstants(c1, c2, angles, deg_xi, deg_eta)
-
-
-def _min_projection(src: SubspaceBasis, dst: SubspaceBasis) -> float:
-    """min over unit u in src of ||P_dst u||."""
-    if src.dim == 0:
-        return 0.0
-    if src.dim > dst.dim:
-        return 0.0
-    s = np.linalg.svd(dst.Q.conj().T @ src.Q, compute_uv=False)
-    return float(s[-1])
 
 
 @dataclass(frozen=True)
 class FormAssessment:
     """Two-sequence form diagnostics at a fixed truncation."""
 
-    null_dim_left: int
-    null_dim_right: int
+    null_dim_left: int  # equals the right null dim: the matrix is square
     c1: float
     c2: float
     max_principal_angle: float
@@ -191,7 +178,7 @@ class FormAssessment:
     def to_dict(self, include_matrix: bool = True) -> dict:
         d = {
             "null_dim_left": self.null_dim_left,
-            "null_dim_right": self.null_dim_right,
+            "null_dim_right": self.null_dim_left,
             "c1": self.c1,
             "c2": self.c2,
             "max_principal_angle": self.max_principal_angle,
@@ -236,34 +223,22 @@ def zero_closed_from_bundles(
         raise DimensionMismatch("bundles must share (dim, count)")
     dim, count = bundle_xi.dim, bundle_xi.count
 
-    def lower_data(bundle):
-        s = bundle.singular_values
-        smax = float(s[0]) if s.size else 0.0
-        sigma_dim = float(s[dim - 1]) if (count >= dim and s.size >= dim) else 0.0
-        is_lower = smax > 0 and sigma_dim > tol.rank_tol * smax
-        return is_lower, sigma_dim**2
-
-    lower_xi, a_xi = lower_data(bundle_xi)
-    lower_eta, a_eta = lower_data(bundle_eta)
+    _, sigma_xi, _, lower_xi = lower_frame_data(bundle_xi.svd[1], dim, count, tol)
+    _, sigma_eta, _, lower_eta = lower_frame_data(bundle_eta.svd[1], dim, count, tol)
 
     # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2
-    R_xi = range_basis(bundle_xi.C, tol)
-    R_eta_perp = complement_basis(bundle_eta.C, tol)
+    R_xi = bundle_xi.subspaces(tol)[0]
+    R_eta_perp = bundle_eta.subspaces(tol)[1]
     ds = direct_sum_check(R_xi, R_eta_perp, tol)
     route_b = lower_xi and lower_eta and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
     assoc = bundle_eta.C.conj().T @ bundle_xi.C
     s_assoc = np.linalg.svd(assoc, compute_uv=False)
-    smax_assoc = float(s_assoc[0]) if s_assoc.size else 0.0
-    smin_assoc = float(s_assoc[-1]) if s_assoc.size else 0.0
-    assoc_invertible = smax_assoc > 0 and smin_assoc > tol.rank_tol * smax_assoc
+    _, smin_assoc, rank_assoc, assoc_invertible = lower_frame_data(
+        s_assoc, dim, dim, tol
+    )
     assoc_inverse_norm = 1.0 / smin_assoc if assoc_invertible else None
-
-    cutoff = tol.rank_tol * smax_assoc
-    rank_assoc = int(np.count_nonzero(s_assoc > cutoff)) if smax_assoc > 0 else 0
-    null_left = dim - rank_assoc
-    null_right = dim - rank_assoc  # assoc is square; left/right defects agree
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateNormWarning)
@@ -271,8 +246,7 @@ def zero_closed_from_bundles(
     max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
 
     return FormAssessment(
-        null_dim_left=null_left,
-        null_dim_right=null_right,
+        null_dim_left=dim - rank_assoc,
         c1=isc.c1,
         c2=isc.c2,
         max_principal_angle=max_angle,
@@ -283,8 +257,8 @@ def zero_closed_from_bundles(
         assoc_inverse_norm=assoc_inverse_norm,
         lower_xi=lower_xi,
         lower_eta=lower_eta,
-        lower_bound_xi=a_xi,
-        lower_bound_eta=a_eta,
+        lower_bound_xi=sigma_xi**2,
+        lower_bound_eta=sigma_eta**2,
         dim=dim,
         count=count,
     )
@@ -350,8 +324,7 @@ def lambda_region_weighted(
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
         s = np.linalg.svd(H - lam * np.eye(alpha.size), compute_uv=False)
-        smax, smin = float(s[0]), float(s[-1])
-        invertible = smax > 0 and smin > tol.rank_tol * smax
+        _, smin, _, invertible = lower_frame_data(s, alpha.size, alpha.size, tol)
         out.append(
             LambdaVerdict(
                 lam=lam,
@@ -395,9 +368,8 @@ def solvability_shift(
     sigma = np.where(np.abs(alpha) <= 1.0, 1.0 - alpha, 0.0 + 0j)
     shifted = alpha + sigma
     min_mod = float(np.min(np.abs(shifted)))
-    H = np.diag(shifted)
-    s = np.linalg.svd(H, compute_uv=False)
-    zero_closed = float(s[-1]) > tol.rank_tol * float(s[0])
+    s = np.linalg.svd(np.diag(shifted), compute_uv=False)
+    zero_closed = lower_frame_data(s, s.size, s.size, tol)[3]
     return ShiftResult(
         sigma=sigma,
         shifted=shifted,

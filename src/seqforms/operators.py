@@ -9,7 +9,8 @@ the largest singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from .sequences import OperatorImage, SequenceSpec
 
 __all__ = [
     "OperatorBundle",
+    "lower_frame_data",
     "SubspaceBasis",
     "build_bundle",
     "bundle_from_columns",
@@ -33,34 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorBundle:
-    """Materialized operators of one sequence at a fixed truncation."""
-
-    columns: np.ndarray  # dim x count, column n is xi_n
-    C: np.ndarray  # count x dim analysis
-    D: np.ndarray  # dim x count synthesis, D = C^H
-    S: np.ndarray  # dim x dim frame matrix, S = D C
-    G: np.ndarray  # count x count Gram matrix, G = C D
-    svd_C: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return self.svd_C[1]
-
-    def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        s = self.singular_values
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+def lower_frame_data(
+    s: np.ndarray, dim: int, count: int, tol: Tolerances = DEFAULT_TOL
+) -> Tuple[float, float, int, bool]:
+    """(sigma_max, sigma_dim, rank, is_lower) from the descending singular
+    values s of a count x dim matrix: sigma_dim is 0 when count < dim, and
+    rank and is_lower compare with the cutoff rank_tol * sigma_max."""
+    smax = float(s[0]) if s.size else 0.0
+    sigma_dim = float(s[dim - 1]) if count >= dim else 0.0
+    cutoff = tol.rank_tol * smax
+    rank = int(np.count_nonzero(s > cutoff)) if smax > 0 else 0
+    return smax, sigma_dim, rank, smax > 0 and sigma_dim > cutoff
 
 
 @dataclass(frozen=True)
@@ -75,14 +60,64 @@ class SubspaceBasis:
         return self.Q.shape[1]
 
 
+@dataclass(frozen=True)
+class OperatorBundle:
+    """Materialized operators of one sequence at a fixed truncation.
+
+    Only the columns are stored. The other operators and the two
+    factorizations of C are computed on first use and cached, so a verdict
+    that needs singular values alone never pays for singular vectors.
+    """
+
+    columns: np.ndarray  # dim x count, column n is xi_n
+
+    @property
+    def dim(self) -> int:
+        return self.columns.shape[0]
+
+    @property
+    def count(self) -> int:
+        return self.columns.shape[1]
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return self.columns.conj().T
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.columns
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.D @ self.C
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.C @ self.D
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of C, descending, without singular vectors."""
+        return np.linalg.svd(self.C, compute_uv=False)
+
+    @cached_property
+    def svd(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(U, s) of the full SVD of C: U is count x count."""
+        U, s, _ = np.linalg.svd(self.C)
+        return U, s
+
+    def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
+        return lower_frame_data(self.singular_values, self.dim, self.count, tol)[2]
+
+    def subspaces(self, tol: Tolerances = DEFAULT_TOL) -> Tuple[SubspaceBasis, ...]:
+        """Bases of R(C) and of its orthogonal complement, from the one SVD."""
+        U, s = self.svd
+        r = lower_frame_data(s, self.dim, self.count, tol)[2]
+        return SubspaceBasis(U[:, :r], self.count), SubspaceBasis(U[:, r:], self.count)
+
+
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    C = X.conj().T
-    D = X
-    S = D @ C
-    G = C @ D
-    svd_C = np.linalg.svd(C)
-    return OperatorBundle(columns=X, C=C, D=D, S=S, G=G, svd_C=svd_C)
+    return OperatorBundle(np.atleast_2d(np.asarray(X, dtype=complex)))
 
 
 def build_bundle(
@@ -95,9 +130,7 @@ def range_basis(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space of M, by SVD with relative cutoff."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return SubspaceBasis(np.zeros((M.shape[0], 0), dtype=complex), M.shape[0])
-    r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    r = lower_frame_data(s, M.shape[1], M.shape[0], tol)[2]
     return SubspaceBasis(U[:, :r], M.shape[0])
 
 
@@ -106,13 +139,9 @@ def complement_basis(
 ) -> SubspaceBasis:
     """Orthonormal basis of the orthogonal complement of the column space."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    m = M.shape[0]
     U, s, _ = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return SubspaceBasis(U[:, r:], m)
+    r = lower_frame_data(s, M.shape[1], M.shape[0], tol)[2]
+    return SubspaceBasis(U[:, r:], M.shape[0])
 
 
 def principal_angles(U: SubspaceBasis, W: SubspaceBasis) -> np.ndarray:
@@ -141,11 +170,10 @@ def direct_sum_check(
     total = U.dim + W.dim
     if total < U.ambient_dim:
         return "fails_span"
-    stacked = np.hstack([U.Q, W.Q])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank_deficient = s[-1] <= tol.rank_tol * s[0]
-    if total == U.ambient_dim and not rank_deficient:
-        return "holds"
+    if total == U.ambient_dim:
+        s = np.linalg.svd(np.hstack([U.Q, W.Q]), compute_uv=False)
+        if lower_frame_data(s, total, total, tol)[3]:
+            return "holds"
     # overfull or rank deficient: the pieces overlap
     return "fails_intersection"
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_TOL, CoeffVector, Tolerances
 from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .forms import FormAssessment
-from .operators import OperatorBundle
+from .operators import OperatorBundle, lower_frame_data
 
 __all__ = [
     "DualSystem",
@@ -63,19 +63,18 @@ def canonical_dual(
 ) -> DualSystem:
     """Dual columns S^{-1} xi_n of a truncated lower semi-frame.
 
-    The reported Bessel bound of the dual is sigma_max(C S^{-1})^2.
+    The reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which
+    equals 1/sigma_dim(C)^2.
     """
-    s = bundle.singular_values
-    dim, count = bundle.dim, bundle.count
-    smax = float(s[0]) if s.size else 0.0
-    sigma_dim = float(s[dim - 1]) if (count >= dim and s.size >= dim) else 0.0
-    if smax == 0 or sigma_dim <= tol.rank_tol * smax:
+    _, sigma_dim, _, is_lower = lower_frame_data(
+        bundle.singular_values, bundle.dim, bundle.count, tol
+    )
+    if not is_lower:
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    S_inv = np.linalg.inv(bundle.S)
-    dual = S_inv @ bundle.columns
-    bound = float(np.linalg.norm(bundle.C @ S_inv, 2) ** 2)
+    dual = np.linalg.inv(bundle.S) @ bundle.columns
+    bound = 1.0 / sigma_dim**2
     return DualSystem(
         primal=bundle.columns,
         dual=dual,

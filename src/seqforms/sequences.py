@@ -112,13 +112,6 @@ class SequenceSpec:
         """Sparse support of xi_n as (0-based indices, values)."""
         raise NotImplementedError
 
-    def term(self, n: int, dim: int) -> CoeffVector:
-        idx, val = self.term_entries(n)
-        self._check_support(idx, val, dim, n)
-        out = np.zeros(dim, dtype=complex)
-        out[idx] = val
-        return CoeffVector(out)
-
     def materialize(self, dim: int, count: int) -> np.ndarray:
         """Dense dim x count matrix whose column n is xi_n."""
         X = np.zeros((dim, count), dtype=complex)
@@ -169,7 +162,7 @@ class ExplicitColumns(SequenceSpec):
     def term_entries(self, n: int) -> Entries:
         if n > self.matrix.shape[1]:
             raise SupportOverflow(
-                f"explicit matrix has {self.matrix.shape[1]} columns, n={n}"
+                f"matrix has {self.matrix.shape[1]} columns, n={n}"
             )
         col = self.matrix[:, n - 1]
         idx = np.nonzero(col)[0]
@@ -281,26 +274,10 @@ class PairedDouble(SequenceSpec):
 
 
 @dataclass(frozen=True)
-class OperatorImage(SequenceSpec):
-    """xi_n = V e_n, i.e. xi_n is column n of V."""
+class OperatorImage(ExplicitColumns):
+    """xi_n = V e_n, i.e. xi_n is column n of the matrix V."""
 
-    V: np.ndarray
     tag = "operator_image"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "V", np.atleast_2d(np.asarray(self.V, dtype=complex))
-        )
-
-    def term_entries(self, n: int) -> Entries:
-        if n > self.V.shape[1]:
-            raise SupportOverflow(f"operator has {self.V.shape[1]} columns, n={n}")
-        col = self.V[:, n - 1]
-        idx = np.nonzero(col)[0]
-        return idx, col[idx]
-
-    def _params_json(self):
-        return {"matrix": [[_json_scalar(v) for v in row] for row in self.V]}
 
 
 @dataclass(frozen=True)
@@ -329,7 +306,11 @@ class Scaled(SequenceSpec):
 def term(spec: SequenceSpec, n: int, dim: int) -> CoeffVector:
     if n < 1:
         raise ValueError("sequence indices start at 1")
-    return spec.term(n, dim)
+    idx, val = spec.term_entries(n)
+    spec._check_support(idx, val, dim, n)
+    out = np.zeros(dim, dtype=complex)
+    out[idx] = val
+    return CoeffVector(out)
 
 
 def materialize(spec: SequenceSpec, dim: int, count: int) -> np.ndarray:
@@ -360,4 +341,18 @@ def spec_from_json(d: dict) -> SequenceSpec:
 
 
 def _matrix_from_json(rows: Sequence[Sequence]) -> np.ndarray:
-    return np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
+    """Rows of [re, im] pairs or of real entries are converted as one array;
+    any other mix entry by entry. Non-finite entries are rejected."""
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        a = np.empty(0)
+    if a.ndim == 3 and a.shape[2] == 2:
+        M = a.view(complex)[..., 0]
+    elif a.ndim == 2:
+        M = a.astype(complex)
+    else:
+        M = np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite numbers")
+    return M

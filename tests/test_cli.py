@@ -166,3 +166,46 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["classify", "--spec", str(onb), "--dim", "4", "--ladder", "5,4,3"]
     ) == 2
     capsys.readouterr()
+
+
+def _assert_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--dim", "0"], ["--dim", "-3"], ["--dim", "4", "--count", "0"],
+     ["--dim", "4", "--trials", "-1"]],
+)
+def test_sizes_below_one_are_usage_errors(spec_file, capsys, extra):
+    path = spec_file("wn.json", W_N)
+    command = "reconstruct" if "--trials" in extra else "classify"
+    _assert_usage_error(main([command, "--spec", path] + extra), capsys)
+
+
+@pytest.mark.parametrize(
+    "extra", [["--tol-rank", "nan"], ["--tol-eq", "inf"], ["--tol-rank=-inf"]]
+)
+def test_non_finite_tolerances_are_usage_errors(spec_file, capsys, extra):
+    path = spec_file("wn.json", W_N)
+    _assert_usage_error(main(["classify", "--spec", path, "--dim", "8"] + extra), capsys)
+
+
+def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"rule": "explicit", "params": {"matrix": [[1.0, NaN], [0.0, 1.0]]}}')
+    _assert_usage_error(main(["classify", "--spec", str(bad), "--dim", "2"]), capsys)
+
+
+def test_scenario_report_is_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code = main(["scenario", "--id", "finite-difference", "--ladder", "1,2,3"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    claim = payload["report"]["claims"][0]
+    assert claim["evidence"]["limit_error"] is None

@@ -50,6 +50,13 @@ def test_tolerances_must_be_positive():
     assert DEFAULT_TOL.eq_tol == 1e-10
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tolerances_must_be_finite(value):
+    for name in ("eq_tol", "rank_tol", "cauchy_tol", "growth_min"):
+        with pytest.raises(ValueError):
+            Tolerances(**{name: value})
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
         TruncationLadder((10, 20))

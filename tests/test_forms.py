@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from seqforms import (
     eval_gram_form,
     infsup_constants,
     lambda_region_weighted,
+    principal_angles,
+    range_basis,
     solvability_shift,
     weighted_riesz_associated,
     zero_closed_check,
@@ -81,6 +85,34 @@ def test_infsup_known_plane_angle():
     isc = infsup_constants(b1, b2)
     assert isc.c1 == pytest.approx(np.cos(theta), abs=1e-12)
     assert isc.angles[-1] == pytest.approx(theta, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank_xi,rank_eta", [(4, 4), (3, 4), (4, 2)])
+def test_infsup_one_svd_matches_three_svd_formula(rank_xi, rank_eta):
+    rng = np.random.default_rng(10 * rank_xi + rank_eta)
+
+    def columns(rank):
+        A = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        B = rng.standard_normal((rank, 10)) + 1j * rng.standard_normal((rank, 10))
+        return A @ B
+
+    b_xi = build_bundle(ExplicitColumns(columns(rank_xi)), 4, 10)
+    b_eta = build_bundle(ExplicitColumns(columns(rank_eta)), 4, 10)
+    Qxi, Qeta = range_basis(b_xi.C), range_basis(b_eta.C)
+
+    def min_projection(src, dst):
+        if src.dim > dst.dim:
+            return 0.0
+        return np.linalg.svd(dst.Q.conj().T @ src.Q, compute_uv=False)[-1]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateNormWarning)
+        isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.c1 - min_projection(Qxi, Qeta)) < 1e-14
+    assert abs(isc.c2 - min_projection(Qeta, Qxi)) < 1e-14
+    assert np.max(np.abs(isc.angles - principal_angles(Qxi, Qeta))) < 1e-14
+    assert isc.degenerate_xi == (rank_xi < 4)
+    assert isc.degenerate_eta == (rank_eta < 4)
 
 
 def test_infsup_warns_on_degenerate_norm():

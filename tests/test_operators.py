@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from seqforms import (
     DiagonalWeights,
+    ExplicitColumns,
     ScalarRule,
     build_bundle,
     bundle_from_columns,
+    classify_finite,
     complement_basis,
     direct_sum_check,
     operator_image_bundle,
     principal_angles,
     pseudo_inverse,
     range_basis,
+    zero_closed_check,
 )
 from seqforms.errors import DimensionMismatch
 
@@ -97,3 +101,49 @@ def test_operator_image_identities():
     assert res.ok()
     with pytest.raises(DimensionMismatch):
         operator_image_bundle(random_columns(3, 4, 5))
+
+
+def _count_svds(monkeypatch):
+    """Record (function, compute_uv) for every SVD taken through numpy or scipy."""
+    calls = []
+
+    def counted(name, fn, uv_default):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(kwargs.get("compute_uv", uv_default))))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("numpy.svd", np.linalg.svd, True))
+    monkeypatch.setattr(scipy.linalg, "svd", counted("scipy.svd", scipy.linalg.svd, True))
+    monkeypatch.setattr(
+        scipy.linalg, "svdvals", counted("scipy.svdvals", scipy.linalg.svdvals, False)
+    )
+    return calls
+
+
+def test_one_factorization_per_operator(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    xi = ExplicitColumns(random_columns(6, 9, 10))
+    eta = ExplicitColumns(random_columns(6, 9, 11))
+    zero_closed_check(xi, eta, 6, 9)
+    # one full SVD per bundle, the direct sum, the associated matrix and
+    # the inf-sup cosines
+    assert len(calls) <= 5
+    calls.clear()
+    classify_finite(build_bundle(xi, 6, 9))
+    assert calls == [("numpy.svd", False)]
+
+
+@pytest.mark.parametrize("dim,count,rank", [(5, 8, 3), (8, 5, 3), (6, 6, 4), (4, 7, 0)])
+def test_bundle_bases_match_standalone_bases(dim, count, rank):
+    X = random_columns(dim, rank, 12) @ random_columns(rank, count, 13)
+    b = bundle_from_columns(X)
+    R, N = b.subspaces()
+
+    def projector(basis):
+        return basis.Q @ basis.Q.conj().T
+
+    assert R.dim == rank and N.dim == count - rank
+    assert np.max(np.abs(projector(R) - projector(range_basis(b.C)))) < 1e-12
+    assert np.max(np.abs(projector(N) - projector(complement_basis(b.C)))) < 1e-12

@@ -16,6 +16,7 @@ from seqforms import (
     term,
 )
 from seqforms.errors import SupportOverflow
+from seqforms.sequences import _as_complex, _matrix_from_json
 
 
 def test_scalar_rules():
@@ -120,3 +121,26 @@ def test_json_round_trip():
 def test_spec_from_json_rejects_unknown_rule():
     with pytest.raises(ValueError):
         spec_from_json({"rule": "mystery", "params": {}})
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[1.5, -0.0], [0.0, 2.0]], [[-3.0, 0.25], [1e-300, -1e300]]],  # pairs
+        [[1.5, -0.0, 3], [0.0, -2.5, 1e-300]],  # real entries
+        [[1.0, [0.0, 2.0]], ["3+1j", [-0.0, -1.0]]],  # mixed scalars and pairs
+        [[]],
+    ],
+)
+def test_matrix_from_json_matches_per_entry_conversion(rows):
+    per_entry = np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
+    M = _matrix_from_json(rows)
+    assert M.dtype == per_entry.dtype and M.shape == per_entry.shape
+    assert M.tobytes() == per_entry.tobytes()
+
+
+@pytest.mark.parametrize("rule", ["explicit", "operator_image"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), [0.0, float("-inf")]])
+def test_spec_from_json_rejects_non_finite_matrix(rule, bad):
+    with pytest.raises(ValueError):
+        spec_from_json({"rule": rule, "params": {"matrix": [[1.0, bad], [0.0, 1.0]]}})
