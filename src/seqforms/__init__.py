@@ -7,7 +7,6 @@ from .core import (
     DEFAULT_TOL,
     CoeffVector,
     ConvergenceVerdict,
-    SparseTerm,
     Tolerances,
     TruncationLadder,
     WeightVector,

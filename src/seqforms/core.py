@@ -10,11 +10,11 @@ inconclusive.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch
 
@@ -25,7 +25,6 @@ __all__ = [
     "ConvergenceVerdict",
     "Tolerances",
     "DEFAULT_TOL",
-    "SparseTerm",
     "inner_product",
     "weighted_norm",
     "probe_series",
@@ -119,14 +118,6 @@ class ConvergenceVerdict:
     last_partial: Optional[Union[complex, np.ndarray]] = field(
         default=None, repr=False
     )
-
-
-class SparseTerm(NamedTuple):
-    """Sparse vector term for probe_series: values at given 0-based indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
 
 
 def inner_product(f: CoeffVector, g: CoeffVector) -> complex:
@@ -229,37 +220,25 @@ def partial_sum_trend(
 
 
 def probe_series(
-    term_generator: Callable[[int], object],
-    ladder: TruncationLadder,
-    tol: Tolerances = DEFAULT_TOL,
+    terms, ladder: TruncationLadder, tol: Tolerances = DEFAULT_TOL
 ) -> ConvergenceVerdict:
-    """Sum terms in increasing index order and classify the partial sums.
+    """Sum a series in increasing index order and classify its partial sums
+    at the ladder rungs.
 
-    The generator may return scalars, CoeffVector, 1-D ndarrays, or
-    SparseTerm entries; all terms of one series must be of the same kind.
+    terms holds at least ladder.top terms: a 1-D array of scalars, summed by
+    one sequential cumulative sum, or a matrix (dense or scipy sparse) whose
+    column n is the n-th vector term, where the partial sum at rung N adds
+    the first N columns of each row in column order.
     """
-    acc = None
-    sums = []
     rungs = ladder.sizes
-    next_rung = 0
-    for n in range(1, rungs[-1] + 1):
-        term = term_generator(n)
-        if isinstance(term, CoeffVector):
-            term = term.coeffs
-        if isinstance(term, SparseTerm):
-            if acc is None:
-                acc = np.zeros(term.dim, dtype=complex)
-            if len(term.indices):
-                np.add.at(acc, np.asarray(term.indices), np.asarray(term.values))
-        elif isinstance(term, np.ndarray):
-            if acc is None:
-                acc = np.zeros_like(term, dtype=complex)
-            acc = acc + term
-        elif isinstance(term, numbers.Number):
-            acc = complex(term) if acc is None else acc + complex(term)
-        else:
-            raise TypeError(f"unsupported term type: {type(term)!r}")
-        if n == rungs[next_rung]:
-            sums.append(acc.copy() if isinstance(acc, np.ndarray) else acc)
-            next_rung += 1
+    if not sp.issparse(terms):
+        terms = np.asarray(terms, dtype=complex)
+    if terms.shape[-1] < ladder.top:
+        raise ValueError(f"need {ladder.top} terms, got {terms.shape[-1]}")
+    if terms.ndim == 1:
+        sums = np.cumsum(terms)[np.array(rungs) - 1].tolist()
+    else:
+        T = sp.csr_matrix(terms, dtype=complex)
+        ones = np.ones(ladder.top)
+        sums = [T[:, :N] @ ones[:N] for N in rungs]
     return partial_sum_trend(rungs, sums, tol)

@@ -22,12 +22,13 @@ from .core import (
     ConvergenceVerdict,
     Tolerances,
     TruncationLadder,
-    partial_sum_trend,
+    probe_series,
 )
 from .errors import DegenerateNormWarning, DimensionMismatch
 from .operators import (
     OperatorBundle,
     build_bundle,
+    cosines_and_angles,
     direct_sum_check,
     lower_frame_data,
 )
@@ -48,21 +49,6 @@ __all__ = [
 ]
 
 
-def _term_coefficient(spec: SequenceSpec, n: int, f: np.ndarray) -> complex:
-    """<f, xi_n> from the sparse support of xi_n."""
-    idx, val = spec.term_entries(n)
-    if len(idx) == 0:
-        return 0.0 + 0j
-    live = idx[np.abs(val) > 0]
-    if live.size and live.max() >= f.size:
-        from .errors import SupportOverflow
-
-        raise SupportOverflow(
-            f"term {n} exceeds the ambient dimension {f.size}"
-        )
-    return complex(np.sum(f[idx] * np.conj(val)))
-
-
 def eval_form_pair(
     spec_xi: SequenceSpec,
     spec_eta: SequenceSpec,
@@ -74,22 +60,13 @@ def eval_form_pair(
     """Ordered partial sums of sum_n <f, xi_n> <eta_n, g> along the ladder."""
     if f.dim != g.dim:
         raise DimensionMismatch(f"dims differ: {f.dim} vs {g.dim}")
-    fv, gv = f.coeffs, g.coeffs
-    sums = []
-    acc = 0.0 + 0j
-    rungs = ladder.sizes
-    next_rung = 0
-    for n in range(1, rungs[-1] + 1):
-        a = _term_coefficient(spec_xi, n, fv)
-        # <eta_n, g> = conj(<g, eta_n>)
-        b = np.conj(_term_coefficient(spec_eta, n, gv))
-        acc += a * b
-        if n == rungs[next_rung]:
-            sums.append(acc)
-            next_rung += 1
-    verdict = partial_sum_trend(rungs, sums, tol)
-    value = verdict.limit_estimate if verdict.kind == "Converged" else sums[-1]
-    return complex(value), verdict
+    a = spec_xi.materialize_sparse(f.dim, ladder.top).conj().T @ f.coeffs
+    # <eta_n, g> = conj(<g, eta_n>)
+    b = spec_eta.materialize_sparse(g.dim, ladder.top).conj().T @ g.coeffs
+    verdict = probe_series(a * np.conj(b), ladder, tol)
+    if verdict.kind == "Converged":
+        return complex(verdict.limit_estimate), verdict
+    return complex(verdict.last_partial), verdict
 
 
 def eval_gram_form(
@@ -146,11 +123,10 @@ def infsup_constants(
         )
     if Qxi.dim == 0 or Qeta.dim == 0:
         return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
-    # cosines of the principal angles; min over the smaller range is c1 or c2
-    s = np.linalg.svd(Qxi.Q.conj().T @ Qeta.Q, compute_uv=False)
+    # min cosine over the smaller range is c1 or c2
+    s, angles = cosines_and_angles(Qxi, Qeta)
     c1 = float(s[-1]) if Qxi.dim <= Qeta.dim else 0.0
     c2 = float(s[-1]) if Qeta.dim <= Qxi.dim else 0.0
-    angles = np.arccos(np.clip(s, 0.0, 1.0))
     return InfSupConstants(c1, c2, angles, deg_xi, deg_eta)
 
 

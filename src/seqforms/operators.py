@@ -27,6 +27,7 @@ __all__ = [
     "bundle_from_columns",
     "range_basis",
     "complement_basis",
+    "cosines_and_angles",
     "principal_angles",
     "direct_sum_check",
     "pseudo_inverse",
@@ -144,16 +145,42 @@ def complement_basis(
     return SubspaceBasis(U[:, r:], M.shape[0])
 
 
-def principal_angles(U: SubspaceBasis, W: SubspaceBasis) -> np.ndarray:
-    """Principal angles between two subspaces, ascending, in [0, pi/2]."""
+def cosines_and_angles(
+    U: SubspaceBasis, W: SubspaceBasis
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Principal angles between two subspaces: their cosines, descending, and
+    the angles, ascending in [0, pi/2].
+
+    A cosine within rounding of 1 cannot tell an angle below 1e-8 from 0, so
+    every angle up to pi/4 comes from its sine instead: the length outside
+    the larger subspace of the smaller one's principal vector (Knyazev &
+    Argentati, SIAM J. Sci. Comput. 2002). When the larger subspace is the
+    whole space every sine is 0 and no principal vectors are needed; else
+    they come from the cosines' own SVD, so no second factorization is taken.
+    """
     if U.ambient_dim != W.ambient_dim:
         raise DimensionMismatch(
             f"ambient dims differ: {U.ambient_dim} vs {W.ambient_dim}"
         )
     if U.dim == 0 or W.dim == 0:
-        return np.empty(0)
-    s = np.linalg.svd(U.Q.conj().T @ W.Q, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
+        return np.empty(0), np.empty(0)
+    M = U.Q.conj().T @ W.Q
+    big = W.Q if U.dim <= W.dim else U.Q
+    if big.shape[1] == U.ambient_dim:
+        cos = np.linalg.svd(M, compute_uv=False)
+        sin = np.zeros_like(cos)
+    else:
+        Y, cos, Zh = np.linalg.svd(M, full_matrices=False)
+        V = U.Q @ Y if U.dim <= W.dim else W.Q @ Zh.conj().T
+        sin = np.linalg.norm(V - big @ (big.conj().T @ V), axis=0)
+    from_sin = np.arcsin(np.minimum(sin, 1.0))
+    angles = np.where(cos**2 >= 0.5, from_sin, np.arccos(np.clip(cos, 0.0, 1.0)))
+    return cos, np.sort(angles)
+
+
+def principal_angles(U: SubspaceBasis, W: SubspaceBasis) -> np.ndarray:
+    """Principal angles between two subspaces, ascending, in [0, pi/2]."""
+    return cosines_and_angles(U, W)[1]
 
 
 def direct_sum_check(

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     CoeffVector,
-    SparseTerm,
     Tolerances,
     TruncationLadder,
     partial_sum_trend,
@@ -133,9 +132,7 @@ def _scenario_finite_difference(ladder, tol, params):
 
     # (1) sum |<f, xi_n>|^2 converges to 1 + pi^2/6
     target = 1.0 + math.pi**2 / 6.0
-    norm_verdict = probe_series(
-        lambda n: abs(coeffs[n - 1]) ** 2, ladder, tol
-    )
+    norm_verdict = probe_series(np.abs(coeffs) ** 2, ladder, tol)
     limit = norm_verdict.limit_estimate
     err = abs(complex(limit).real - target) if limit is not None else None
     claims.append(
@@ -149,11 +146,7 @@ def _scenario_finite_difference(ladder, tol, params):
 
     # (2) the frame-operator partial sums do not settle: the trailing basis
     # coefficient -k/(k-1) moves to a fresh coordinate at every step
-    def vec_term(n):
-        idx, val = spec.term_entries(n)
-        return SparseTerm(idx, val * coeffs[n - 1], dim)
-
-    series_verdict = probe_series(vec_term, ladder, tol)
+    series_verdict = probe_series(Xs.multiply(coeffs), ladder, tol)
     gap = series_verdict.cauchy_gap or 0.0
     claims.append(
         _claim(
@@ -272,20 +265,13 @@ def _scenario_dc_vs_s(ladder, tol, params):
     eta = PairedDouble("eta")
     dim = (ladder.top + 1) // 2
     f = (1.0 / np.arange(1, dim + 1)).astype(complex)
-
-    def xi_coeff(n):
-        idx, val = xi.term_entries(n)
-        return complex(np.sum(f[idx] * np.conj(val)))
+    coeffs = xi.materialize_sparse(dim, ladder.top).conj().T @ f  # <f, xi_n>
 
     claims: List[ClaimResult] = []
 
     # reconstruction series sum <f, xi_n> eta_n converges to f
-    def recon_term(n):
-        c = xi_coeff(n)
-        idx, val = eta.term_entries(n)
-        return SparseTerm(idx, val * c, dim)
-
-    v_rec = probe_series(recon_term, ladder, tol)
+    Xeta = eta.materialize_sparse(dim, ladder.top)
+    v_rec = probe_series(Xeta.multiply(coeffs), ladder, tol)
     resid = (
         float(np.linalg.norm(v_rec.last_partial - f))
         if v_rec.last_partial is not None
@@ -301,7 +287,7 @@ def _scenario_dc_vs_s(ladder, tol, params):
     )
 
     # ||C_xi f||^2 partial sums grow linearly: f is outside dom(xi)
-    v_norm = probe_series(lambda n: abs(xi_coeff(n)) ** 2, ladder, tol)
+    v_norm = probe_series(np.abs(coeffs) ** 2, ladder, tol)
     exponent = v_norm.growth_exponent or 0.0
     claims.append(
         _claim(
@@ -329,25 +315,16 @@ def _scenario_telescoping(ladder, tol, params):
     f /= np.linalg.norm(f)
     g /= np.linalg.norm(g)
 
-    def coeff(spec, vec, n):
-        idx, val = spec.term_entries(n)
-        return complex(np.sum(vec[idx] * np.conj(val)))
-
-    rungs3 = tuple(dict.fromkeys(3 * (s // 3) for s in ladder.sizes))
+    # vector series below are read at mid-group rungs
+    mid_rungs = TruncationLadder(tuple(3 * (s // 3) - 1 for s in ladder.sizes))
+    rungs3 = np.array(list(dict.fromkeys(3 * (s // 3) for s in ladder.sizes)))
+    XxiH = xi.materialize_sparse(dim, rungs3[-1]).conj().T
+    Xeta = eta.materialize_sparse(dim, rungs3[-1])
 
     claims: List[ClaimResult] = []
-    worst = 0.0
-    acc = 0.0 + 0j
-    pos = 0
-    for n in range(1, rungs3[-1] + 1):
-        acc += coeff(xi, f, n) * np.conj(coeff(eta, g, n))
-        if n == rungs3[pos]:
-            k = n // 3
-            exact = complex(np.vdot(g[:k], f[:k]))
-            worst = max(worst, abs(acc - exact))
-            pos += 1
-            if pos == len(rungs3):
-                break
+    pair = np.cumsum((XxiH @ f) * np.conj(Xeta.conj().T @ g))[rungs3 - 1]
+    exact = np.array([np.vdot(g[:k], f[:k]) for k in rungs3 // 3])
+    worst = float(np.max(np.abs(pair - exact)))
     claims.append(
         _claim(
             "pair form partial sums at full groups equal the truncated <f, g>",
@@ -360,17 +337,7 @@ def _scenario_telescoping(ladder, tol, params):
     # vector series for f = e_1 keeps oscillating at mid-group rungs
     e1 = np.zeros(dim, dtype=complex)
     e1[0] = 1.0
-    mid_rungs = TruncationLadder(tuple(3 * (s // 3) - 1 for s in ladder.sizes))
-
-    def s_term_for(vec):
-        def term(n):
-            c = coeff(xi, vec, n)
-            idx, val = eta.term_entries(n)
-            return SparseTerm(idx, val * c, dim)
-
-        return term
-
-    v_e1 = probe_series(s_term_for(e1), mid_rungs, tol)
+    v_e1 = probe_series(Xeta.multiply(XxiH @ e1), mid_rungs, tol)
     claims.append(
         _claim(
             "multiplier partial sums for e_1 oscillate (e_1 outside its domain)",
@@ -385,7 +352,7 @@ def _scenario_telescoping(ladder, tol, params):
     h = np.zeros(dim, dtype=complex)
     h[1:] = 1.0 / np.arange(2, dim + 1)
     h /= np.linalg.norm(h)
-    v_h = probe_series(s_term_for(h), mid_rungs, tol)
+    v_h = probe_series(Xeta.multiply(XxiH @ h), mid_rungs, tol)
     claims.append(
         _claim(
             "multiplier partial sums converge for decaying input orthogonal to e_1",

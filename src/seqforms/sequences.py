@@ -2,9 +2,9 @@
 
 A SequenceSpec describes a sequence {xi_n} by a closed vocabulary of rules
 (explicit columns, diagonal weights, finite differences, interleavings,
-fixed patterns, operator images, scalings). Terms are produced on demand as
-sparse (index, value) entries, so large truncations stay cheap for the
-structured rules.
+fixed patterns, operator images, scalings). Each rule produces the supports
+of a whole batch of members at once as COO arrays, so large truncations
+stay cheap for the structured rules.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ __all__ = [
     "spec_from_json",
 ]
 
-Entries = Tuple[np.ndarray, np.ndarray]
-
-_EMPTY = (np.empty(0, dtype=int), np.empty(0, dtype=complex))
+Coo = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _as_complex(x):
@@ -64,16 +62,21 @@ class ScalarRule:
             )
         object.__setattr__(self, "value", _as_complex(self.value))
 
-    def __call__(self, n: int) -> complex:
+    def __call__(self, n) -> np.ndarray:
+        """The scalars at the 1-based index or int array of indices n."""
+        n = np.asarray(n)
         if self.kind == "constant":
-            return self.value
-        if self.kind == "n":
-            return complex(n)
-        if self.kind == "1/n":
-            return 1.0 / n
-        if n > len(self.values):
-            raise SupportOverflow(f"table rule has no entry for n={n}")
-        return self.values[n - 1]
+            out = np.full(n.shape, self.value)
+        elif self.kind == "n":
+            out = n
+        elif self.kind == "1/n":
+            out = 1.0 / n
+        else:
+            over = n[n > len(self.values)]
+            if over.size:
+                raise SupportOverflow(f"table rule has no entry for n={over.min()}")
+            out = np.array(self.values)[n - 1]
+        return out.astype(complex)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
@@ -108,39 +111,37 @@ class SequenceSpec:
     arity = 1
     tag = None
 
-    def term_entries(self, n: int) -> Entries:
-        """Sparse support of xi_n as (0-based indices, values)."""
+    def entries(self, n: np.ndarray) -> Coo:
+        """Supports of the members xi_n for a 1-D int array n of 1-based
+        indices, as COO arrays (rows, cols, vals): rows are 0-based
+        coordinates, cols are positions into n, vals are complex."""
         raise NotImplementedError
+
+    def _coo(self, n: np.ndarray, dim: int) -> Coo:
+        """The nonzero entries of the members n, checked to fit in dim."""
+        rows, cols, vals = self.entries(n)
+        live = vals != 0
+        # + 0 turns a -0 part into +0, as summing into sparse storage does
+        rows, cols, vals = rows[live], cols[live], vals[live] + 0
+        over = rows >= dim
+        if over.any():
+            first = cols[over].min()
+            raise SupportOverflow(
+                f"term {n[first]} has support up to coordinate "
+                f"{rows[cols == first].max() + 1}, beyond dim={dim}"
+            )
+        return rows, cols, vals
 
     def materialize(self, dim: int, count: int) -> np.ndarray:
         """Dense dim x count matrix whose column n is xi_n."""
+        rows, cols, vals = self._coo(np.arange(1, count + 1), dim)
         X = np.zeros((dim, count), dtype=complex)
-        for n in range(1, count + 1):
-            idx, val = self.term_entries(n)
-            self._check_support(idx, val, dim, n)
-            X[idx, n - 1] = val
+        X[rows, cols] = vals
         return X
 
     def materialize_sparse(self, dim: int, count: int) -> sp.csc_matrix:
-        rows, cols, data = [], [], []
-        for n in range(1, count + 1):
-            idx, val = self.term_entries(n)
-            self._check_support(idx, val, dim, n)
-            rows.extend(idx.tolist())
-            cols.extend([n - 1] * len(idx))
-            data.extend(val.tolist())
-        return sp.csc_matrix(
-            (np.asarray(data, dtype=complex), (rows, cols)), shape=(dim, count)
-        )
-
-    @staticmethod
-    def _check_support(idx, val, dim, n):
-        live = idx[np.abs(val) > 0]
-        if live.size and live.max() >= dim:
-            raise SupportOverflow(
-                f"term {n} has support up to coordinate {int(live.max()) + 1}, "
-                f"beyond dim={dim}"
-            )
+        rows, cols, vals = self._coo(np.arange(1, count + 1), dim)
+        return sp.csc_matrix((vals, (rows, cols)), shape=(dim, count))
 
     def to_json(self) -> dict:
         return {"rule": self.tag, "params": self._params_json()}
@@ -159,14 +160,14 @@ class ExplicitColumns(SequenceSpec):
             self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=complex))
         )
 
-    def term_entries(self, n: int) -> Entries:
-        if n > self.matrix.shape[1]:
+    def entries(self, n: np.ndarray) -> Coo:
+        over = n[n > self.matrix.shape[1]]
+        if over.size:
             raise SupportOverflow(
-                f"matrix has {self.matrix.shape[1]} columns, n={n}"
+                f"matrix has {self.matrix.shape[1]} columns, n={over.min()}"
             )
-        col = self.matrix[:, n - 1]
-        idx = np.nonzero(col)[0]
-        return idx, col[idx]
+        rows, cols = np.nonzero(self.matrix[:, n - 1])
+        return rows, cols, self.matrix[rows, n[cols] - 1]
 
     def _params_json(self):
         return {"matrix": [[_json_scalar(v) for v in row] for row in self.matrix]}
@@ -179,11 +180,8 @@ class DiagonalWeights(SequenceSpec):
     weight: ScalarRule
     tag = "diagonal"
 
-    def term_entries(self, n: int) -> Entries:
-        w = self.weight(n)
-        if w == 0:
-            return _EMPTY
-        return np.array([n - 1]), np.array([w], dtype=complex)
+    def entries(self, n: np.ndarray) -> Coo:
+        return n - 1, np.arange(n.size), self.weight(n)
 
     def _params_json(self):
         return {"weight": self.weight.to_json()}
@@ -195,13 +193,11 @@ class FiniteDifference(SequenceSpec):
 
     tag = "finite_difference"
 
-    def term_entries(self, n: int) -> Entries:
-        if n == 1:
-            return np.array([0]), np.array([1.0 + 0j])
-        return (
-            np.array([n - 2, n - 1]),
-            np.array([-float(n), float(n)], dtype=complex),
-        )
+    def entries(self, n: np.ndarray) -> Coo:
+        tail = np.flatnonzero(n > 1)
+        rows = np.concatenate([n - 1, n[tail] - 2])
+        cols = np.concatenate([np.arange(n.size), tail])
+        return rows, cols, np.concatenate([n, -n[tail]]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -211,12 +207,23 @@ class Interleave(SequenceSpec):
     first: SequenceSpec
     second: SequenceSpec
     tag = "interleave"
-    arity = 2
 
-    def term_entries(self, n: int) -> Entries:
-        if n % 2 == 1:
-            return self.first.term_entries((n + 1) // 2)
-        return self.second.term_entries(n // 2)
+    @property
+    def arity(self):
+        """Members per basis index: the parts alternate, and the one of
+        smaller arity must reach every index."""
+        return 2 * min(self.first.arity, self.second.arity)
+
+    def entries(self, n: np.ndarray) -> Coo:
+        odd = np.flatnonzero(n % 2 == 1)
+        even = np.flatnonzero(n % 2 == 0)
+        r1, c1, v1 = self.first.entries((n[odd] + 1) // 2)
+        r2, c2, v2 = self.second.entries(n[even] // 2)
+        return (
+            np.concatenate([r1, r2]),
+            np.concatenate([odd[c1], even[c2]]),
+            np.concatenate([v1, v2]),
+        )
 
     def _params_json(self):
         return {"first": self.first.to_json(), "second": self.second.to_json()}
@@ -235,13 +242,14 @@ class TriplePattern(SequenceSpec):
         if self.kind not in ("xi", "eta"):
             raise ValueError("TriplePattern kind must be 'xi' or 'eta'")
 
-    def term_entries(self, n: int) -> Entries:
+    def entries(self, n: np.ndarray) -> Coo:
         group = (n + 2) // 3
         pos = (n - 1) % 3
-        if self.kind == "eta" or pos == 0:
-            return np.array([group - 1]), np.array([1.0 + 0j])
-        sign = 1.0 if pos == 1 else -1.0
-        return np.array([0]), np.array([sign + 0j])
+        if self.kind == "eta":
+            return group - 1, np.arange(n.size), np.ones(n.size, dtype=complex)
+        # group k of xi is (e_k, e_1, -e_1)
+        rows = np.where(pos == 0, group - 1, 0)
+        return rows, np.arange(n.size), np.where(pos == 2, -1, 1).astype(complex)
 
     def _params_json(self):
         return {"kind": self.kind}
@@ -260,14 +268,11 @@ class PairedDouble(SequenceSpec):
         if self.kind not in ("xi", "eta"):
             raise ValueError("PairedDouble kind must be 'xi' or 'eta'")
 
-    def term_entries(self, n: int) -> Entries:
-        if n % 2 == 1:
-            k = (n + 1) // 2
-            return np.array([k - 1]), np.array([1.0 + 0j])
-        k = n // 2
-        if self.kind == "eta":
-            return _EMPTY
-        return np.array([k - 1]), np.array([complex(k)])
+    def entries(self, n: np.ndarray) -> Coo:
+        k = (n + 1) // 2
+        second = k if self.kind == "xi" else 0
+        vals = np.where(n % 2 == 1, 1, second).astype(complex)
+        return k - 1, np.arange(n.size), vals
 
     def _params_json(self):
         return {"kind": self.kind}
@@ -292,12 +297,9 @@ class Scaled(SequenceSpec):
     def arity(self):  # noqa: D401 - passthrough
         return self.base.arity
 
-    def term_entries(self, n: int) -> Entries:
-        idx, val = self.base.term_entries(n)
-        b = self.factor(n)
-        if b == 0:
-            return _EMPTY
-        return idx, val * b
+    def entries(self, n: np.ndarray) -> Coo:
+        rows, cols, vals = self.base.entries(n)
+        return rows, cols, vals * self.factor(n)[cols]
 
     def _params_json(self):
         return {"base": self.base.to_json(), "factor": self.factor.to_json()}
@@ -306,10 +308,9 @@ class Scaled(SequenceSpec):
 def term(spec: SequenceSpec, n: int, dim: int) -> CoeffVector:
     if n < 1:
         raise ValueError("sequence indices start at 1")
-    idx, val = spec.term_entries(n)
-    spec._check_support(idx, val, dim, n)
+    rows, _, vals = spec._coo(np.array([n]), dim)
     out = np.zeros(dim, dtype=complex)
-    out[idx] = val
+    out[rows] = vals
     return CoeffVector(out)
 
 

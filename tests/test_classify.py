@@ -8,6 +8,7 @@ from seqforms import (
     Interleave,
     PairedDouble,
     ScalarRule,
+    TriplePattern,
     TruncationLadder,
     build_bundle,
     check_biorthogonal,
@@ -125,3 +126,19 @@ def test_finite_difference_bounds_spread():
     assert diag.inferred_class == "None"
     assert diag.upper_bounds[-1] > diag.upper_bounds[0]
     assert diag.lower_bounds[-1] < diag.lower_bounds[0]
+
+
+def test_interleave_arity_follows_its_parts():
+    eta = TriplePattern("eta")
+    assert Interleave(eta, eta).arity == 6
+    assert Interleave(ONB, eta).arity == 2
+    assert Interleave(ONB, FiniteDifference()).arity == 2
+
+
+def test_interleaved_triple_patterns_are_a_tight_frame():
+    # at count 6N every e_k appears three times in each half: A = B = 6
+    eta = TriplePattern("eta")
+    diag = diagnose_asymptotic(Interleave(eta, eta), TruncationLadder((16, 32, 64)))
+    assert diag.inferred_class == "Frame"
+    assert np.allclose(diag.lower_bounds, 6.0, atol=1e-12)
+    assert np.allclose(diag.upper_bounds, 6.0, atol=1e-12)

@@ -115,6 +115,27 @@ def test_infsup_one_svd_matches_three_svd_formula(rank_xi, rank_eta):
     assert isc.degenerate_eta == (rank_eta < 4)
 
 
+def test_full_range_pair_has_no_principal_angle():
+    # both analysis ranges are all of C^12: the largest angle is exactly 0
+    rng = np.random.default_rng(14)
+    V, Z = (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            for _ in range(2))
+    fa = zero_closed_check(ExplicitColumns(V), ExplicitColumns(Z), 12, 12)
+    assert fa.max_principal_angle == 0.0
+
+
+def test_infsup_small_angle_from_sines():
+    # R(C_xi) = span(e_1), R(C_eta) = span(cos t e_1 + sin t e_2) in C^2
+    theta = 1e-9
+    b_xi = build_bundle(ExplicitColumns(np.array([[1.0, 0.0]])), 1, 2)
+    b_eta = build_bundle(
+        ExplicitColumns(np.array([[np.cos(theta), np.sin(theta)]])), 1, 2
+    )
+    isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.angles[-1] - theta) <= 1e-15 * theta
+    assert isc.c1 == pytest.approx(1.0)
+
+
 def test_infsup_warns_on_degenerate_norm():
     X = np.zeros((2, 2))
     X[0, 0] = 1.0  # analysis kernel contains e_2

@@ -77,6 +77,27 @@ def test_principal_angles_known_plane():
         principal_angles(U, range_basis(np.eye(3)))
 
 
+def test_principal_angles_full_range_pair_is_exactly_zero():
+    # two random bases of the whole space: every angle is 0, not rounding noise
+    U = range_basis(random_columns(24, 24, 6))
+    W = range_basis(random_columns(24, 24, 7))
+    assert np.all(principal_angles(U, W) == 0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2])
+def test_principal_angles_small_plane_angle(theta):
+    # planes in C^3 sharing e_1, with dihedral angle theta
+    U = range_basis(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    W = range_basis(
+        np.array([[1.0, 0.0], [0.0, np.cos(theta)], [0.0, np.sin(theta)]])
+    )
+    angles = principal_angles(U, W)
+    assert abs(angles[0]) < 1e-15
+    assert abs(angles[1] - theta) <= 1e-15 * max(1.0, theta)
+    reference = np.sort(scipy.linalg.subspace_angles(U.Q, W.Q))
+    assert np.allclose(angles, reference, atol=1e-14)
+
+
 def test_direct_sum_check_cases():
     e = np.eye(3)
     span01 = range_basis(e[:, :2])
