@@ -14,7 +14,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder, partial_sum_trend
+from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder
+from .core import json_scalar, partial_sum_trend
 from .errors import NotPositiveDefinite
 from .operators import OperatorBundle, build_bundle, lower_frame_data
 from .sequences import SequenceSpec
@@ -41,12 +42,10 @@ class ClassificationReport:
     riesz_basis: bool
     dim: int
     count: int
-    biorthogonal_partner_checked: Optional[bool] = None
-    asymptotic: Optional["AsymptoticDiagnosis"] = None
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "complete": self.complete,
             "bessel_bound": self.bessel_bound,
             "lower_bound": self.lower_bound,
@@ -58,11 +57,6 @@ class ClassificationReport:
             "count": self.count,
             "notes": list(self.notes),
         }
-        if self.biorthogonal_partner_checked is not None:
-            d["biorthogonal_partner_checked"] = self.biorthogonal_partner_checked
-        if self.asymptotic is not None:
-            d["asymptotic"] = self.asymptotic.to_dict()
-        return d
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,7 @@ def _verdict_dict(v: ConvergenceVerdict) -> dict:
     if v.cauchy_gap is not None:
         d["cauchy_gap"] = v.cauchy_gap
     if v.limit_estimate is not None and np.isscalar(v.limit_estimate):
-        lim = complex(v.limit_estimate)
-        d["limit_estimate"] = lim.real if lim.imag == 0 else [lim.real, lim.imag]
+        d["limit_estimate"] = json_scalar(v.limit_estimate)
     return d
 
 
@@ -155,8 +148,8 @@ def diagnose_asymptotic(
     bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers], tol)
     lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers], tol)
 
-    slope_b = _loglog_slope(sizes, uppers)
-    slope_a = _loglog_slope(sizes, lowers)
+    slope_b = bessel_trend.growth_exponent
+    slope_a = lower_trend.growth_exponent
 
     b_bounded = slope_b is not None and slope_b < tol.growth_min
     a_positive = (
@@ -185,13 +178,6 @@ def diagnose_asymptotic(
         upper_bounds=tuple(uppers),
         lower_bounds=tuple(lowers),
     )
-
-
-def _loglog_slope(sizes, values) -> Optional[float]:
-    v = np.asarray(values, dtype=float)
-    if np.any(v <= 0):
-        return None
-    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(v), 1)[0])
 
 
 def check_biorthogonal(

@@ -55,6 +55,18 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def json_scalar(z):
+    """A complex number for JSON: real when its imaginary part is 0, else [re, im]."""
+    z = complex(z)
+    return z.real if z.imag == 0 else [z.real, z.imag]
+
+
+def json_pairs(M) -> list:
+    """A complex matrix for JSON, every entry an [re, im] pair."""
+    M = np.asarray(M)
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class CoeffVector:
     """A vector given by its coefficients relative to the canonical ONB."""

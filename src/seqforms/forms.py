@@ -10,6 +10,7 @@ two verdicts must agree.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -22,14 +23,16 @@ from .core import (
     ConvergenceVerdict,
     Tolerances,
     TruncationLadder,
+    json_pairs,
+    json_scalar,
     probe_series,
 )
 from .errors import DegenerateNormWarning, DimensionMismatch
 from .operators import (
     OperatorBundle,
+    _direct_sum_verdict,
     build_bundle,
     cosines_and_angles,
-    direct_sum_check,
     lower_frame_data,
 )
 from .sequences import SequenceSpec
@@ -149,7 +152,6 @@ class FormAssessment:
     lower_bound_eta: float
     dim: int
     count: int
-    finite_truncation: bool = True  # verdicts hold at this truncation only
 
     def to_dict(self, include_matrix: bool = True) -> dict:
         d = {
@@ -168,13 +170,10 @@ class FormAssessment:
             "lower_bound_eta": self.lower_bound_eta,
             "dim": self.dim,
             "count": self.count,
-            "finite_truncation": self.finite_truncation,
+            "finite_truncation": True,  # verdicts hold at this truncation only
         }
         if include_matrix:
-            M = self.associated_operator
-            d["associated_operator"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in M
-            ]
+            d["associated_operator"] = json_pairs(self.associated_operator)
         return d
 
 
@@ -199,13 +198,20 @@ def zero_closed_from_bundles(
         raise DimensionMismatch("bundles must share (dim, count)")
     dim, count = bundle_xi.dim, bundle_xi.count
 
-    _, sigma_xi, _, lower_xi = lower_frame_data(bundle_xi.svd[1], dim, count, tol)
-    _, sigma_eta, _, lower_eta = lower_frame_data(bundle_eta.svd[1], dim, count, tol)
+    _, sigma_xi, r_xi, lower_xi = lower_frame_data(bundle_xi.svd[1], dim, count, tol)
+    _, sigma_eta, r_eta, lower_eta = lower_frame_data(bundle_eta.svd[1], dim, count, tol)
 
-    # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2
-    R_xi = bundle_xi.subspaces(tol)[0]
-    R_eta_perp = bundle_eta.subspaces(tol)[1]
-    ds = direct_sum_check(R_xi, R_eta_perp, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateNormWarning)
+        isc = infsup_constants(bundle_xi, bundle_eta, tol)
+    max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
+
+    # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2. With
+    # equal ranks the smallest angle between the summands is pi/2 minus the
+    # largest one between R(C_xi) and R(C_eta), whose cosine is c1.
+    c = isc.c1
+    half_tan = c / (1.0 + math.sqrt(max(0.0, 1.0 - c * c))) if 0 < r_xi < count else 1.0
+    ds = _direct_sum_verdict(r_xi - r_eta, half_tan, tol)
     route_b = lower_xi and lower_eta and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
@@ -215,11 +221,6 @@ def zero_closed_from_bundles(
         s_assoc, dim, dim, tol
     )
     assoc_inverse_norm = 1.0 / smin_assoc if assoc_invertible else None
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateNormWarning)
-        isc = infsup_constants(bundle_xi, bundle_eta, tol)
-    max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
 
     return FormAssessment(
         null_dim_left=dim - rank_assoc,
@@ -266,9 +267,8 @@ class LambdaVerdict:
     sigma_min: float
 
     def to_dict(self) -> dict:
-        lam = complex(self.lam)
         return {
-            "lambda": lam.real if lam.imag == 0 else [lam.real, lam.imag],
+            "lambda": json_scalar(self.lam),
             "distance": self.distance,
             "lambda_closed": self.lambda_closed,
             "resolvent_invertible": self.resolvent_invertible,
@@ -322,16 +322,11 @@ class ShiftResult:
 
     def to_dict(self) -> dict:
         return {
-            "sigma": [_cx(v) for v in self.sigma],
-            "shifted": [_cx(v) for v in self.shifted],
+            "sigma": [json_scalar(v) for v in self.sigma],
+            "shifted": [json_scalar(v) for v in self.shifted],
             "min_shifted_modulus": self.min_shifted_modulus,
             "shifted_zero_closed": self.shifted_zero_closed,
         }
-
-
-def _cx(z):
-    z = complex(z)
-    return z.real if z.imag == 0 else [z.real, z.imag]
 
 
 def solvability_shift(

@@ -183,10 +183,25 @@ def principal_angles(U: SubspaceBasis, W: SubspaceBasis) -> np.ndarray:
     return cosines_and_angles(U, W)[1]
 
 
+def _direct_sum_verdict(excess: int, half_tan: float, tol: Tolerances) -> str:
+    """Direct-sum verdict on U (+) W from excess = dim U + dim W - ambient dim
+    and, when excess is 0, half_tan = tan(phi/2) of the smallest principal
+    angle phi between U and W (1 when one is trivial). That is sigma_min /
+    sigma_max of the stacked bases [U W], whose singular values are
+    sqrt(1 +- cos phi_i) and 1 (Bjorck & Golub, Math. Comp. 1973)."""
+    if excess < 0:
+        return "fails_span"
+    if excess == 0 and half_tan > tol.rank_tol:
+        return "holds"
+    # overfull, or the pieces meet at an angle below the cutoff
+    return "fails_intersection"
+
+
 def direct_sum_check(
     U: SubspaceBasis, W: SubspaceBasis, tol: Tolerances = DEFAULT_TOL
 ) -> str:
-    """Whether U and W decompose the ambient space as a direct sum.
+    """Whether U and W decompose the ambient space as a direct sum, from
+    their smallest principal angle (see _direct_sum_verdict).
 
     Returns "holds", "fails_intersection" or "fails_span".
     """
@@ -194,15 +209,11 @@ def direct_sum_check(
         raise DimensionMismatch(
             f"ambient dims differ: {U.ambient_dim} vs {W.ambient_dim}"
         )
-    total = U.dim + W.dim
-    if total < U.ambient_dim:
-        return "fails_span"
-    if total == U.ambient_dim:
-        s = np.linalg.svd(np.hstack([U.Q, W.Q]), compute_uv=False)
-        if lower_frame_data(s, total, total, tol)[3]:
-            return "holds"
-    # overfull or rank deficient: the pieces overlap
-    return "fails_intersection"
+    excess = U.dim + W.dim - U.ambient_dim
+    half_tan = 1.0
+    if excess == 0 and U.dim and W.dim:
+        half_tan = float(np.tan(principal_angles(U, W)[0] / 2))
+    return _direct_sum_verdict(excess, half_tan, tol)
 
 
 def pseudo_inverse(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CoeffVector, Tolerances
+from .core import DEFAULT_TOL, CoeffVector, Tolerances, json_pairs
 from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .forms import FormAssessment
 from .operators import OperatorBundle, lower_frame_data
@@ -52,9 +52,7 @@ class DualSystem:
             "count": int(self.primal.shape[1]),
         }
         if include_columns:
-            d["dual_columns"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.dual
-            ]
+            d["dual_columns"] = json_pairs(self.dual)
         return d
 
 

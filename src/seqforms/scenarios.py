@@ -20,6 +20,7 @@ from .core import (
     CoeffVector,
     Tolerances,
     TruncationLadder,
+    json_scalar,
     partial_sum_trend,
     probe_series,
 )
@@ -28,7 +29,6 @@ from .forms import (
     lambda_region_weighted,
     solvability_shift,
     weighted_riesz_associated,
-    zero_closed_check,
     zero_closed_from_bundles,
 )
 from .operators import build_bundle, bundle_from_columns, operator_image_bundle
@@ -73,7 +73,7 @@ def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     if isinstance(v, complex):
-        return v.real if v.imag == 0 else [v.real, v.imag]
+        return json_scalar(v)
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
     return v
@@ -397,7 +397,11 @@ def _scenario_weight_inverse(ladder, tol, params):
     worst_t = 0.0
     all_closed = True
     for N in sizes:
-        fa = zero_closed_check(xi, eta, N, N, tol)
+        b_xi = build_bundle(xi, N, N, tol)
+        b_eta = build_bundle(eta, N, N, tol)
+        fa = zero_closed_from_bundles(b_xi, b_eta, tol)
+        if N == 32:
+            at_32 = fa, b_xi, b_eta
         worst_t = max(
             worst_t, float(np.max(np.abs(fa.associated_operator - np.eye(N))))
         )
@@ -420,10 +424,7 @@ def _scenario_weight_inverse(ladder, tol, params):
     )
 
     N = 32
-    b_xi = build_bundle(xi, N, N, tol)
-    b_eta = build_bundle(eta, N, N, tol)
-    fa = zero_closed_from_bundles(b_xi, b_eta, tol)
-    left, right = reproducing_pair_duals(fa, b_xi, b_eta, tol)
+    left, right = reproducing_pair_duals(*at_32, tol)
     rng = np.random.default_rng(23)
     worst_res = 0.0
     for _ in range(20):

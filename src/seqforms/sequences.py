@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CoeffVector
+from .core import CoeffVector, json_scalar
 from .errors import SupportOverflow
 
 __all__ = [
@@ -81,9 +81,9 @@ class ScalarRule:
     def to_json(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "constant":
-            d["value"] = _json_scalar(self.value)
+            d["value"] = json_scalar(self.value)
         if self.kind == "table":
-            d["values"] = [_json_scalar(v) for v in self.values]
+            d["values"] = [json_scalar(v) for v in self.values]
         return d
 
     @staticmethod
@@ -95,13 +95,6 @@ class ScalarRule:
             value=d.get("value", 1.0),
             values=tuple(d["values"]) if "values" in d else None,
         )
-
-
-def _json_scalar(z: complex):
-    z = complex(z)
-    if z.imag == 0:
-        return z.real
-    return [z.real, z.imag]
 
 
 class SequenceSpec:
@@ -170,7 +163,7 @@ class ExplicitColumns(SequenceSpec):
         return rows, cols, self.matrix[rows, n[cols] - 1]
 
     def _params_json(self):
-        return {"matrix": [[_json_scalar(v) for v in row] for row in self.matrix]}
+        return {"matrix": [[json_scalar(v) for v in row] for row in self.matrix]}
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,14 @@ def test_operator_image_identities():
 
 
 def _count_svds(monkeypatch):
-    """Record (function, compute_uv) for every SVD taken through numpy or scipy."""
+    """Record (function, compute_uv, shape) for every SVD taken through numpy
+    or scipy."""
     calls = []
 
     def counted(name, fn, uv_default):
         def wrapper(*args, **kwargs):
-            calls.append((name, bool(kwargs.get("compute_uv", uv_default))))
+            uv = bool(kwargs.get("compute_uv", uv_default))
+            calls.append((name, uv, np.shape(args[0])))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -148,12 +150,14 @@ def test_one_factorization_per_operator(monkeypatch):
     xi = ExplicitColumns(random_columns(6, 9, 10))
     eta = ExplicitColumns(random_columns(6, 9, 11))
     zero_closed_check(xi, eta, 6, 9)
-    # one full SVD per bundle, the direct sum, the associated matrix and
-    # the inf-sup cosines
-    assert len(calls) <= 5
+    # one full SVD per bundle, the associated matrix and the inf-sup
+    # cosines; the direct sum is read off the cosines, so no 9 x 9 SVD of
+    # the stacked bases is taken
+    assert len(calls) == 4
+    assert all(shape != (9, 9) for _, _, shape in calls)
     calls.clear()
     classify_finite(build_bundle(xi, 6, 9))
-    assert calls == [("numpy.svd", False)]
+    assert calls == [("numpy.svd", False, (9, 6))]
 
 
 @pytest.mark.parametrize("dim,count,rank", [(5, 8, 3), (8, 5, 3), (6, 6, 4), (4, 7, 0)])

@@ -1,11 +1,21 @@
 """Property tests of the batch term path over random rule trees drawn from
-the JSON vocabulary of spec_from_json."""
+the JSON vocabulary of spec_from_json, and of the direct-sum verdict against
+the singular values of the stacked bases."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from seqforms import materialize, spec_from_json, term
+from seqforms import (
+    DEFAULT_TOL,
+    SubspaceBasis,
+    bundle_from_columns,
+    direct_sum_check,
+    materialize,
+    spec_from_json,
+    term,
+)
 from seqforms.errors import SupportOverflow
+from seqforms.forms import zero_closed_from_bundles
 
 small = st.integers(-3, 3).map(float)
 scalar_value = st.one_of(small, st.tuples(small, small).map(list))
@@ -97,3 +107,74 @@ def test_columns_are_single_terms(rule, size):
         return
     for n in range(1, count + 1):
         assert term(spec, n, dim).coeffs.tobytes() == X[:, n - 1].tobytes()
+
+
+def stacked_direct_sum(U, W, tol=DEFAULT_TOL):
+    """Reference rule: U (+) W is the whole space iff the dimensions add up
+    and sigma_min / sigma_max of the stacked bases [U W] clears rank_tol.
+    Returns the verdict and that ratio (None when the dimensions decide)."""
+    total = U.dim + W.dim
+    if total != U.ambient_dim:
+        return ("fails_span" if total < U.ambient_dim else "fails_intersection"), None
+    s = np.linalg.svd(np.hstack([U.Q, W.Q]), compute_uv=False)
+    ratio = s[-1] / s[0]
+    return ("holds" if ratio > tol.rank_tol else "fails_intersection"), ratio
+
+
+def orthonormal(Z):
+    return np.linalg.qr(Z)[0] if Z.shape[1] else Z
+
+
+@st.composite
+def planted_pairs(draw):
+    """Columns of xi and eta whose analysis ranges R_xi and R_eta^perp meet
+    at a planted smallest angle 10^-13 .. 10^-1 when their dimensions add up
+    to count; ranks run from 0 (a zero sequence) to count, below dim or not."""
+    count = draw(st.integers(2, 12))
+    top = min(count, 8)
+    r_xi = draw(st.one_of(st.integers(1, min(count - 1, 8)), st.sampled_from([0, top])))
+    r_eta = draw(st.one_of(st.just(r_xi), st.integers(0, top)))
+    dim = draw(st.integers(max(r_xi, r_eta, 1), 8))
+    # half the angles fall within a factor 2.5 of the cutoff angle 2e-10
+    theta = 10.0 ** -draw(st.one_of(st.floats(1, 13), st.floats(9.3, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    Q = orthonormal(gaussian(count, count))
+    m = count - r_eta
+    U = Q[:, :r_xi]
+    if 0 < r_xi < count and r_xi + m == count:
+        w = np.cos(theta) * Q[:, :1] + np.sin(theta) * Q[:, r_xi : r_xi + 1]
+        W = np.hstack([w, Q[:, r_xi + 1 :]])
+    else:
+        W = orthonormal(gaussian(count, m))
+    # mix each basis within its span
+    U = U @ orthonormal(gaussian(r_xi, r_xi))
+    W = W @ orthonormal(gaussian(m, m))
+    V = np.linalg.qr(W, mode="complete")[0][:, m:]  # basis of R_eta
+    C_xi = U @ gaussian(r_xi, dim)
+    C_eta = V @ gaussian(r_eta, dim)
+    return SubspaceBasis(U, count), SubspaceBasis(W, count), C_xi, C_eta
+
+
+def near_cutoff(ratio, tol=DEFAULT_TOL):
+    return ratio is not None and abs(ratio / tol.rank_tol - 1.0) < 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_pairs())
+def test_direct_sum_matches_stacked_basis_svd(pair):
+    U, W, C_xi, C_eta = pair
+    expected, ratio = stacked_direct_sum(U, W)
+    if not near_cutoff(ratio):
+        assert direct_sum_check(U, W) == expected
+
+    b_xi = bundle_from_columns(C_xi.conj().T)
+    b_eta = bundle_from_columns(C_eta.conj().T)
+    R_xi, R_eta_perp = b_xi.subspaces()[0], b_eta.subspaces()[1]
+    expected, ratio = stacked_direct_sum(R_xi, R_eta_perp)
+    if not near_cutoff(ratio):
+        assert direct_sum_check(R_xi, R_eta_perp) == expected
+        assert zero_closed_from_bundles(b_xi, b_eta).direct_sum == expected
