@@ -17,6 +17,7 @@ from .core import (
 )
 from .errors import (
     DegenerateNormWarning,
+    DenseTooLarge,
     DimensionMismatch,
     NotLowerSemiFrame,
     NotPositiveDefinite,
@@ -41,12 +42,14 @@ from .sequences import (
     term,
 )
 from .operators import (
+    FrameSpectrum,
     OperatorBundle,
     SubspaceBasis,
     build_bundle,
     bundle_from_columns,
     complement_basis,
     direct_sum_check,
+    frame_spectrum,
     operator_image_bundle,
     principal_angles,
     pseudo_inverse,
@@ -58,6 +61,7 @@ from .classify import (
     WeightedFrameBounds,
     check_biorthogonal,
     classify_finite,
+    classify_spectrum,
     diagnose_asymptotic,
     weighted_space_frame,
 )

@@ -2,7 +2,8 @@
 diagnostics of the infinite-dimensional class.
 
 At a fixed truncation the frame bounds are the extreme squared singular
-values of the analysis matrix; the infinite-dimensional class can only be
+values of the analysis matrix (operators.frame_spectrum picks a dense or a
+banded backend for them); the infinite-dimensional class can only be
 diagnosed, by tracking how the bounds move along a truncation ladder.
 """
 
@@ -16,8 +17,8 @@ import scipy.linalg
 
 from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder
 from .core import json_scalar, partial_sum_trend
-from .errors import NotPositiveDefinite
-from .operators import OperatorBundle, build_bundle, lower_frame_data
+from .errors import DenseTooLarge, NotPositiveDefinite
+from .operators import FrameSpectrum, OperatorBundle, frame_spectrum
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "AsymptoticDiagnosis",
     "WeightedFrameBounds",
     "classify_finite",
+    "classify_spectrum",
     "diagnose_asymptotic",
     "check_biorthogonal",
     "weighted_space_frame",
@@ -72,6 +74,7 @@ class AsymptoticDiagnosis:
     sizes: tuple = ()
     upper_bounds: tuple = ()
     lower_bounds: tuple = ()
+    spectra: tuple = ()  # FrameSpectrum per rung, for meta; not in the body
 
     def to_dict(self) -> dict:
         return {
@@ -100,34 +103,38 @@ def classify_finite(
     bundle: OperatorBundle, tol: Tolerances = DEFAULT_TOL
 ) -> ClassificationReport:
     """Exact classification at the truncation from the singular values of C."""
-    s = bundle.singular_values
-    dim, count = bundle.dim, bundle.count
-    smax, sigma_dim, rank, frame = lower_frame_data(s, dim, count, tol)
+    return classify_spectrum(
+        FrameSpectrum.from_singular_values(
+            bundle.singular_values, bundle.dim, bundle.count, tol
+        )
+    )
 
-    B = smax**2
-    A = sigma_dim**2
-    complete = rank == dim
-    riesz_basis = frame and count == dim
 
-    rf_bound = float(s[rank - 1] ** 2) if rank else 0.0
-    rf_possible = count <= dim
+def classify_spectrum(sp: FrameSpectrum) -> ClassificationReport:
+    """Exact classification at the truncation from the extremes of the
+    spectrum, whichever backend found them."""
+    complete = sp.rank == sp.dim
+    # sigma_dim (0 when count < dim) clears the cutoff exactly when all dim
+    # singular values do, so at a finite truncation frame == complete
+    frame = complete
+    riesz_basis = frame and sp.count == sp.dim
 
     notes: List[str] = []
     if frame:
         # finite-dim fact: ||S^{-1}|| = 1/A; inverse-norm bound stated in
         # terms of 1/A (the literal A-form degenerates dimensionally)
-        notes.append(f"frame_inverse_norm_bound=1/A={1.0 / A:.6g}")
+        notes.append(f"frame_inverse_norm_bound=1/A={1.0 / sp.lower:.6g}")
 
     return ClassificationReport(
         complete=complete,
-        bessel_bound=B,
-        lower_bound=A,
+        bessel_bound=sp.bessel,
+        lower_bound=sp.lower,
         frame=frame,
-        riesz_fischer_bound=rf_bound,
-        riesz_fischer_possible=rf_possible,
+        riesz_fischer_bound=sp.rf_bound,
+        riesz_fischer_possible=sp.count <= sp.dim,
         riesz_basis=riesz_basis,
-        dim=dim,
-        count=count,
+        dim=sp.dim,
+        count=sp.count,
         notes=tuple(notes),
     )
 
@@ -137,13 +144,15 @@ def diagnose_asymptotic(
 ) -> AsymptoticDiagnosis:
     """Track frame bounds with dim = N and count = arity * N along the ladder."""
     sizes = ladder.sizes
-    uppers, lowers, completes = [], [], []
+    spectra = []
     for N in sizes:
-        bundle = build_bundle(spec, N, spec.arity * N, tol)
-        rep = classify_finite(bundle, tol)
-        uppers.append(rep.bessel_bound)
-        lowers.append(rep.lower_bound)
-        completes.append(rep.complete)
+        try:
+            spectra.append(frame_spectrum(spec, N, spec.arity * N, tol))
+        except DenseTooLarge as exc:
+            raise DenseTooLarge(f"ladder rung N={N}: {exc}", rung=N, **exc.details)
+    uppers = [sp.bessel for sp in spectra]
+    lowers = [sp.lower for sp in spectra]
+    completes = [sp.rank == sp.dim for sp in spectra]
 
     bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers], tol)
     lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers], tol)
@@ -177,6 +186,7 @@ def diagnose_asymptotic(
         sizes=tuple(sizes),
         upper_bounds=tuple(uppers),
         lower_bounds=tuple(lowers),
+        spectra=tuple(spectra),
     )
 
 

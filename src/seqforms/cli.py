@@ -18,11 +18,11 @@ import time
 
 import numpy as np
 
-from .classify import classify_finite, diagnose_asymptotic
+from .classify import classify_spectrum, diagnose_asymptotic
 from .core import DEFAULT_TOL, CoeffVector, Tolerances, TruncationLadder
 from .errors import SeqFormsError
 from .forms import zero_closed_check, zero_closed_from_bundles
-from .operators import build_bundle
+from .operators import build_bundle, frame_spectrum
 from .reconstruct import canonical_dual, reconstruct_with, reproducing_pair_duals
 from .scenarios import run_scenario, scenario_ids
 from .sequences import spec_from_json
@@ -124,14 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_classify(args, tol):
+    """The report body and meta.spectral: the backend, bandwidth and guard
+    margin of the single truncation and of every ladder rung."""
     spec = _load_sequence(args.spec)
     count = args.count if args.count is not None else args.dim
-    bundle = build_bundle(spec, args.dim, count, tol)
-    rep = classify_finite(bundle, tol)
-    out = rep.to_dict()
+    spectrum = frame_spectrum(spec, args.dim, count, tol)
+    out = classify_spectrum(spectrum).to_dict()
+    spectral = {"truncation": spectrum.provenance()}
     if args.ladder is not None:
-        out["asymptotic"] = diagnose_asymptotic(spec, args.ladder, tol).to_dict()
-    return out
+        diagnosis = diagnose_asymptotic(spec, args.ladder, tol)
+        out["asymptotic"] = diagnosis.to_dict()
+        spectral["ladder"] = [
+            {"size": N, **sp.provenance()}
+            for N, sp in zip(diagnosis.sizes, diagnosis.spectra)
+        ]
+    return out, {"spectral": spectral}
 
 
 def _report_form_assess(args, tol):
@@ -234,8 +241,9 @@ def main(argv=None) -> int:
         tol = _tolerances(args)
         t0 = time.perf_counter()
         runtime = None
+        meta = {}
         if args.command == "classify":
-            report = _report_classify(args, tol)
+            report, meta = _report_classify(args, tol)
         elif args.command == "form-assess":
             report = _report_form_assess(args, tol)
         elif args.command == "reconstruct":
@@ -254,6 +262,8 @@ def main(argv=None) -> int:
             "schema": SCHEMA,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
+        if getattr(exc, "details", None):
+            error["error"]["details"] = exc.details
         sys.stderr.write(json.dumps(error, indent=2) + "\n")
         return 1
 
@@ -261,7 +271,7 @@ def main(argv=None) -> int:
         "schema": SCHEMA,
         "command": args.command,
         "report": report,
-        "meta": {"runtime_s": runtime},
+        "meta": {"runtime_s": runtime, **meta},
     }
     try:
         _emit(payload, args)

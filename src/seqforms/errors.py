@@ -29,6 +29,18 @@ class UnknownScenario(SeqFormsError):
     pass
 
 
+class DenseTooLarge(SeqFormsError):
+    """A verdict would need a dense factorization above the size cap.
+
+    details holds the sizes (dim, count, cap, and the rung when a ladder
+    asked) for the machine-readable error report.
+    """
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
+
+
 class DegenerateNormWarning(UserWarning):
     """Analysis operator has a nontrivial kernel; graph norm degenerates.
 

@@ -9,6 +9,7 @@ stay cheap for the structured rules.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -335,18 +336,35 @@ def spec_from_json(d: dict) -> SequenceSpec:
 
 
 def _matrix_from_json(rows: Sequence[Sequence]) -> np.ndarray:
-    """Rows of [re, im] pairs or of real entries are converted as one array;
-    any other mix entry by entry. Non-finite entries are rejected."""
-    try:
-        a = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        a = np.empty(0)
-    if a.ndim == 3 and a.shape[2] == 2:
-        M = a.view(complex)[..., 0]
-    elif a.ndim == 2:
-        M = a.astype(complex)
-    else:
+    """Rows of [re, im] pairs or of real entries are read as one flat float
+    array; any other mix entry by entry. Non-finite entries are rejected."""
+    M = _uniform_matrix(rows)
+    if M is None:
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("matrix rows must all have the same length")
         M = np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite numbers")
     return M
+
+
+def _uniform_matrix(rows: Sequence[Sequence]) -> Optional[np.ndarray]:
+    """The matrix of nonempty rows of one length, every entry an [re, im]
+    pair (when the first is) or every entry a real number; None otherwise.
+    The shape is checked first, so np.fromiter can read the flat entries."""
+    try:
+        widths = set(map(len, rows))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape = (len(rows), widths.pop())
+        entries = itertools.chain.from_iterable(rows)
+        if not isinstance(rows[0][0], (list, tuple)):
+            flat = np.fromiter(entries, float, count=shape[0] * shape[1])
+            return flat.reshape(shape).astype(complex)
+        if set(map(len, entries)) != {2}:
+            return None
+        parts = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+        flat = np.fromiter(parts, float, count=2 * shape[0] * shape[1])
+        return flat.view(complex).reshape(shape)
+    except (TypeError, ValueError):
+        return None

@@ -1,15 +1,20 @@
-"""Property tests of the batch term path over random rule trees drawn from
-the JSON vocabulary of spec_from_json, and of the direct-sum verdict against
-the singular values of the stacked bases."""
+"""Property tests of the batch term path and of the frame bounds over
+random rule trees drawn from the JSON vocabulary of spec_from_json, and of
+the direct-sum verdict against the singular values of the stacked bases."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
     SubspaceBasis,
     bundle_from_columns,
     direct_sum_check,
+    frame_spectrum,
     materialize,
     spec_from_json,
     term,
@@ -45,11 +50,11 @@ leaves = st.one_of(
 )
 
 
-def rule_trees(depth):
+def rule_trees(depth, leaves=leaves):
     """Rule trees of at most depth + 1 levels."""
     if depth == 0:
         return leaves
-    inner = rule_trees(depth - 1)
+    inner = rule_trees(depth - 1, leaves)
     return st.one_of(
         leaves,
         st.tuples(inner, inner).map(
@@ -62,6 +67,15 @@ def rule_trees(depth):
 
 
 sizes = st.tuples(st.integers(1, 10), st.integers(1, 24))
+
+# leaves without tables or explicit matrices fit any truncation, and their
+# interleavings with finite differences give a frame matrix of bandwidth 1
+structured_leaves = st.one_of(
+    st.just({"rule": "finite_difference"}),
+    st.sampled_from([{"kind": "n"}, {"kind": "1/n"}, {"kind": "constant", "value": 2.0}])
+    .map(lambda w: {"rule": "diagonal", "params": {"weight": w}}),
+    leaves,
+)
 
 
 def outcome(build):
@@ -107,6 +121,35 @@ def test_columns_are_single_terms(rule, size):
         return
     for n in range(1, count + 1):
         assert term(spec, n, dim).coeffs.tobytes() == X[:, n - 1].tobytes()
+
+
+@pytest.mark.parametrize("crossover", [0, operators.BANDED_MIN_SIZE])
+@settings(max_examples=300, deadline=None)
+@given(
+    rule_trees(2, structured_leaves),
+    st.integers(1, 10),
+    st.one_of(st.none(), st.integers(1, 24)),
+    st.integers(0, 2**32 - 1),
+)
+def test_frame_bounds_bracket_the_analysis_energy(crossover, rule, dim, count, seed):
+    """A ||f||^2 <= ||C f||^2 <= B ||f||^2 to 1e-10 B, for random unit f and
+    for the extreme eigenvectors of S, through the banded backend (crossover
+    0) and the dense one. count None is a ladder rung: arity * dim."""
+    spec = spec_from_json(rule)
+    count = count or spec.arity * dim
+    X = outcome(lambda: spec.materialize(dim, count))
+    if isinstance(X, str):
+        return
+    with mock.patch.object(operators, "BANDED_MIN_SIZE", crossover):
+        sp = frame_spectrum(spec, dim, count)
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((dim, 16)) + 1j * rng.standard_normal((dim, 16))
+    _, eigenvectors = np.linalg.eigh(X @ X.conj().T)
+    F = np.hstack([F / np.linalg.norm(F, axis=0), eigenvectors[:, [0, -1]]])
+    energy = np.sum(np.abs(X.conj().T @ F) ** 2, axis=0)
+    slack = 1e-10 * sp.bessel
+    assert np.all(sp.lower - slack <= energy)
+    assert np.all(energy <= sp.bessel + slack)
 
 
 def stacked_direct_sum(U, W, tol=DEFAULT_TOL):

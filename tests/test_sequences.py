@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from seqforms import (
     spec_from_json,
     term,
 )
+from seqforms.cli import main
 from seqforms.errors import SupportOverflow
-from seqforms.sequences import _as_complex, _matrix_from_json
+from seqforms.sequences import _as_complex, _matrix_from_json, _uniform_matrix
 
 
 def test_scalar_rules():
@@ -137,6 +140,48 @@ def test_matrix_from_json_matches_per_entry_conversion(rows):
     M = _matrix_from_json(rows)
     assert M.dtype == per_entry.dtype and M.shape == per_entry.shape
     assert M.tobytes() == per_entry.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 48)])
+@pytest.mark.parametrize("pairs", [True, False])
+def test_flat_read_matches_per_entry_conversion(shape, pairs):
+    rng = np.random.default_rng(sum(shape))
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if pairs:
+        M = M + 1j * rng.standard_normal(shape)
+        M[0, 0] = complex(-0.0, -0.0)
+        rows = json.loads(json.dumps(np.stack([M.real, M.imag], axis=-1).tolist()))
+    else:
+        M[0, 0] = -0.0
+        rows = json.loads(json.dumps(M.tolist()))
+    flat = _uniform_matrix(rows)
+    per_entry = np.array([[_as_complex(v) for v in row] for row in rows], dtype=complex)
+    assert flat is not None and flat.shape == shape
+    assert flat.tobytes() == per_entry.tobytes() == M.astype(complex).tobytes()
+    assert _matrix_from_json(rows).tobytes() == per_entry.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 2.0], [3.0]],  # ragged real rows
+        [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]],  # ragged pair rows
+        [[[1.0, 0.0, 5.0], [2.0, 0.0]]],  # a pair of three
+        [[[1.0], [2.0]]],  # pairs of one
+        [[[1.0, 0.0], [2.0]]],  # a short pair after a whole one
+        [["one", 2.0]],  # not a number
+        [[[1.0, "i"], [2.0, 0.0]]],  # not a number inside a pair
+        [[[[1.0, 0.0], [0.0, 1.0]]]],  # a matrix where a pair should be
+    ],
+)
+def test_malformed_matrix_is_rejected(rows, tmp_path, capsys):
+    assert _uniform_matrix(rows) is None
+    with pytest.raises((TypeError, ValueError)):
+        spec_from_json({"rule": "explicit", "params": {"matrix": rows}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rule": "operator_image", "params": {"matrix": rows}}))
+    assert main(["classify", "--spec", str(path), "--dim", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load sequence rule")
 
 
 @pytest.mark.parametrize("rule", ["explicit", "operator_image"])
