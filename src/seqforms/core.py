@@ -231,6 +231,63 @@ def partial_sum_trend(
     )
 
 
+# Rows per block of column_prefix_fsums: its two block buffers take 1.6 MB
+# at 100 columns, whatever the number of rows.
+FSUM_BLOCK_ROWS = 1024
+
+
+def column_prefix_fsums(mats: Sequence[np.ndarray], stops) -> list:
+    """math.fsum of column prefixes, bit for bit, in whole-array passes.
+
+    mats are real float matrices with the same columns and at least stops[-1]
+    rows, whose columns have finite sums of absolute values; stops is
+    strictly increasing. out[i][k, j] is fsum(m[:stops[k], j] for m in
+    mats[:i + 1], chained): each later entry adds one more matrix's rows.
+
+    Each block of rows is split level by level into exact high parts (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 2008). With sigma a power of two at
+    least 2^b max|x| per column, where 2^b >= rows + 2, q = (sigma + x) -
+    sigma and x - q are exact, every q is a multiple of 2^-53 sigma, and so
+    every sum of the q of one column is an exact float. The level sums of
+    each ladder segment (rows stops[k-1] to stops[k]) are kept apart until
+    one fsum over those of segments 0..k, the only rounding. Where sigma
+    would overflow, the same split is taken by truncation, q = x -
+    fmod(x, 2^-53 sigma), which is exact too but far slower.
+    """
+    stops = np.asarray(stops)
+    top, cols = int(stops[-1]), mats[0].shape[1]
+    buf = np.empty((2, FSUM_BLOCK_ROWS, cols))
+    pieces, segments, out = [np.zeros((1, cols))], [np.zeros(1, int)], []
+    for M in mats:
+        for r0 in range(0, top, FSUM_BLOCK_ROWS):
+            r1 = min(r0 + FSUM_BLOCK_ROWS, top)
+            x, q = buf[:, : r1 - r0]
+            x[...] = M[r0:r1]
+            starts = np.concatenate(([r0], stops[(stops > r0) & (stops < r1)]))
+            segment = np.searchsorted(stops, starts, side="right")
+            bits = math.ceil(math.log2(r1 - r0 + 2))
+            mu = np.abs(x, out=q).max(axis=0)
+            while (mu > 0).any():  # False on NaN: no endless loop
+                e = np.frexp(mu)[1] + bits  # sigma = 2^e >= 2^bits mu
+                if e.max() <= 1023:
+                    sigma = np.ldexp(1.0, e)
+                    np.add(x, sigma, out=q)
+                    q -= sigma
+                else:
+                    np.fmod(x, np.ldexp(1.0, np.maximum(e - 53, -1074)), out=q)
+                    np.subtract(x, q, out=q)
+                x -= q
+                pieces.append(np.add.reduceat(q, starts - r0, axis=0))
+                segments.append(segment)
+                mu = np.abs(x, out=q).max(axis=0)
+        parts, segment = np.concatenate(pieces), np.concatenate(segments)
+        out.append(np.array([
+            [math.fsum(col) for col in parts[segment <= k].T.tolist()]
+            for k in range(stops.size)
+        ]))
+    return out
+
+
 def probe_series(
     terms, ladder: TruncationLadder, tol: Tolerances = DEFAULT_TOL
 ) -> ConvergenceVerdict:

@@ -114,8 +114,8 @@ def infsup_constants(
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
-    Qxi = bundle_xi.subspaces(tol)[0]
-    Qeta = bundle_eta.subspaces(tol)[0]
+    Qxi = bundle_xi.range_basis(tol)
+    Qeta = bundle_eta.range_basis(tol)
     deg_xi = Qxi.dim < bundle_xi.dim
     deg_eta = Qeta.dim < bundle_eta.dim
     if deg_xi or deg_eta:

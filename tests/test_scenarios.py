@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from seqforms import TruncationLadder, run_scenario, scenario_ids
 from seqforms.errors import UnknownScenario
+from seqforms.sequences import DiagonalWeights, FiniteDifference, Interleave, ScalarRule
 
 # ladder rungs a decade apart, like the default, so tail estimates behave
 SMALL = TruncationLadder((30, 300, 3000))
@@ -71,6 +75,38 @@ def test_dc_vs_s_small_ladder():
 def test_interleaved_lower_small_ladder():
     rep = run_scenario("interleaved-lower", SMALL, params={"vectors": 20})
     assert rep.all_ok
+
+
+def norm_split_defect_by_column(ladder, n_vecs=100):
+    """max_relative_defect of interleaved-lower, one math.fsum per rung,
+    vector and sum, on the scenario's own draws."""
+    inter = Interleave(DiagonalWeights(ScalarRule("constant", 1.0)), FiniteDifference())
+    dim = ladder.top
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((dim, n_vecs)) + 1j * rng.standard_normal((dim, n_vecs))
+    A2 = np.abs(inter.materialize_sparse(dim, 2 * dim).conj().T.dot(F)) ** 2
+    fnorm2 = np.abs(F) ** 2
+    worst = 0.0
+    for N in ladder.sizes:
+        for j in range(n_vecs):
+            total = math.fsum(A2[: 2 * N, j])
+            base_part = math.fsum(A2[1 : 2 * N : 2, j])
+            norm_part = math.fsum(fnorm2[:N, j])
+            worst = max(worst, abs(total - base_part - norm_part) / max(1.0, total))
+    return worst
+
+
+def test_interleaved_lower_norm_split_matches_per_column_fsum():
+    ladder = TruncationLadder((20, 200, 2000))
+    rep = run_scenario("interleaved-lower", ladder)
+    claim = next(c for c in rep.claims if c.reference == "interleaved-lower/norm-identity")
+    assert claim.evidence["max_relative_defect"] == norm_split_defect_by_column(ladder)
+    # no probe vectors: nothing to split, and nothing sampled
+    rep = run_scenario("interleaved-lower", ladder, params={"vectors": 0})
+    claims = {c.reference: c for c in rep.claims}
+    defect = claims["interleaved-lower/norm-identity"].evidence["max_relative_defect"]
+    assert defect == norm_split_defect_by_column(ladder, 0) == 0.0
+    assert claims["interleaved-lower/lower-bound-sampled"].evidence["min_ratio"] is None
 
 
 def test_reports_are_reproducible():
