@@ -17,6 +17,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from .classify import classify_spectrum, diagnose_asymptotic
 from .core import DEFAULT_TOL, CoeffVector, Tolerances, TruncationLadder
@@ -43,11 +44,14 @@ def _ladder_arg(text: str) -> TruncationLadder:
 
 
 def _load_sequence(path: str):
+    """The rule in a strict-JSON file: NaN, Infinity, out-of-range floats and
+    bytes that are not UTF-8 are usage errors (orjson.JSONDecodeError is a
+    ValueError)."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = orjson.loads(fh.read())
         return spec_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load sequence rule from {path}: {exc}") from exc
 
 

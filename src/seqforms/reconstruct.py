@@ -8,6 +8,7 @@ and xi respectively.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -40,9 +41,12 @@ class DualSystem:
     bessel_bound_of_dual: float
     partner: Optional[np.ndarray] = None
 
-    @property
-    def coefficient_columns(self) -> np.ndarray:
-        return self.primal if self.partner is None else self.partner
+    @functools.cached_property
+    def coefficient_adjoint(self) -> np.ndarray:
+        """partner^H, copied once per system; every reconstruct_with call on
+        the system reuses it."""
+        partner = self.primal if self.partner is None else self.partner
+        return partner.conj().T
 
     def to_dict(self, include_columns: bool = True) -> dict:
         d = {
@@ -85,12 +89,12 @@ def reconstruct_with(
     dual_system: DualSystem, f: CoeffVector, tol: Tolerances = DEFAULT_TOL
 ) -> Tuple[CoeffVector, float]:
     """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||."""
-    P = dual_system.coefficient_columns
-    if f.dim != P.shape[0]:
+    PH = dual_system.coefficient_adjoint
+    if f.dim != PH.shape[1]:
         raise DimensionMismatch(
-            f"vector dim {f.dim} does not match system dim {P.shape[0]}"
+            f"vector dim {f.dim} does not match system dim {PH.shape[1]}"
         )
-    coeffs = P.conj().T @ f.coeffs  # <f, partner_n>
+    coeffs = PH @ f.coeffs  # <f, partner_n>
     recon = dual_system.dual @ coeffs
     residual = float(np.linalg.norm(recon - f.coeffs))
     return CoeffVector(recon), residual

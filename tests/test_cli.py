@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seqforms.cli import main
+from seqforms.cli import _load_sequence, main
 
 ONB = {"rule": "diagonal", "params": {"weight": {"kind": "constant", "value": 1.0}}}
 W_N = {"rule": "diagonal", "params": {"weight": {"kind": "n"}}}
@@ -194,10 +194,35 @@ def test_non_finite_tolerances_are_usage_errors(spec_file, capsys, extra):
     _assert_usage_error(main(["classify", "--spec", path, "--dim", "8"] + extra), capsys)
 
 
-def test_non_finite_matrix_entry_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "nan.json"
-    bad.write_text('{"rule": "explicit", "params": {"matrix": [[1.0, NaN], [0.0, 1.0]]}}')
-    _assert_usage_error(main(["classify", "--spec", str(bad), "--dim", "2"]), capsys)
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"rule": "explicit", "params": {"matrix": [[1.0, NaN], [0.0, 1.0]]}}',
+        b'{"rule": "explicit", "params": {"matrix": [[1.0, Infinity], [0.0, 1.0]]}}',
+        b'{"rule": "explicit", "params": {"matrix": [[1.0, 1e400], [0.0, 1.0]]}}',
+        b'{"rule": "diagonal", "params": {"weight": {"kind": "n\xff"}}}',
+        b'{"rule": "explicit", "params": {"matrix": [[1.0, 0.0], [0.0,',
+        b"",
+    ],
+    ids=["nan", "infinity", "1e400", "not-utf8", "truncated", "empty"],
+)
+def test_unloadable_rule_file_is_usage_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["classify", "--spec", str(bad), "--dim", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load sequence rule") and err.count("\n") == 1
+
+
+def test_integer_entry_beyond_64_bits_loads_as_its_float(spec_file):
+    big = 2**64 + 1
+    path = spec_file(
+        "big.json",
+        {"rule": "explicit", "params": {"matrix": [[[big, -big], [0, 0]], [[0, 0], [1, 0]]]}},
+    )
+    M = _load_sequence(path).matrix
+    assert M[0, 0] == complex(float(big), -float(big))
 
 
 def test_scenario_report_is_strict_json(capsys):

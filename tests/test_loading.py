@@ -1,0 +1,68 @@
+"""Rule files are parsed with orjson; these properties check that it reads
+every float token to the same double as the standard library's json, which
+serves only as the reference here."""
+
+import decimal
+import json
+import struct
+
+import numpy as np
+import orjson
+from hypothesis import given, settings, strategies as st
+
+from seqforms.cli import _load_sequence
+from seqforms.sequences import spec_from_json
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+shortest_repr = finite.map(repr)
+
+# 17-40 significant digits, one before the point; exponents keep the value
+# below the largest double and reach past the subnormals.
+long_mantissa = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.integers(10**16, 10**40 - 1).map(str),
+    st.integers(-360, 268),
+).map(lambda t: f"{t[0]}{t[1][0]}.{t[1][1:]}e{t[2]}")
+
+
+def _midpoint(x):
+    """The exact decimal halfway between |x| and the next larger double."""
+    x = abs(x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (decimal.Decimal(x) + decimal.Decimal(np.nextafter(x, np.inf))) / 2
+    return str(mid)
+
+
+midpoints = finite.filter(lambda x: abs(x) < np.finfo(float).max).map(_midpoint)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(shortest_repr, long_mantissa, midpoints), min_size=1, max_size=40))
+def test_orjson_reads_floats_as_json_does(tokens):
+    text = "[" + ", ".join(tokens) + "]"
+    assert _bits(orjson.loads(text.encode())) == _bits(json.loads(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.tuples(finite, finite).map(list), min_size=rows, max_size=rows),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.sampled_from(["explicit", "operator_image"]),
+)
+def test_load_sequence_matches_json_reference(tmp_path_factory, pairs, tag):
+    path = tmp_path_factory.mktemp("rules") / "rule.json"
+    path.write_text(json.dumps({"rule": tag, "params": {"matrix": pairs}}))
+    with open(path) as fh:
+        reference = spec_from_json(json.load(fh))
+    assert _load_sequence(str(path)).matrix.tobytes() == reference.matrix.tobytes()
