@@ -22,6 +22,7 @@ from .errors import (
     NotLowerSemiFrame,
     NotPositiveDefinite,
     NotZeroClosed,
+    ScaleOutOfRange,
     SeqFormsError,
     SupportOverflow,
     UnknownScenario,
@@ -44,7 +45,6 @@ from .sequences import (
 from .operators import (
     FrameSpectrum,
     OperatorBundle,
-    SubspaceBasis,
     build_bundle,
     bundle_from_columns,
     complement_basis,
@@ -57,11 +57,9 @@ from .operators import (
 )
 from .classify import (
     AsymptoticDiagnosis,
-    ClassificationReport,
     WeightedFrameBounds,
     check_biorthogonal,
     classify_finite,
-    classify_spectrum,
     diagnose_asymptotic,
     weighted_space_frame,
 )
@@ -82,6 +80,7 @@ from .forms import (
 from .reconstruct import (
     DualSystem,
     canonical_dual,
+    max_residual,
     reconstruct_with,
     reproducing_pair_duals,
 )

@@ -9,8 +9,9 @@ diagnosed, by tracking how the bounds move along a truncation ladder.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -22,43 +23,13 @@ from .operators import FrameSpectrum, OperatorBundle, frame_spectrum
 from .sequences import SequenceSpec
 
 __all__ = [
-    "ClassificationReport",
     "AsymptoticDiagnosis",
     "WeightedFrameBounds",
     "classify_finite",
-    "classify_spectrum",
     "diagnose_asymptotic",
     "check_biorthogonal",
     "weighted_space_frame",
 ]
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    complete: bool
-    bessel_bound: float  # B = sigma_max(C)^2
-    lower_bound: float  # A = sigma_{dim}(C)^2, 0 when count < dim
-    frame: bool
-    riesz_fischer_bound: float  # smallest nonzero singular value of D, squared
-    riesz_fischer_possible: bool  # False for overcomplete truncations
-    riesz_basis: bool
-    dim: int
-    count: int
-    notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "complete": self.complete,
-            "bessel_bound": self.bessel_bound,
-            "lower_bound": self.lower_bound,
-            "frame": self.frame,
-            "riesz_fischer_bound": self.riesz_fischer_bound,
-            "riesz_fischer_possible": self.riesz_fischer_possible,
-            "riesz_basis": self.riesz_basis,
-            "dim": self.dim,
-            "count": self.count,
-            "notes": list(self.notes),
-        }
 
 
 @dataclass(frozen=True)
@@ -101,41 +72,10 @@ def _verdict_dict(v: ConvergenceVerdict) -> dict:
 
 def classify_finite(
     bundle: OperatorBundle, tol: Tolerances = DEFAULT_TOL
-) -> ClassificationReport:
+) -> FrameSpectrum:
     """Exact classification at the truncation from the singular values of C."""
-    return classify_spectrum(
-        FrameSpectrum.from_singular_values(
-            bundle.singular_values, bundle.dim, bundle.count, tol
-        )
-    )
-
-
-def classify_spectrum(sp: FrameSpectrum) -> ClassificationReport:
-    """Exact classification at the truncation from the extremes of the
-    spectrum, whichever backend found them."""
-    complete = sp.rank == sp.dim
-    # sigma_dim (0 when count < dim) clears the cutoff exactly when all dim
-    # singular values do, so at a finite truncation frame == complete
-    frame = complete
-    riesz_basis = frame and sp.count == sp.dim
-
-    notes: List[str] = []
-    if frame:
-        # finite-dim fact: ||S^{-1}|| = 1/A; inverse-norm bound stated in
-        # terms of 1/A (the literal A-form degenerates dimensionally)
-        notes.append(f"frame_inverse_norm_bound=1/A={1.0 / sp.lower:.6g}")
-
-    return ClassificationReport(
-        complete=complete,
-        bessel_bound=sp.bessel,
-        lower_bound=sp.lower,
-        frame=frame,
-        riesz_fischer_bound=sp.rf_bound,
-        riesz_fischer_possible=sp.count <= sp.dim,
-        riesz_basis=riesz_basis,
-        dim=sp.dim,
-        count=sp.count,
-        notes=tuple(notes),
+    return FrameSpectrum.from_singular_values(
+        bundle.singular_values, bundle.dim, bundle.count, tol
     )
 
 
@@ -150,9 +90,8 @@ def diagnose_asymptotic(
             spectra.append(frame_spectrum(spec, N, spec.arity * N, tol))
         except DenseTooLarge as exc:
             raise DenseTooLarge(f"ladder rung N={N}: {exc}", rung=N, **exc.details)
-    uppers = [sp.bessel for sp in spectra]
-    lowers = [sp.lower for sp in spectra]
-    completes = [sp.rank == sp.dim for sp in spectra]
+    uppers = [sp.bessel_bound for sp in spectra]
+    lowers = [sp.lower_bound for sp in spectra]
 
     bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers], tol)
     lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers], tol)
@@ -175,7 +114,7 @@ def diagnose_asymptotic(
     elif a_positive and not b_bounded:
         inferred = "LowerSemiFrame"
     elif b_bounded and not a_positive:
-        inferred = "UpperSemiFrame" if all(completes) else "Bessel"
+        inferred = "UpperSemiFrame" if all(sp.complete for sp in spectra) else "Bessel"
     else:
         inferred = "None"
 
@@ -213,11 +152,7 @@ class WeightedFrameBounds:
     identity_error: float  # max deviation of <f, xi_n> = <f, xi'_n>_+
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "identity_error": self.identity_error,
-        }
+        return dataclasses.asdict(self)
 
 
 def weighted_space_frame(

@@ -13,26 +13,23 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 
 import numpy as np
 import orjson
 
-from .classify import classify_spectrum, diagnose_asymptotic
-from .core import DEFAULT_TOL, CoeffVector, Tolerances, TruncationLadder
-from .errors import SeqFormsError
+from .classify import diagnose_asymptotic
+from .core import DEFAULT_TOL, Tolerances, TruncationLadder
+from .errors import ScaleOutOfRange, SeqFormsError, UsageError
 from .forms import zero_closed_check, zero_closed_from_bundles
 from .operators import build_bundle, frame_spectrum
-from .reconstruct import canonical_dual, reconstruct_with, reproducing_pair_duals
+from .reconstruct import canonical_dual, max_residual, reproducing_pair_duals
 from .scenarios import run_scenario, scenario_ids
 from .sequences import spec_from_json
 
 SCHEMA = "seqforms/1"
-
-
-class UsageError(Exception):
-    """Bad arguments or unreadable/invalid input files (exit code 2)."""
 
 
 def _ladder_arg(text: str) -> TruncationLadder:
@@ -68,6 +65,9 @@ def _tolerances(args) -> Tolerances:
 
 
 def _check_sizes(args) -> None:
+    """Fills the --count default (--dim) and rejects sizes below 1."""
+    if getattr(args, "dim", None) is not None and args.count is None:
+        args.count = args.dim
     for name in ("dim", "count", "trials"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -131,9 +131,8 @@ def _report_classify(args, tol):
     """The report body and meta.spectral: the backend, bandwidth and guard
     margin of the single truncation and of every ladder rung."""
     spec = _load_sequence(args.spec)
-    count = args.count if args.count is not None else args.dim
-    spectrum = frame_spectrum(spec, args.dim, count, tol)
-    out = classify_spectrum(spectrum).to_dict()
+    spectrum = frame_spectrum(spec, args.dim, args.count, tol)
+    out = spectrum.to_dict()
     spectral = {"truncation": spectrum.provenance()}
     if args.ladder is not None:
         diagnosis = diagnose_asymptotic(spec, args.ladder, tol)
@@ -148,54 +147,49 @@ def _report_classify(args, tol):
 def _report_form_assess(args, tol):
     left = _load_sequence(args.left)
     right = _load_sequence(args.right)
-    count = args.count if args.count is not None else args.dim
-    fa = zero_closed_check(left, right, args.dim, count, tol)
-    return fa.to_dict(include_matrix=args.dim <= 64)
-
-
-def _residual_stats(systems, dim, trials):
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        f = CoeffVector(z / np.linalg.norm(z))
-        for system in systems:
-            _, res = reconstruct_with(system, f)
-            worst = max(worst, res)
-    return worst
+    fa = zero_closed_check(left, right, args.dim, args.count, tol)
+    return fa.to_dict(include_matrix=args.dim <= 64), {}
 
 
 def _report_reconstruct(args, tol):
-    count = args.count if args.count is not None else args.dim
     pair = args.left is not None and args.right is not None
     if args.spec is not None and not pair:
         spec = _load_sequence(args.spec)
-        bundle = build_bundle(spec, args.dim, count, tol)
+        bundle = build_bundle(spec, args.dim, args.count)
         systems = [canonical_dual(bundle, tol)]
     elif pair and args.spec is None:
         left = _load_sequence(args.left)
         right = _load_sequence(args.right)
-        b_left = build_bundle(left, args.dim, count, tol)
-        b_right = build_bundle(right, args.dim, count, tol)
+        b_left = build_bundle(left, args.dim, args.count)
+        b_right = build_bundle(right, args.dim, args.count)
         fa = zero_closed_from_bundles(b_left, b_right, tol)
-        systems = list(reproducing_pair_duals(fa, b_left, b_right, tol))
+        systems = reproducing_pair_duals(fa, b_left, b_right)
     else:
         raise UsageError(
             "reconstruct needs either --spec or both --left and --right"
         )
-    worst = _residual_stats(systems, args.dim, args.trials)
     return {
         "systems": [s.to_dict(include_columns=args.dim <= 64) for s in systems],
-        "max_residual": worst,
+        "max_residual": max_residual(systems, args.trials, seed=2024),
         "trials": args.trials,
         "dim": args.dim,
-        "count": count,
-    }
+        "count": args.count,
+    }, {}
 
 
 def _report_scenario(args, tol):
     report = run_scenario(args.scenario_id, args.ladder, tol)
-    return report.to_dict(include_runtime=False), report.runtime
+    return report.to_dict(), {"runtime_s": report.runtime}
+
+
+# command -> function of (args, tol) returning (report body, meta entries)
+_REPORTS = {
+    "classify": _report_classify,
+    "form-assess": _report_form_assess,
+    "reconstruct": _report_reconstruct,
+    "scenario": _report_scenario,
+    "list": lambda args, tol: ({"scenarios": scenario_ids()}, {}),
+}
 
 
 def _flatten(prefix, obj, row):
@@ -208,11 +202,14 @@ def _flatten(prefix, obj, row):
         for i, v in enumerate(obj):
             if isinstance(v, (dict, int, float, str, bool, type(None))):
                 _flatten(f"{prefix}[{i}]", v, row)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise OverflowError(f"{prefix} is {obj}")
     else:
         row[prefix] = obj
 
 
-def _emit(payload, args):
+def _render(payload, args) -> str:
+    """The output text; a non-finite float raises OverflowError."""
     if args.format == "csv":
         row = {}
         _flatten("", payload["report"], row)
@@ -223,14 +220,11 @@ def _emit(payload, args):
         keys = list(row)
         writer.writerow(keys)
         writer.writerow([row[k] for k in keys])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return buf.getvalue()
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # allow_nan=False refuses inf and nan
+        raise OverflowError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
@@ -244,20 +238,18 @@ def main(argv=None) -> int:
         _check_sizes(args)
         tol = _tolerances(args)
         t0 = time.perf_counter()
-        runtime = None
-        meta = {}
-        if args.command == "classify":
-            report, meta = _report_classify(args, tol)
-        elif args.command == "form-assess":
-            report = _report_form_assess(args, tol)
-        elif args.command == "reconstruct":
-            report = _report_reconstruct(args, tol)
-        elif args.command == "scenario":
-            report, runtime = _report_scenario(args, tol)
-        else:
-            report = {"scenarios": scenario_ids()}
-        if runtime is None:
-            runtime = time.perf_counter() - t0
+        try:
+            report, meta = _REPORTS[args.command](args, tol)
+            payload = {
+                "schema": SCHEMA,
+                "command": args.command,
+                "report": report,
+                "meta": {"runtime_s": time.perf_counter() - t0, **meta},
+            }
+            text = _render(payload, args)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            # inf, a 0 from underflow, or a factorization failing on either
+            raise ScaleOutOfRange(f"{type(exc).__name__}: {exc}") from exc
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -271,14 +263,12 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(error, indent=2) + "\n")
         return 1
 
-    payload = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "report": report,
-        "meta": {"runtime_s": runtime, **meta},
-    }
     try:
-        _emit(payload, args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return 2

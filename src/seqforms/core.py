@@ -83,9 +83,6 @@ class CoeffVector:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -148,13 +145,6 @@ def weighted_norm(c: Sequence[complex], w: WeightVector) -> float:
     return float(np.sqrt(np.sum(np.abs(w.weights[: c.size]) * np.abs(c) ** 2)))
 
 
-def _dist(a, b) -> float:
-    d = a - b
-    if isinstance(d, np.ndarray):
-        return float(np.linalg.norm(d))
-    return abs(d)
-
-
 def _magnitude(a) -> float:
     if isinstance(a, np.ndarray):
         return float(np.linalg.norm(a))
@@ -176,38 +166,28 @@ def partial_sum_trend(
     if len(sums) != sizes.size or len(sums) < 3:
         raise ValueError("need one partial sum per ladder rung, at least three")
     norms = np.array([_magnitude(s) for s in sums])
-    gaps = np.array([_dist(sums[i + 1], sums[i]) for i in range(len(sums) - 1)])
+    gaps = np.array([_magnitude(b - a) for a, b in zip(sums, sums[1:])])
 
     growth = None
     if np.all(norms > 0):
         growth = float(np.polyfit(np.log(sizes), np.log(norms), 1)[0])
 
-    if growth is not None and growth >= tol.growth_min and norms[-1] > norms[0]:
+    def verdict(kind, gap, limit=None):
         return ConvergenceVerdict(
-            "Diverged",
-            growth_exponent=growth,
-            cauchy_gap=float(gaps[-1]),
-            last_partial=sums[-1],
+            kind, limit_estimate=limit, growth_exponent=growth,
+            cauchy_gap=float(gap), last_partial=sums[-1],
         )
+
+    if growth is not None and growth >= tol.growth_min and norms[-1] > norms[0]:
+        return verdict("Diverged", gaps[-1])
 
     gmax = float(gaps.max())
     if gaps.min() >= tol.cauchy_tol and gaps[-1] >= 0.5 * gmax:
         # persistent gap: successive rungs keep moving by about the same amount
-        return ConvergenceVerdict(
-            "Diverged",
-            growth_exponent=growth,
-            cauchy_gap=float(gaps.min()),
-            last_partial=sums[-1],
-        )
+        return verdict("Diverged", gaps.min())
 
     if gaps[-1] < tol.cauchy_tol and gaps[-1] <= gmax * (1 + 1e-12):
-        return ConvergenceVerdict(
-            "Converged",
-            limit_estimate=sums[-1],
-            growth_exponent=growth,
-            cauchy_gap=float(gaps[-1]),
-            last_partial=sums[-1],
-        )
+        return verdict("Converged", gaps[-1], limit=sums[-1])
 
     if np.all(gaps[:-1] > 0):
         ratios = gaps[1:] / gaps[:-1]
@@ -215,20 +195,9 @@ def partial_sum_trend(
             # clear geometric decay: extrapolate the tail
             r = float(ratios[-1])
             limit = sums[-1] + (sums[-1] - sums[-2]) * (r / (1.0 - r))
-            return ConvergenceVerdict(
-                "Converged",
-                limit_estimate=limit,
-                growth_exponent=growth,
-                cauchy_gap=float(gaps[-1]),
-                last_partial=sums[-1],
-            )
+            return verdict("Converged", gaps[-1], limit=limit)
 
-    return ConvergenceVerdict(
-        "Inconclusive",
-        growth_exponent=growth,
-        cauchy_gap=float(gaps[-1]),
-        last_partial=sums[-1],
-    )
+    return verdict("Inconclusive", gaps[-1])
 
 
 # Rows per block of column_prefix_fsums: its two block buffers take 1.6 MB

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class UsageError(Exception):
+    """Bad arguments or unreadable/invalid input files (exit code 2)."""
+
+
 class SeqFormsError(Exception):
     """Base class for domain errors."""
 
@@ -39,6 +43,11 @@ class DenseTooLarge(SeqFormsError):
     def __init__(self, message: str, **details):
         super().__init__(message)
         self.details = details
+
+
+class ScaleOutOfRange(SeqFormsError):
+    """A result, or a matrix a factorization needed, left the range of
+    doubles: it overflowed to inf or underflowed to 0."""
 
 
 class DegenerateNormWarning(UserWarning):

@@ -10,6 +10,7 @@ two verdicts must agree.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,7 +79,6 @@ def eval_gram_form(
     d: Sequence[complex],
     dim: int,
     count: int,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> complex:
     """Gram form sum_{i,j} c_i conj(d_j) <xi_i, xi_j> = <D c, D d>."""
     c = np.asarray(c, dtype=complex).ravel()
@@ -116,20 +116,21 @@ def infsup_constants(
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
     Qxi = bundle_xi.range_basis(tol)
     Qeta = bundle_eta.range_basis(tol)
-    deg_xi = Qxi.dim < bundle_xi.dim
-    deg_eta = Qeta.dim < bundle_eta.dim
+    r_xi, r_eta = Qxi.shape[1], Qeta.shape[1]
+    deg_xi = r_xi < bundle_xi.dim
+    deg_eta = r_eta < bundle_eta.dim
     if deg_xi or deg_eta:
         warnings.warn(
             "analysis operator has a nontrivial kernel; inf-sup constants "
             "computed on the quotient",
             DegenerateNormWarning,
         )
-    if Qxi.dim == 0 or Qeta.dim == 0:
+    if r_xi == 0 or r_eta == 0:
         return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
     # min cosine over the smaller range is c1 or c2
     s, angles = cosines_and_angles(Qxi, Qeta)
-    c1 = float(s[-1]) if Qxi.dim <= Qeta.dim else 0.0
-    c2 = float(s[-1]) if Qeta.dim <= Qxi.dim else 0.0
+    c1 = float(s[-1]) if r_xi <= r_eta else 0.0
+    c2 = float(s[-1]) if r_eta <= r_xi else 0.0
     return InfSupConstants(c1, c2, angles, deg_xi, deg_eta)
 
 
@@ -154,26 +155,14 @@ class FormAssessment:
     count: int
 
     def to_dict(self, include_matrix: bool = True) -> dict:
-        d = {
-            "null_dim_left": self.null_dim_left,
-            "null_dim_right": self.null_dim_left,
-            "c1": self.c1,
-            "c2": self.c2,
-            "max_principal_angle": self.max_principal_angle,
-            "direct_sum": self.direct_sum,
-            "zero_closed": self.zero_closed,
-            "assoc_invertible": self.assoc_invertible,
-            "assoc_inverse_norm": self.assoc_inverse_norm,
-            "lower_xi": self.lower_xi,
-            "lower_eta": self.lower_eta,
-            "lower_bound_xi": self.lower_bound_xi,
-            "lower_bound_eta": self.lower_bound_eta,
-            "dim": self.dim,
-            "count": self.count,
-            "finite_truncation": True,  # verdicts hold at this truncation only
-        }
+        """The fields in order, the matrix last and only when asked for."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        matrix = d.pop("associated_operator")
+        d = {"null_dim_left": d.pop("null_dim_left"),
+             "null_dim_right": self.null_dim_left, **d}
+        d["finite_truncation"] = True  # verdicts hold at this truncation only
         if include_matrix:
-            d["associated_operator"] = json_pairs(self.associated_operator)
+            d["associated_operator"] = json_pairs(matrix)
         return d
 
 
@@ -184,8 +173,8 @@ def zero_closed_check(
     count: int,
     tol: Tolerances = DEFAULT_TOL,
 ) -> FormAssessment:
-    bundle_xi = build_bundle(spec_xi, dim, count, tol)
-    bundle_eta = build_bundle(spec_eta, dim, count, tol)
+    bundle_xi = build_bundle(spec_xi, dim, count)
+    bundle_eta = build_bundle(spec_eta, dim, count)
     return zero_closed_from_bundles(bundle_xi, bundle_eta, tol)
 
 
@@ -267,13 +256,8 @@ class LambdaVerdict:
     sigma_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": json_scalar(self.lam),
-            "distance": self.distance,
-            "lambda_closed": self.lambda_closed,
-            "resolvent_invertible": self.resolvent_invertible,
-            "sigma_min": self.sigma_min,
-        }
+        d = dataclasses.asdict(self)
+        return {"lambda": json_scalar(d.pop("lam")), **d}
 
 
 def lambda_region_weighted(
@@ -321,12 +305,10 @@ class ShiftResult:
     shifted_zero_closed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": [json_scalar(v) for v in self.sigma],
-            "shifted": [json_scalar(v) for v in self.shifted],
-            "min_shifted_modulus": self.min_shifted_modulus,
-            "shifted_zero_closed": self.shifted_zero_closed,
-        }
+        d = dataclasses.asdict(self)
+        for k in ("sigma", "shifted"):
+            d[k] = [json_scalar(v) for v in d[k]]
+        return d
 
 
 def solvability_shift(

@@ -4,7 +4,8 @@ Conventions: for columns xi_n (dim x count matrix X), the analysis matrix is
 C = X^H, so (C f)_n = <f, xi_n> including the complex conjugation; the
 synthesis matrix is D = C^H = X; the frame matrix is S = D C and the Gram
 matrix is G = C D. Rank decisions use a singular-value cutoff relative to
-the largest singular value.
+the largest singular value. A basis of a subspace is a plain array with
+orthonormal columns; its rows are the ambient space.
 
 Classification reads only the extremes of the spectrum of S (or of G when
 count < dim), and frame_spectrum takes them from a banded eigensolver when S
@@ -33,7 +34,6 @@ __all__ = [
     "rank_cutoff",
     "FrameSpectrum",
     "frame_spectrum",
-    "SubspaceBasis",
     "build_bundle",
     "bundle_from_columns",
     "range_basis",
@@ -56,6 +56,12 @@ def rank_cutoff(
     return (tol.rank_tol**2 if squared else tol.rank_tol) * top
 
 
+def _rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of the descending singular values s above rank_tol * s[0]."""
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > rank_cutoff(smax, tol))) if smax > 0 else 0
+
+
 def lower_frame_data(
     s: np.ndarray, dim: int, count: int, tol: Tolerances = DEFAULT_TOL
 ) -> Tuple[float, float, int, bool]:
@@ -64,21 +70,8 @@ def lower_frame_data(
     rank and is_lower compare with the cutoff rank_tol * sigma_max."""
     smax = float(s[0]) if s.size else 0.0
     sigma_dim = float(s[dim - 1]) if count >= dim else 0.0
-    cutoff = rank_cutoff(smax, tol)
-    rank = int(np.count_nonzero(s > cutoff)) if smax > 0 else 0
-    return smax, sigma_dim, rank, smax > 0 and sigma_dim > cutoff
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of the truncated l2 space."""
-
-    Q: np.ndarray
-    ambient_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.Q.shape[1]
+    is_lower = smax > 0 and sigma_dim > rank_cutoff(smax, tol)
+    return smax, sigma_dim, _rank(s, tol), is_lower
 
 
 @dataclass(frozen=True)
@@ -128,22 +121,19 @@ class OperatorBundle:
         return U, s
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        return lower_frame_data(self.singular_values, self.dim, self.count, tol)[2]
+        return _rank(self.singular_values, tol)
 
-    def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-        """Orthonormal basis of R(C), from the one SVD."""
+    def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal columns spanning R(C), from the one SVD."""
         U, s = self.svd
-        r = lower_frame_data(s, self.dim, self.count, tol)[2]
-        return SubspaceBasis(U[:, :r], self.count)
+        return U[:, : _rank(s, tol)]
 
 
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:
     return OperatorBundle(np.atleast_2d(np.asarray(X, dtype=complex)))
 
 
-def build_bundle(
-    spec: SequenceSpec, dim: int, count: int, tol: Tolerances = DEFAULT_TOL
-) -> OperatorBundle:
+def build_bundle(spec: SequenceSpec, dim: int, count: int) -> OperatorBundle:
     return bundle_from_columns(spec.materialize(dim, count))
 
 
@@ -161,23 +151,23 @@ GUARD_FACTOR = 1e4
 
 @dataclass(frozen=True)
 class FrameSpectrum:
-    """What classification reads of C at one truncation.
+    """Exact classification of a sequence at one truncation.
 
-    bessel is B = sigma_max^2, lower is A = sigma_dim^2 (0 when count < dim),
-    rf_bound is the smallest squared singular value above the rank cutoff.
-    backend is "dense" (SVD of C), "diagonal" or "banded" (extreme
-    eigenvalues of S, or of G when count < dim). bandwidth is the bound w
-    read off the supports and guard_margin is
+    bessel_bound is B = sigma_max^2, lower_bound is A = sigma_dim^2 (0 when
+    count < dim), riesz_fischer_bound is the smallest squared singular value
+    above the rank cutoff. backend is "dense" (SVD of C), "diagonal" or
+    "banded" (extreme eigenvalues of S, or of G when count < dim).
+    bandwidth is the bound w read off the supports and guard_margin is
     log10(lambda_min / (GUARD_FACTOR (w + 1) eps lambda_max)); both are None
     where they were not computed, the margin also when lambda_min <= 0.
     """
 
     dim: int
     count: int
-    bessel: float
-    lower: float
+    bessel_bound: float
+    lower_bound: float
     rank: int
-    rf_bound: float
+    riesz_fischer_bound: float
     backend: str = "dense"
     bandwidth: Optional[int] = None
     guard_margin: Optional[float] = None
@@ -189,6 +179,42 @@ class FrameSpectrum:
         smax, sigma_dim, rank, _ = lower_frame_data(s, dim, count, tol)
         rf_bound = float(s[rank - 1] ** 2) if rank else 0.0
         return cls(dim, count, smax**2, sigma_dim**2, rank, rf_bound)
+
+    @property
+    def complete(self) -> bool:
+        return self.rank == self.dim
+
+    # sigma_dim (0 when count < dim) clears the cutoff exactly when all dim
+    # singular values do, so at a finite truncation frame == complete
+    frame = complete
+
+    @property
+    def riesz_basis(self) -> bool:
+        return self.frame and self.count == self.dim
+
+    @property
+    def riesz_fischer_possible(self) -> bool:
+        """False for overcomplete truncations."""
+        return self.count <= self.dim
+
+    def to_dict(self) -> dict:
+        notes = []
+        if self.frame:
+            # finite-dim fact: ||S^{-1}|| = 1/A; inverse-norm bound stated in
+            # terms of 1/A (the literal A-form degenerates dimensionally)
+            notes.append(f"frame_inverse_norm_bound=1/A={1.0 / self.lower_bound:.6g}")
+        return {
+            "complete": self.complete,
+            "bessel_bound": self.bessel_bound,
+            "lower_bound": self.lower_bound,
+            "frame": self.frame,
+            "riesz_fischer_bound": self.riesz_fischer_bound,
+            "riesz_fischer_possible": self.riesz_fischer_possible,
+            "riesz_basis": self.riesz_basis,
+            "dim": self.dim,
+            "count": self.count,
+            "notes": notes,
+        }
 
     def provenance(self) -> dict:
         return {
@@ -235,7 +261,7 @@ def frame_spectrum(
             f"{found.get('guard_margin')})",
             dim=dim, count=count, cap=DENSE_MAX_SIZE, **found,
         )
-    s = build_bundle(spec, dim, count, tol).singular_values
+    s = build_bundle(spec, dim, count).singular_values
     return dataclasses.replace(
         FrameSpectrum.from_singular_values(s, dim, count, tol), **found
     )
@@ -279,29 +305,32 @@ def _guard_margin(lo: float, hi: float, w: int) -> Optional[float]:
     return math.log10(lo / (GUARD_FACTOR * (w + 1) * np.finfo(float).eps * hi))
 
 
-def range_basis(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
+def range_basis(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of M, by SVD with relative cutoff."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = lower_frame_data(s, M.shape[1], M.shape[0], tol)[2]
-    return SubspaceBasis(U[:, :r], M.shape[0])
+    return U[:, : _rank(s, tol)]
 
 
 def complement_basis(
     M: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> SubspaceBasis:
+) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column space."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=True)
-    r = lower_frame_data(s, M.shape[1], M.shape[0], tol)[2]
-    return SubspaceBasis(U[:, r:], M.shape[0])
+    return U[:, _rank(s, tol) :]
+
+
+def _check_ambient(U: np.ndarray, W: np.ndarray) -> None:
+    if U.shape[0] != W.shape[0]:
+        raise DimensionMismatch(f"ambient dims differ: {U.shape[0]} vs {W.shape[0]}")
 
 
 def cosines_and_angles(
-    U: SubspaceBasis, W: SubspaceBasis
+    U: np.ndarray, W: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Principal angles between two subspaces: their cosines, descending, and
-    the angles, ascending in [0, pi/2].
+    """Principal angles between the spans of two bases: their cosines,
+    descending, and the angles, ascending in [0, pi/2].
 
     A cosine within rounding of 1 cannot tell an angle below 1e-8 from 0, so
     every angle up to pi/4 comes from its sine instead: the length outside
@@ -310,27 +339,25 @@ def cosines_and_angles(
     whole space every sine is 0 and no principal vectors are needed; else
     they come from the cosines' own SVD, so no second factorization is taken.
     """
-    if U.ambient_dim != W.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dims differ: {U.ambient_dim} vs {W.ambient_dim}"
-        )
-    if U.dim == 0 or W.dim == 0:
+    _check_ambient(U, W)
+    if U.shape[1] == 0 or W.shape[1] == 0:
         return np.empty(0), np.empty(0)
-    M = U.Q.conj().T @ W.Q
-    big = W.Q if U.dim <= W.dim else U.Q
-    if big.shape[1] == U.ambient_dim:
+    M = U.conj().T @ W
+    u_smaller = U.shape[1] <= W.shape[1]
+    big = W if u_smaller else U
+    if big.shape[1] == U.shape[0]:
         cos = np.linalg.svd(M, compute_uv=False)
         sin = np.zeros_like(cos)
     else:
         Y, cos, Zh = np.linalg.svd(M, full_matrices=False)
-        V = U.Q @ Y if U.dim <= W.dim else W.Q @ Zh.conj().T
+        V = U @ Y if u_smaller else W @ Zh.conj().T
         sin = np.linalg.norm(V - big @ (big.conj().T @ V), axis=0)
     from_sin = np.arcsin(np.minimum(sin, 1.0))
     angles = np.where(cos**2 >= 0.5, from_sin, np.arccos(np.clip(cos, 0.0, 1.0)))
     return cos, np.sort(angles)
 
 
-def principal_angles(U: SubspaceBasis, W: SubspaceBasis) -> np.ndarray:
+def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Principal angles between two subspaces, ascending, in [0, pi/2]."""
     return cosines_and_angles(U, W)[1]
 
@@ -350,20 +377,17 @@ def _direct_sum_verdict(excess: int, half_tan: float, tol: Tolerances) -> str:
 
 
 def direct_sum_check(
-    U: SubspaceBasis, W: SubspaceBasis, tol: Tolerances = DEFAULT_TOL
+    U: np.ndarray, W: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> str:
     """Whether U and W decompose the ambient space as a direct sum, from
     their smallest principal angle (see _direct_sum_verdict).
 
     Returns "holds", "fails_intersection" or "fails_span".
     """
-    if U.ambient_dim != W.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dims differ: {U.ambient_dim} vs {W.ambient_dim}"
-        )
-    excess = U.dim + W.dim - U.ambient_dim
+    _check_ambient(U, W)
+    excess = U.shape[1] + W.shape[1] - U.shape[0]
     half_tan = 1.0
-    if excess == 0 and U.dim and W.dim:
+    if excess == 0 and U.shape[1] and W.shape[1]:
         half_tan = float(np.tan(principal_angles(U, W)[0] / 2))
     return _direct_sum_verdict(excess, half_tan, tol)
 
@@ -385,13 +409,11 @@ class ImageBundleResult:
         return self.analysis_error <= tol.eq_tol and self.frame_error <= tol.eq_tol
 
 
-def operator_image_bundle(
-    V: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> ImageBundleResult:
+def operator_image_bundle(V: np.ndarray) -> ImageBundleResult:
     V = np.atleast_2d(np.asarray(V, dtype=complex))
     if V.shape[0] != V.shape[1]:
         raise DimensionMismatch("operator must be square for the truncation window")
-    bundle = build_bundle(OperatorImage(V), V.shape[0], V.shape[1], tol)
+    bundle = build_bundle(OperatorImage(V), V.shape[0], V.shape[1])
     analysis_error = float(np.max(np.abs(bundle.C - V.conj().T)))
     frame_error = float(np.max(np.abs(bundle.S - V @ V.conj().T)))
     return ImageBundleResult(bundle, analysis_error, frame_error)

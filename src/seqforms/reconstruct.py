@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "DualSystem",
     "canonical_dual",
     "reconstruct_with",
+    "max_residual",
     "reproducing_pair_duals",
 ]
 
@@ -86,7 +87,7 @@ def canonical_dual(
 
 
 def reconstruct_with(
-    dual_system: DualSystem, f: CoeffVector, tol: Tolerances = DEFAULT_TOL
+    dual_system: DualSystem, f: CoeffVector
 ) -> Tuple[CoeffVector, float]:
     """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||."""
     PH = dual_system.coefficient_adjoint
@@ -100,11 +101,24 @@ def reconstruct_with(
     return CoeffVector(recon), residual
 
 
+def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float:
+    """Largest reconstruct_with residual over trials random unit probes drawn
+    from default_rng(seed), each reconstructed by every system in turn."""
+    dim = systems[0].primal.shape[0]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        f = CoeffVector(z / np.linalg.norm(z))
+        for system in systems:
+            worst = max(worst, reconstruct_with(system, f)[1])
+    return worst
+
+
 def reproducing_pair_duals(
     assessment: FormAssessment,
     bundle_xi: OperatorBundle,
     bundle_eta: OperatorBundle,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> Tuple[DualSystem, DualSystem]:
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
     {T^{-1} eta_n} paired against xi, with T the associated matrix."""

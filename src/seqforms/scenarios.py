@@ -8,6 +8,7 @@ divergence of a series, domain membership).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -15,9 +16,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .classify import classify_finite
 from .core import (
     DEFAULT_TOL,
-    CoeffVector,
     Tolerances,
     TruncationLadder,
     column_prefix_fsums,
@@ -25,7 +26,7 @@ from .core import (
     partial_sum_trend,
     probe_series,
 )
-from .errors import UnknownScenario
+from .errors import UnknownScenario, UsageError
 from .forms import (
     lambda_region_weighted,
     solvability_shift,
@@ -33,7 +34,7 @@ from .forms import (
     zero_closed_from_bundles,
 )
 from .operators import build_bundle, bundle_from_columns, operator_image_bundle
-from .reconstruct import reconstruct_with, reproducing_pair_duals
+from .reconstruct import max_residual, reproducing_pair_duals
 from .sequences import (
     DiagonalWeights,
     FiniteDifference,
@@ -62,12 +63,8 @@ class ClaimResult:
         return self.status == "diagnostic" and not self.evidence.get("as_expected", True)
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "reference": self.reference,
-            "status": self.status,
-            "evidence": {k: _jsonable(v) for k, v in self.evidence.items()},
-        }
+        evidence = {k: _jsonable(v) for k, v in self.evidence.items()}
+        return {**dataclasses.asdict(self), "evidence": evidence}
 
 
 def _jsonable(v):
@@ -90,15 +87,13 @@ class ScenarioReport:
     def all_ok(self) -> bool:
         return not any(c.failed for c in self.claims)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The report body; the runtime goes to the CLI's meta block."""
+        return {
             "scenario_id": self.scenario_id,
             "all_ok": self.all_ok,
             "claims": [c.to_dict() for c in self.claims],
         }
-        if include_runtime:
-            d["runtime_s"] = self.runtime
-        return d
 
 
 def _claim(description, reference, ok, evidence=None, diagnostic=False):
@@ -223,9 +218,8 @@ def _scenario_interleaved_lower(ladder, tol, params):
     exact_sizes = [N for N in ladder.sizes if N <= 600]
     min_A = float("inf")
     for N in exact_sizes:
-        bundle = build_bundle(inter, N, 2 * N, tol)
-        s = bundle.singular_values
-        min_A = min(min_A, float(s[N - 1] ** 2))
+        spectrum = classify_finite(build_bundle(inter, N, 2 * N), tol)
+        min_A = min(min_A, spectrum.lower_bound)
     ok_exact = (not exact_sizes) or min_A >= 1.0 - 1e-9
     claims.append(
         _claim(
@@ -271,11 +265,7 @@ def _scenario_dc_vs_s(ladder, tol, params):
     # reconstruction series sum <f, xi_n> eta_n converges to f
     Xeta = eta.materialize_sparse(dim, ladder.top)
     v_rec = probe_series(Xeta.multiply(coeffs), ladder, tol)
-    resid = (
-        float(np.linalg.norm(v_rec.last_partial - f))
-        if v_rec.last_partial is not None
-        else None
-    )
+    resid = float(np.linalg.norm(v_rec.last_partial - f))
     claims.append(
         _claim(
             "multiplier series sum <f, xi_n> eta_n reproduces f",
@@ -305,6 +295,13 @@ def _scenario_dc_vs_s(ladder, tol, params):
 
 
 def _scenario_telescoping(ladder, tol, params):
+    # each rung s is also read at the mid-group rung 3 (s // 3) - 1
+    groups = [s // 3 for s in ladder.sizes]
+    if groups[0] < 1 or any(b <= a for a, b in zip(groups, groups[1:])):
+        raise UsageError(
+            "telescoping-pair needs every ladder rung >= 3, each in a different "
+            f"group of three (3k to 3k+2); got {ladder.sizes}"
+        )
     xi = TriplePattern("xi")
     eta = TriplePattern("eta")
     dim = ladder.top // 3 + 1
@@ -365,10 +362,8 @@ def _scenario_telescoping(ladder, tol, params):
     # eta is Bessel with bound 3; the identity form then forces a lower
     # bound 1/3 for xi -- witnessed at a moderate truncation
     N = 64
-    b_eta = build_bundle(eta, N, 3 * N, tol)
-    b_xi = build_bundle(xi, N, 3 * N, tol)
-    B_eta = float(b_eta.singular_values[0] ** 2)
-    A_xi = float(b_xi.singular_values[N - 1] ** 2)
+    B_eta = classify_finite(build_bundle(eta, N, 3 * N), tol).bessel_bound
+    A_xi = classify_finite(build_bundle(xi, N, 3 * N), tol).lower_bound
     claims.append(
         _claim(
             "partner Bessel bound 3 forces lower bound at least 1/3 for xi",
@@ -396,8 +391,8 @@ def _scenario_weight_inverse(ladder, tol, params):
     worst_t = 0.0
     all_closed = True
     for N in sizes:
-        b_xi = build_bundle(xi, N, N, tol)
-        b_eta = build_bundle(eta, N, N, tol)
+        b_xi = build_bundle(xi, N, N)
+        b_eta = build_bundle(eta, N, N)
         fa = zero_closed_from_bundles(b_xi, b_eta, tol)
         if N == 32:
             at_32 = fa, b_xi, b_eta
@@ -422,22 +417,13 @@ def _scenario_weight_inverse(ladder, tol, params):
         )
     )
 
-    N = 32
-    left, right = reproducing_pair_duals(*at_32, tol)
-    rng = np.random.default_rng(23)
-    worst_res = 0.0
-    for _ in range(20):
-        z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        fvec = CoeffVector(z / np.linalg.norm(z))
-        _, r_left = reconstruct_with(left, fvec, tol)
-        _, r_right = reconstruct_with(right, fvec, tol)
-        worst_res = max(worst_res, r_left, r_right)
+    worst_res = max_residual(reproducing_pair_duals(*at_32), trials=20, seed=23)
     claims.append(
         _claim(
             "left and right weak reconstructions are exact",
             "weight-inverse-pair/reconstruction",
             worst_res < 1e-12,
-            {"max_residual": worst_res, "dim": N},
+            {"max_residual": worst_res, "dim": 32},
         )
     )
     return claims
@@ -546,12 +532,10 @@ def _scenario_operator_image(ladder, tol, params):
     for _ in range(trials):
         V = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        res = operator_image_bundle(V, tol)
+        res = operator_image_bundle(V)
         worst_c = max(worst_c, res.analysis_error)
         worst_s = max(worst_s, res.frame_error)
-        b_xi = bundle_from_columns(V)
-        b_eta = bundle_from_columns(Z)
-        assoc = b_eta.C.conj().T @ b_xi.C
+        assoc = bundle_from_columns(Z).C.conj().T @ res.bundle.C
         worst_pair = max(
             worst_pair, float(np.max(np.abs(assoc - Z @ V.conj().T)))
         )

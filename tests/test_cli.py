@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from seqforms.cli import _load_sequence, main
@@ -234,3 +235,45 @@ def test_scenario_report_is_strict_json(capsys):
     assert code == 0
     claim = payload["report"]["claims"][0]
     assert claim["evidence"]["limit_error"] is None
+
+
+def _diagonal(value):
+    return {"rule": "diagonal", "params": {"weight": {"kind": "constant", "value": value}}}
+
+
+def _explicit(matrix):
+    return {"rule": "explicit", "params": {"matrix": matrix}}
+
+
+@pytest.mark.parametrize(
+    "command,rules,dim",
+    [
+        ("classify", [_explicit([[1e200, 0], [0, 1e200]])], 2),
+        ("form-assess", [_explicit([[1e160, 0], [0, 1]])] * 2, 2),
+        ("reconstruct", [_diagonal(1e300)], 4),
+        ("classify", [_diagonal(1e-170)], 4),
+        ("reconstruct", [_explicit([[1e-160, 0], [0, 1e-160]])] * 2, 2),
+    ],
+    ids=["B-overflows", "inf-in-body", "S-overflows", "A-underflows", "svd-fails"],
+)
+def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules, dim):
+    paths = [spec_file(f"r{i}.json", rule) for i, rule in enumerate(rules)]
+    flags = ["--spec"] if len(paths) == 1 else ["--left", "--right"]
+    argv = [command, "--dim", str(dim)]
+    for flag, path in zip(flags, paths):
+        argv += [flag, path]
+    with np.errstate(all="ignore"):  # the overflow warnings are expected
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ScaleOutOfRange"
+
+
+@pytest.mark.parametrize("ladder", ["1,2,3", "2,3,4", "3,4,5", "1,3,6"])
+def test_telescoping_pair_rungs_in_one_group_are_usage_errors(capsys, ladder):
+    # each rung s is also read at 3 (s // 3) - 1, which must increase too
+    code = main(["scenario", "--id", "telescoping-pair", "--ladder", ladder])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: telescoping-pair needs every ladder rung >= 3, "
+                          "each in a different group of three")

@@ -61,9 +61,9 @@ def test_range_and_complement_bases():
     X[1, 2] = -1.0  # third column dependent
     R = range_basis(X)
     N = complement_basis(X)
-    assert R.dim == 2 and N.dim == 3
-    assert np.allclose(R.Q.conj().T @ N.Q, 0, atol=1e-12)
-    stacked = np.hstack([R.Q, N.Q])
+    assert R.shape == (5, 2) and N.shape == (5, 3)
+    assert np.allclose(R.conj().T @ N, 0, atol=1e-12)
+    stacked = np.hstack([R, N])
     assert np.allclose(stacked.conj().T @ stacked, np.eye(5), atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_principal_angles_small_plane_angle(theta):
     angles = principal_angles(U, W)
     assert abs(angles[0]) < 1e-15
     assert abs(angles[1] - theta) <= 1e-15 * max(1.0, theta)
-    reference = np.sort(scipy.linalg.subspace_angles(U.Q, W.Q))
+    reference = np.sort(scipy.linalg.subspace_angles(U, W))
     assert np.allclose(angles, reference, atol=1e-14)
 
 
@@ -167,9 +167,9 @@ def test_bundle_bases_match_standalone_bases(dim, count, rank):
     R, N = b.range_basis(), complement_basis(b.C)
 
     def projector(basis):
-        return basis.Q @ basis.Q.conj().T
+        return basis @ basis.conj().T
 
-    assert R.dim == rank and N.dim == count - rank
+    assert R.shape[1] == rank and N.shape[1] == count - rank
     assert np.max(np.abs(projector(R) - projector(range_basis(b.C)))) < 1e-12
     # the bundle's range and the standalone complement split the whole space
     assert np.max(np.abs(projector(R) + projector(N) - np.eye(count))) < 1e-12

@@ -38,3 +38,29 @@ def test_every_import_is_stdlib_or_declared():
         and name not in declared
     }
     assert not undeclared
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads. Attribute chains count as a
+    read of their root name (`scipy.linalg.eigh` reads `scipy`)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export
+    sources = sorted((ROOT / "src" / "seqforms").glob("*.py"))
+    unused = {
+        f"{path.name}: {name}"
+        for path in sources
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    }
+    assert not unused

@@ -15,7 +15,6 @@ import seqforms.core as core
 import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
-    SubspaceBasis,
     bundle_from_columns,
     complement_basis,
     direct_sum_check,
@@ -152,19 +151,19 @@ def test_frame_bounds_bracket_the_analysis_energy(crossover, rule, dim, count, s
     _, eigenvectors = np.linalg.eigh(X @ X.conj().T)
     F = np.hstack([F / np.linalg.norm(F, axis=0), eigenvectors[:, [0, -1]]])
     energy = np.sum(np.abs(X.conj().T @ F) ** 2, axis=0)
-    slack = 1e-10 * sp.bessel
-    assert np.all(sp.lower - slack <= energy)
-    assert np.all(energy <= sp.bessel + slack)
+    slack = 1e-10 * sp.bessel_bound
+    assert np.all(sp.lower_bound - slack <= energy)
+    assert np.all(energy <= sp.bessel_bound + slack)
 
 
 def stacked_direct_sum(U, W, tol=DEFAULT_TOL):
     """Reference rule: U (+) W is the whole space iff the dimensions add up
     and sigma_min / sigma_max of the stacked bases [U W] clears rank_tol.
     Returns the verdict and that ratio (None when the dimensions decide)."""
-    total = U.dim + W.dim
-    if total != U.ambient_dim:
-        return ("fails_span" if total < U.ambient_dim else "fails_intersection"), None
-    s = np.linalg.svd(np.hstack([U.Q, W.Q]), compute_uv=False)
+    total = U.shape[1] + W.shape[1]
+    if total != U.shape[0]:
+        return ("fails_span" if total < U.shape[0] else "fails_intersection"), None
+    s = np.linalg.svd(np.hstack([U, W]), compute_uv=False)
     ratio = s[-1] / s[0]
     return ("holds" if ratio > tol.rank_tol else "fails_intersection"), ratio
 
@@ -204,7 +203,7 @@ def planted_pairs(draw):
     V = np.linalg.qr(W, mode="complete")[0][:, m:]  # basis of R_eta
     C_xi = U @ gaussian(r_xi, dim)
     C_eta = V @ gaussian(r_eta, dim)
-    return SubspaceBasis(U, count), SubspaceBasis(W, count), C_xi, C_eta
+    return U, W, C_xi, C_eta
 
 
 def near_cutoff(ratio, tol=DEFAULT_TOL):

@@ -21,7 +21,6 @@ from seqforms import (
     TruncationLadder,
     build_bundle,
     classify_finite,
-    classify_spectrum,
     diagnose_asymptotic,
     frame_spectrum,
     spec_from_json,
@@ -57,14 +56,14 @@ def banded_everywhere(monkeypatch):
 def assert_agrees(got, ref):
     assert got.backend in ("diagonal", "banded")
     assert got.guard_margin >= 0
-    assert abs(got.bessel - ref.bessel) <= 1e-14 * ref.bessel
+    assert abs(got.bessel_bound - ref.bessel_bound) <= 1e-14 * ref.bessel_bound
     # A from S carries an error of about eps * B / A relative
-    assert abs(got.lower - ref.lower) <= 4 * EPS * ref.bessel
-    assert abs(got.rf_bound - ref.rf_bound) <= 4 * EPS * ref.bessel
+    assert abs(got.lower_bound - ref.lower_bound) <= 4 * EPS * ref.bessel_bound
+    rf_error = abs(got.riesz_fischer_bound - ref.riesz_fischer_bound)
+    assert rf_error <= 4 * EPS * ref.bessel_bound
     assert got.rank == ref.rank
-    a, b = classify_spectrum(got), classify_spectrum(ref)
     for flag in ("complete", "frame", "riesz_basis", "riesz_fischer_possible"):
-        assert getattr(a, flag) == getattr(b, flag), flag
+        assert getattr(got, flag) == getattr(ref, flag), flag
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
@@ -81,7 +80,7 @@ def test_gram_path_when_count_below_dim(name, banded_everywhere):
     spec = spec_from_json(RULES[name])
     got, ref = frame_spectrum(spec, 40, 25), dense(spec, 40, 25)
     assert_agrees(got, ref)
-    assert got.lower == 0.0 and got.rank == 25
+    assert got.lower_bound == 0.0 and got.rank == 25
 
 
 def test_default_crossover_keeps_small_truncations_dense():
@@ -98,7 +97,7 @@ def test_rank_deficient_truncation_falls_back_to_dense(banded_everywhere):
     assert got.backend == "dense" and got.bandwidth == 0
     assert got.guard_margin is None
     assert got == dataclasses.replace(dense(spec, 12, 12), bandwidth=0)
-    assert got.rank == 6 and not classify_spectrum(got).complete
+    assert got.rank == 6 and not got.complete
 
 
 def test_guard_sends_ill_conditioned_truncation_to_dense(banded_everywhere):
@@ -106,8 +105,8 @@ def test_guard_sends_ill_conditioned_truncation_to_dense(banded_everywhere):
     spec = DiagonalWeights(ScalarRule("table", values=(1.0, 1e-8, 1.0)))
     got = frame_spectrum(spec, 3, 3)
     assert got.backend == "dense" and got.guard_margin < 0
-    assert got.lower == dense(spec, 3, 3).lower
-    assert classify_spectrum(got).complete  # sigma_dim = 1e-8 clears 1e-10
+    assert got.lower_bound == dense(spec, 3, 3).lower_bound
+    assert got.complete  # sigma_dim = 1e-8 clears 1e-10
 
 
 def test_wide_band_stays_dense(banded_everywhere):
@@ -122,7 +121,7 @@ def test_wide_band_stays_dense(banded_everywhere):
 def test_classify_finite_reads_the_dense_spectrum():
     spec = spec_from_json(RULES["interleave_onb_fd"])
     report = classify_finite(build_bundle(spec, 9, 18))
-    assert report == classify_spectrum(dense(spec, 9, 18))
+    assert report == dense(spec, 9, 18)
 
 
 def test_dense_cap_raises_instead_of_allocating(monkeypatch, banded_everywhere):
