@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -43,13 +44,24 @@ def _ladder_arg(text: str) -> TruncationLadder:
 def _load_sequence(path: str):
     """The rule in a strict-JSON file: NaN, Infinity, out-of-range floats and
     bytes that are not UTF-8 are usage errors (orjson.JSONDecodeError is a
-    ValueError)."""
+    ValueError).
+
+    The cyclic garbage collector is paused meanwhile: a matrix rule parses
+    into tens of thousands of small lists, which would trigger collections
+    that walk the whole heap and find no cycle. The caller's setting is
+    restored afterwards, so a collector that was off stays off.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "rb") as fh:
             data = orjson.loads(fh.read())
         return spec_from_json(data)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load sequence rule from {path}: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _tolerances(args) -> Tolerances:
@@ -239,7 +251,10 @@ def main(argv=None) -> int:
         tol = _tolerances(args)
         t0 = time.perf_counter()
         try:
-            report, meta = _REPORTS[args.command](args, tol)
+            # overflow and invalid operations raise FloatingPointError, an
+            # ArithmeticError, so no numpy warning precedes the error object
+            with np.errstate(over="raise", invalid="raise"):
+                report, meta = _REPORTS[args.command](args, tol)
             payload = {
                 "schema": SCHEMA,
                 "command": args.command,

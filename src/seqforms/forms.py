@@ -110,13 +110,13 @@ def infsup_constants(
 
     c1 = inf over unit u in R(C_xi) of ||P_{R(C_eta)} u||, i.e. the smallest
     singular value of Q_eta^H Q_xi (the cosine of the largest principal
-    angle when the ranges have equal dimension); c2 is symmetric.
+    angle when the ranges have equal dimension); c2 is symmetric. When
+    either range is all of l2 (rank = count), every cosine of the other is
+    exactly 1 and no basis is taken.
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
-    Qxi = bundle_xi.range_basis(tol)
-    Qeta = bundle_eta.range_basis(tol)
-    r_xi, r_eta = Qxi.shape[1], Qeta.shape[1]
+    r_xi, r_eta = bundle_xi.rank(tol), bundle_eta.rank(tol)
     deg_xi = r_xi < bundle_xi.dim
     deg_eta = r_eta < bundle_eta.dim
     if deg_xi or deg_eta:
@@ -127,10 +127,16 @@ def infsup_constants(
         )
     if r_xi == 0 or r_eta == 0:
         return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
+    if bundle_xi.count in (r_xi, r_eta):
+        cos_min, angles = 1.0, np.zeros(min(r_xi, r_eta))
+    else:
+        s, angles = cosines_and_angles(
+            bundle_xi.range_basis(tol), bundle_eta.range_basis(tol)
+        )
+        cos_min = float(s[-1])
     # min cosine over the smaller range is c1 or c2
-    s, angles = cosines_and_angles(Qxi, Qeta)
-    c1 = float(s[-1]) if r_xi <= r_eta else 0.0
-    c2 = float(s[-1]) if r_eta <= r_xi else 0.0
+    c1 = cos_min if r_xi <= r_eta else 0.0
+    c2 = cos_min if r_eta <= r_xi else 0.0
     return InfSupConstants(c1, c2, angles, deg_xi, deg_eta)
 
 
@@ -187,8 +193,12 @@ def zero_closed_from_bundles(
         raise DimensionMismatch("bundles must share (dim, count)")
     dim, count = bundle_xi.dim, bundle_xi.count
 
-    _, sigma_xi, r_xi, lower_xi = lower_frame_data(bundle_xi.svd[1], dim, count, tol)
-    _, sigma_eta, r_eta, lower_eta = lower_frame_data(bundle_eta.svd[1], dim, count, tol)
+    _, sigma_xi, r_xi, lower_xi = lower_frame_data(
+        bundle_xi.singular_values, dim, count, tol
+    )
+    _, sigma_eta, r_eta, lower_eta = lower_frame_data(
+        bundle_eta.singular_values, dim, count, tol
+    )
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateNormWarning)

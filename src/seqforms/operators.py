@@ -78,9 +78,9 @@ def lower_frame_data(
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    Only the columns are stored. The other operators and the two
-    factorizations of C are computed on first use and cached, so a verdict
-    that needs singular values alone never pays for singular vectors.
+    Only the columns are stored. The other operators and the singular
+    values of C are computed on first use and cached, so a verdict that
+    needs singular values alone never pays for singular vectors.
     """
 
     columns: np.ndarray  # dim x count, column n is xi_n
@@ -114,19 +114,17 @@ class OperatorBundle:
         """Singular values of C, descending, without singular vectors."""
         return np.linalg.svd(self.C, compute_uv=False)
 
-    @cached_property
-    def svd(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(U, s) of the thin SVD of C: U is count x min(count, dim)."""
-        U, s, _ = np.linalg.svd(self.C, full_matrices=False)
-        return U, s
-
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return _rank(self.singular_values, tol)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal columns spanning R(C), from the one SVD."""
-        U, s = self.svd
-        return U[:, : _rank(s, tol)]
+        """Orthonormal columns spanning R(C): Q of a reduced QR when C has
+        full column rank, the leading left singular vectors of a thin SVD
+        only when C is rank-deficient."""
+        r = self.rank(tol)
+        if r == self.dim:
+            return np.linalg.qr(self.C)[0]
+        return np.linalg.svd(self.C, full_matrices=False)[0][:, :r]
 
 
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,32 +87,41 @@ def canonical_dual(
 
 
 def reconstruct_with(
-    dual_system: DualSystem, f: CoeffVector
-) -> Tuple[CoeffVector, float]:
-    """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||."""
+    dual_system: DualSystem, f: Union[CoeffVector, np.ndarray]
+) -> Tuple[Union[CoeffVector, np.ndarray], Union[float, np.ndarray]]:
+    """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||.
+
+    f is one CoeffVector, or a dim x k array whose k columns are
+    reconstructed in one product; then the reconstructions come back as a
+    dim x k array and the residuals as one per column.
+    """
     PH = dual_system.coefficient_adjoint
-    if f.dim != PH.shape[1]:
+    F = f.coeffs if isinstance(f, CoeffVector) else np.asarray(f)
+    if F.shape[0] != PH.shape[1]:
         raise DimensionMismatch(
-            f"vector dim {f.dim} does not match system dim {PH.shape[1]}"
+            f"vector dim {F.shape[0]} does not match system dim {PH.shape[1]}"
         )
-    coeffs = PH @ f.coeffs  # <f, partner_n>
-    recon = dual_system.dual @ coeffs
-    residual = float(np.linalg.norm(recon - f.coeffs))
-    return CoeffVector(recon), residual
+    recon = dual_system.dual @ (PH @ F)  # coefficients <f, partner_n>
+    residual = np.linalg.norm(recon - F, axis=0)
+    if isinstance(f, CoeffVector):
+        return CoeffVector(recon), float(residual)
+    return recon, residual
+
+
+def _probe_draws(trials: int, dim: int, seed: int) -> np.ndarray:
+    """trials x dim complex Gaussians from default_rng(seed): row t holds the
+    real and then the imaginary parts drawn for probe t, the same stream as
+    drawing them one probe at a time."""
+    z = np.random.default_rng(seed).standard_normal((trials, 2, dim))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float:
     """Largest reconstruct_with residual over trials random unit probes drawn
-    from default_rng(seed), each reconstructed by every system in turn."""
-    dim = systems[0].primal.shape[0]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        f = CoeffVector(z / np.linalg.norm(z))
-        for system in systems:
-            worst = max(worst, reconstruct_with(system, f)[1])
-    return worst
+    from default_rng(seed), all reconstructed by one product per system."""
+    z = _probe_draws(trials, systems[0].primal.shape[0], seed)
+    F = (z / np.linalg.norm(z, axis=1, keepdims=True)).T
+    return max(float(reconstruct_with(system, F)[1].max()) for system in systems)
 
 
 def reproducing_pair_duals(

@@ -1,6 +1,6 @@
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from seqforms.cli import _load_sequence, main
@@ -262,11 +262,14 @@ def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules,
     argv = [command, "--dim", str(dim)]
     for flag, path in zip(flags, paths):
         argv += [flag, path]
-    with np.errstate(all="ignore"):  # the overflow warnings are expected
+    # a numpy RuntimeWarning would reach stderr ahead of the error object
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "ScaleOutOfRange"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("ladder", ["1,2,3", "2,3,4", "3,4,5", "1,3,6"])

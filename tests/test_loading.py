@@ -1,16 +1,19 @@
 """Rule files are parsed with orjson; these properties check that it reads
 every float token to the same double as the standard library's json, which
-serves only as the reference here."""
+serves only as the reference here, and that loading leaves the caller's
+garbage-collector setting as it found it."""
 
 import decimal
+import gc
 import json
 import struct
 
 import numpy as np
 import orjson
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqforms.cli import _load_sequence
+from seqforms.cli import _load_sequence, main
 from seqforms.sequences import spec_from_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -66,3 +69,25 @@ def test_load_sequence_matches_json_reference(tmp_path_factory, pairs, tag):
     with open(path) as fh:
         reference = spec_from_json(json.load(fh))
     assert _load_sequence(str(path)).matrix.tobytes() == reference.matrix.tobytes()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_loading_restores_the_callers_gc_setting(tmp_path, capsys, caller_enabled):
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((6, 6, 2)).tolist()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rule": "explicit", "params": {"matrix": pairs}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rule": "explicit", "params": {"matrix": [[1, 2], [3')
+    with open(good) as fh:
+        reference = spec_from_json(json.load(fh)).matrix.tobytes()
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        assert _load_sequence(str(good)).matrix.tobytes() == reference
+        assert gc.isenabled() == caller_enabled
+        code = main(["classify", "--spec", str(bad), "--dim", "2"])
+        assert code == 2 and capsys.readouterr().err.startswith("error: cannot load")
+        assert gc.isenabled() == caller_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

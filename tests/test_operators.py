@@ -126,7 +126,7 @@ def test_operator_image_identities():
 
 def _count_svds(monkeypatch):
     """Record (function, compute_uv, shape) for every SVD taken through numpy
-    or scipy."""
+    or scipy, and ("numpy.qr", True, shape) for every numpy QR."""
     calls = []
 
     def counted(name, fn, uv_default):
@@ -142,6 +142,7 @@ def _count_svds(monkeypatch):
     monkeypatch.setattr(
         scipy.linalg, "svdvals", counted("scipy.svdvals", scipy.linalg.svdvals, False)
     )
+    monkeypatch.setattr(np.linalg, "qr", counted("numpy.qr", np.linalg.qr, True))
     return calls
 
 
@@ -150,14 +151,35 @@ def test_one_factorization_per_operator(monkeypatch):
     xi = ExplicitColumns(random_columns(6, 9, 10))
     eta = ExplicitColumns(random_columns(6, 9, 11))
     zero_closed_check(xi, eta, 6, 9)
-    # one full SVD per bundle, the associated matrix and the inf-sup
-    # cosines; the direct sum is read off the cosines, so no 9 x 9 SVD of
-    # the stacked bases is taken
-    assert len(calls) == 4
+    # values-only SVDs of both bundles and of the associated matrix, one SVD
+    # of the inf-sup cosines, and a QR per bundle for its range basis (both
+    # have full column rank); the direct sum is read off the cosines, so no
+    # 9 x 9 SVD of the stacked bases is taken
+    qrs = [c for c in calls if c[0] == "numpy.qr"]
+    assert len(calls) - len(qrs) == 4
+    assert qrs == [("numpy.qr", True, (9, 6))] * 2
     assert all(shape != (9, 9) for _, _, shape in calls)
     calls.clear()
     classify_finite(build_bundle(xi, 6, 9))
     assert calls == [("numpy.svd", False, (9, 6))]
+
+
+def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    xi = ExplicitColumns(random_columns(7, 7, 15))
+    eta = ExplicitColumns(random_columns(7, 7, 16))
+    fa = zero_closed_check(xi, eta, 7, 7)
+    # both ranges are all of l2: no basis, no QR and no cosine SVD
+    assert calls == [("numpy.svd", False, (7, 7))] * 3
+    assert fa.c1 == fa.c2 == 1.0 and fa.max_principal_angle == 0.0
+
+
+def test_rank_deficient_bundle_keeps_the_thin_svd(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    b = bundle_from_columns(random_columns(6, 2, 17) @ random_columns(2, 9, 18))
+    R = b.range_basis()
+    assert R.shape == (9, 2)
+    assert calls == [("numpy.svd", False, (9, 6)), ("numpy.svd", True, (9, 6))]
 
 
 @pytest.mark.parametrize("dim,count,rank", [(5, 8, 3), (8, 5, 3), (6, 6, 4), (4, 7, 0)])

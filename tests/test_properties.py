@@ -1,10 +1,12 @@
 """Property tests of the batch term path and of the frame bounds over
 random rule trees drawn from the JSON vocabulary of spec_from_json, of the
-direct-sum verdict against the singular values of the stacked bases, and of
-the exact column sums against math.fsum."""
+direct-sum verdict against the singular values of the stacked bases, of the
+bundle's range bases against thin-SVD ones, and of the exact column sums
+against math.fsum."""
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,11 +22,13 @@ from seqforms import (
     direct_sum_check,
     frame_spectrum,
     materialize,
+    range_basis,
     spec_from_json,
     term,
 )
 from seqforms.errors import SupportOverflow
-from seqforms.forms import zero_closed_from_bundles
+from seqforms.forms import infsup_constants, zero_closed_from_bundles
+from seqforms.operators import cosines_and_angles, lower_frame_data
 
 small = st.integers(-3, 3).map(float)
 scalar_value = st.one_of(small, st.tuples(small, small).map(list))
@@ -225,6 +229,67 @@ def test_direct_sum_matches_stacked_basis_svd(pair):
     if not near_cutoff(ratio):
         assert direct_sum_check(R_xi, R_eta_perp) == expected
         assert zero_closed_from_bundles(b_xi, b_eta).direct_sum == expected
+
+
+@st.composite
+def shaped_pairs(draw):
+    """Columns (dim x count) of xi and eta, both square with full rank, both
+    of full column rank with count > dim, or each of any rank up to
+    min(dim, count), so mostly rank-deficient. The nonzero singular values
+    lie in [0.1, 1], so every rank is far from the cutoff."""
+    shape = draw(st.sampled_from(["square", "tall", "any rank"]))
+    dim = draw(st.integers(1, 8))
+    counts = {"square": st.just(dim), "tall": st.integers(dim + 1, 12)}
+    count = draw(counts.get(shape, st.integers(1, 12)))
+    full = min(dim, count)
+    ranks = [full, full]
+    if shape == "any rank":
+        ranks = draw(st.lists(st.integers(0, full), min_size=2, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def columns(rank):
+        U, W = orthonormal(gaussian(dim, rank)), orthonormal(gaussian(count, rank))
+        return (U * rng.uniform(0.1, 1.0, rank)) @ W.conj().T
+
+    return columns(ranks[0]), columns(ranks[1])
+
+
+def thin_svd_reference(b_xi, b_eta, tol=DEFAULT_TOL):
+    """c1, c2, the principal angles, the direct-sum verdict with its stacked
+    ratio, and 0-closedness, all from thin-SVD range bases."""
+    Q_xi, Q_eta = range_basis(b_xi.C), range_basis(b_eta.C)
+    r_xi, r_eta = Q_xi.shape[1], Q_eta.shape[1]
+    cos, angles = np.zeros(1), np.empty(0)
+    if r_xi and r_eta:
+        cos, angles = cosines_and_angles(Q_xi, Q_eta)
+    c1 = float(cos[-1]) if r_xi <= r_eta else 0.0
+    c2 = float(cos[-1]) if r_eta <= r_xi else 0.0
+    verdict, ratio = stacked_direct_sum(Q_xi, complement_basis(b_eta.C))
+    lower = [
+        lower_frame_data(np.linalg.svd(b.C, full_matrices=False)[1], b.dim, b.count)[3]
+        for b in (b_xi, b_eta)
+    ]
+    return c1, c2, angles, verdict, ratio, all(lower) and verdict == "holds"
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_pairs())
+def test_range_bases_match_thin_svd_bases(pair):
+    b_xi, b_eta = (bundle_from_columns(X) for X in pair)
+    c1, c2, angles, verdict, ratio, zero_closed = thin_svd_reference(b_xi, b_eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the quotient-norm warning
+        isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.c1 - c1) < 1e-12 and abs(isc.c2 - c2) < 1e-12
+    assert isc.angles.shape == angles.shape
+    assert np.all(np.abs(isc.angles - angles) < 1e-12)
+    if not near_cutoff(ratio):
+        fa = zero_closed_from_bundles(b_xi, b_eta)
+        assert fa.direct_sum == verdict
+        assert fa.zero_closed == zero_closed
 
 
 # zeros, subnormals, 1e-300 to 1.7e308, and powers of two from 2^-1074 to

@@ -8,11 +8,13 @@ from seqforms import (
     ScalarRule,
     build_bundle,
     canonical_dual,
+    max_residual,
     reconstruct_with,
     reproducing_pair_duals,
     zero_closed_check,
 )
 from seqforms.errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
+from seqforms.reconstruct import _probe_draws
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
 
@@ -140,3 +142,38 @@ def test_dimension_mismatch_on_reconstruct():
     ds = canonical_dual(build_bundle(ONB, 4, 4))
     with pytest.raises(DimensionMismatch):
         reconstruct_with(ds, CoeffVector([1.0, 2.0]))
+
+
+def test_probe_block_matches_per_trial_draws():
+    rng = np.random.default_rng(2024)
+    per_trial = []
+    for _ in range(7):
+        re = rng.standard_normal(5)
+        per_trial.append(re + 1j * rng.standard_normal(5))
+    assert _probe_draws(7, 5, 2024).tobytes() == np.array(per_trial).tobytes()
+
+
+@pytest.mark.parametrize("seed", [23, 2024])
+def test_max_residual_is_the_largest_per_probe_residual(seed):
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    xi, eta = ExplicitColumns(X), ExplicitColumns(X @ rng.standard_normal((9, 9)))
+    b_xi, b_eta = build_bundle(xi, 6, 9), build_bundle(eta, 6, 9)
+    systems = [
+        canonical_dual(b_xi),
+        *reproducing_pair_duals(zero_closed_check(xi, eta, 6, 9), b_xi, b_eta),
+    ]
+    # the reference: one probe at a time, drawn and normalized one by one
+    draws = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(11):
+        z = draws.standard_normal(6) + 1j * draws.standard_normal(6)
+        f = CoeffVector(z / np.linalg.norm(z))
+        for system in systems:
+            recon, residual = reconstruct_with(system, f)
+            block, residuals = reconstruct_with(system, f.coeffs[:, None])
+            assert np.max(np.abs(block[:, 0] - recon.coeffs)) < 1e-15
+            assert abs(residuals[0] - residual) < 1e-15
+            worst = max(worst, residual)
+    assert worst > 0
+    assert abs(max_residual(systems, 11, seed) - worst) < 1e-15
