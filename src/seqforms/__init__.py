@@ -9,18 +9,13 @@ from .core import (
     ConvergenceVerdict,
     Tolerances,
     TruncationLadder,
-    WeightVector,
-    inner_product,
     partial_sum_trend,
     probe_series,
-    weighted_norm,
 )
 from .errors import (
-    DegenerateNormWarning,
     DenseTooLarge,
     DimensionMismatch,
     NotLowerSemiFrame,
-    NotPositiveDefinite,
     NotZeroClosed,
     ScaleOutOfRange,
     SeqFormsError,
@@ -50,26 +45,19 @@ from .operators import (
     complement_basis,
     direct_sum_check,
     frame_spectrum,
-    operator_image_bundle,
     principal_angles,
-    pseudo_inverse,
     range_basis,
 )
 from .classify import (
     AsymptoticDiagnosis,
-    WeightedFrameBounds,
-    check_biorthogonal,
     classify_finite,
     diagnose_asymptotic,
-    weighted_space_frame,
 )
 from .forms import (
     FormAssessment,
     InfSupConstants,
     LambdaVerdict,
     ShiftResult,
-    eval_form_pair,
-    eval_gram_form,
     infsup_constants,
     lambda_region_weighted,
     solvability_shift,

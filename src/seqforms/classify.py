@@ -9,27 +9,17 @@ diagnosed, by tracking how the bounds move along a truncation ladder.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder
 from .core import json_scalar, partial_sum_trend
-from .errors import DenseTooLarge, NotPositiveDefinite
+from .errors import DenseTooLarge
 from .operators import FrameSpectrum, OperatorBundle, frame_spectrum
 from .sequences import SequenceSpec
 
-__all__ = [
-    "AsymptoticDiagnosis",
-    "WeightedFrameBounds",
-    "classify_finite",
-    "diagnose_asymptotic",
-    "check_biorthogonal",
-    "weighted_space_frame",
-]
+__all__ = ["AsymptoticDiagnosis", "classify_finite", "diagnose_asymptotic"]
 
 
 @dataclass(frozen=True)
@@ -127,68 +117,3 @@ def diagnose_asymptotic(
         lower_bounds=tuple(lowers),
         spectra=tuple(spectra),
     )
-
-
-def check_biorthogonal(
-    specA: SequenceSpec,
-    specB: SequenceSpec,
-    dim: int,
-    count: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """True iff <xi_n, eta_m> = delta_{n,m} on the leading count x count window."""
-    XA = specA.materialize(dim, count)
-    XB = specB.materialize(dim, count)
-    cross = XA.T @ XB.conj()  # cross[i, j] = <xi_{i+1}, eta_{j+1}>
-    return bool(np.max(np.abs(cross - np.eye(count))) <= tol.eq_tol)
-
-
-@dataclass(frozen=True)
-class WeightedFrameBounds:
-    """Frame bounds of {R^{-1} xi_n} in the inner product <f, R g>."""
-
-    lower: float
-    upper: float
-    identity_error: float  # max deviation of <f, xi_n> = <f, xi'_n>_+
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def weighted_space_frame(
-    spec: SequenceSpec,
-    R: np.ndarray,
-    dim: int,
-    count: int,
-    tol: Tolerances = DEFAULT_TOL,
-    rng: Optional[np.random.Generator] = None,
-) -> WeightedFrameBounds:
-    """Bounds A+, B+ with A+ ||f||_+^2 <= sum |<f, xi'_n>_+|^2 <= B+ ||f||_+^2,
-    where xi'_n = R^{-1} xi_n and <f, g>_+ = <f, R g>.
-
-    Since <f, xi'_n>_+ = <f, xi_n>, the extreme values are the generalized
-    eigenvalue extremes of (S, R) with S the frame matrix of xi.
-    """
-    R = np.atleast_2d(np.asarray(R, dtype=complex))
-    if R.shape != (dim, dim):
-        raise NotPositiveDefinite(f"R must be {dim}x{dim} Hermitian positive definite")
-    if np.max(np.abs(R - R.conj().T)) > tol.eq_tol * max(1.0, np.max(np.abs(R))):
-        raise NotPositiveDefinite("R is not Hermitian")
-    eigs = np.linalg.eigvalsh(R)
-    if eigs[0] <= tol.rank_tol * max(eigs[-1], 0.0):
-        raise NotPositiveDefinite("R has a nonpositive (or negligible) eigenvalue")
-
-    X = spec.materialize(dim, count)
-    S = X @ X.conj().T
-    gen = scipy.linalg.eigh(S, R, eigvals_only=True)
-    lower, upper = float(gen[0]), float(gen[-1])
-
-    # spot-check the defining identity <f, xi_n> = <f, R (R^{-1} xi_n)>
-    rng = rng or np.random.default_rng(0)
-    Xp = np.linalg.solve(R, X)
-    F = rng.standard_normal((dim, 8)) + 1j * rng.standard_normal((dim, 8))
-    lhs = X.conj().T @ F  # <f, xi_n> for every f column
-    rhs = (R @ Xp).conj().T @ F
-    identity_error = float(np.max(np.abs(lhs - rhs))) if F.size else 0.0
-
-    return WeightedFrameBounds(lower=lower, upper=upper, identity_error=identity_error)

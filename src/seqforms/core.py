@@ -1,4 +1,4 @@
-"""Coefficient vectors, weighted norms and series convergence diagnostics.
+"""Coefficient vectors, tolerances and series convergence diagnostics.
 
 Vectors are coefficient lists over the canonical orthonormal basis of the
 truncation, so the plain Euclidean inner product is the Hilbert-space one.
@@ -16,17 +16,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch
-
 __all__ = [
     "CoeffVector",
-    "WeightVector",
     "TruncationLadder",
     "ConvergenceVerdict",
     "Tolerances",
     "DEFAULT_TOL",
-    "inner_product",
-    "weighted_norm",
     "probe_series",
     "partial_sum_trend",
 ]
@@ -85,19 +80,6 @@ class CoeffVector:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Weights alpha_n defining the weighted space with norm
-    (sum |alpha_n| |c_n|^2)^(1/2)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", np.asarray(self.weights, dtype=complex).ravel()
-        )
-
-
-@dataclass(frozen=True)
 class TruncationLadder:
     """Strictly increasing truncation sizes; at least three rungs."""
 
@@ -127,22 +109,6 @@ class ConvergenceVerdict:
     last_partial: Optional[Union[complex, np.ndarray]] = field(
         default=None, repr=False
     )
-
-
-def inner_product(f: CoeffVector, g: CoeffVector) -> complex:
-    """Inner product, conjugate-linear in the second argument."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dims differ: {f.dim} vs {g.dim}")
-    return complex(np.vdot(g.coeffs, f.coeffs))
-
-
-def weighted_norm(c: Sequence[complex], w: WeightVector) -> float:
-    c = np.asarray(c, dtype=complex).ravel()
-    if c.size > w.weights.size:
-        raise DimensionMismatch(
-            f"coefficient list ({c.size}) longer than weights ({w.weights.size})"
-        )
-    return float(np.sqrt(np.sum(np.abs(w.weights[: c.size]) * np.abs(c) ** 2)))
 
 
 def _magnitude(a) -> float:

@@ -17,10 +17,6 @@ class SupportOverflow(SeqFormsError):
     """A sequence term does not fit in the requested truncation."""
 
 
-class NotPositiveDefinite(SeqFormsError):
-    pass
-
-
 class NotLowerSemiFrame(SeqFormsError):
     pass
 
@@ -48,10 +44,3 @@ class DenseTooLarge(SeqFormsError):
 class ScaleOutOfRange(SeqFormsError):
     """A result, or a matrix a factorization needed, left the range of
     doubles: it overflowed to inf or underflowed to 0."""
-
-
-class DegenerateNormWarning(UserWarning):
-    """Analysis operator has a nontrivial kernel; graph norm degenerates.
-
-    Inf-sup constants are still computed, on the quotient by the kernel.
-    """

@@ -1,5 +1,5 @@
-"""Sesquilinear forms of one and two sequences: evaluation, inf-sup
-constants, 0-closedness and the weighted lambda-closedness region.
+"""Sesquilinear forms of two sequences: inf-sup constants, 0-closedness
+and the weighted lambda-closedness region.
 
 The two-sequence form is Omega(f, g) = sum_n <f, xi_n> <eta_n, g>. At a
 truncation its 0-closedness is decided twice: via the subspace route (both
@@ -12,29 +12,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    CoeffVector,
-    ConvergenceVerdict,
-    Tolerances,
-    TruncationLadder,
-    json_pairs,
-    json_scalar,
-    probe_series,
-)
-from .errors import DegenerateNormWarning, DimensionMismatch
+from .core import DEFAULT_TOL, Tolerances, json_pairs, json_scalar
+from .errors import DimensionMismatch
 from .operators import (
     OperatorBundle,
     _direct_sum_verdict,
     build_bundle,
     cosines_and_angles,
     lower_frame_data,
+    rank_cutoff,
 )
 from .sequences import SequenceSpec
 
@@ -43,52 +34,13 @@ __all__ = [
     "InfSupConstants",
     "LambdaVerdict",
     "ShiftResult",
-    "eval_form_pair",
-    "eval_gram_form",
     "infsup_constants",
     "zero_closed_check",
+    "zero_closed_from_bundles",
     "lambda_region_weighted",
     "solvability_shift",
     "weighted_riesz_associated",
 ]
-
-
-def eval_form_pair(
-    spec_xi: SequenceSpec,
-    spec_eta: SequenceSpec,
-    f: CoeffVector,
-    g: CoeffVector,
-    ladder: TruncationLadder,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Tuple[complex, ConvergenceVerdict]:
-    """Ordered partial sums of sum_n <f, xi_n> <eta_n, g> along the ladder."""
-    if f.dim != g.dim:
-        raise DimensionMismatch(f"dims differ: {f.dim} vs {g.dim}")
-    a = spec_xi.materialize_sparse(f.dim, ladder.top).conj().T @ f.coeffs
-    # <eta_n, g> = conj(<g, eta_n>)
-    b = spec_eta.materialize_sparse(g.dim, ladder.top).conj().T @ g.coeffs
-    verdict = probe_series(a * np.conj(b), ladder, tol)
-    if verdict.kind == "Converged":
-        return complex(verdict.limit_estimate), verdict
-    return complex(verdict.last_partial), verdict
-
-
-def eval_gram_form(
-    spec_xi: SequenceSpec,
-    c: Sequence[complex],
-    d: Sequence[complex],
-    dim: int,
-    count: int,
-) -> complex:
-    """Gram form sum_{i,j} c_i conj(d_j) <xi_i, xi_j> = <D c, D d>."""
-    c = np.asarray(c, dtype=complex).ravel()
-    d = np.asarray(d, dtype=complex).ravel()
-    if c.size != count or d.size != count:
-        raise DimensionMismatch(
-            f"coefficient lists must have length count={count}"
-        )
-    X = spec_xi.materialize(dim, count)
-    return complex(np.vdot(X @ d, X @ c))
 
 
 @dataclass(frozen=True)
@@ -119,12 +71,6 @@ def infsup_constants(
     r_xi, r_eta = bundle_xi.rank(tol), bundle_eta.rank(tol)
     deg_xi = r_xi < bundle_xi.dim
     deg_eta = r_eta < bundle_eta.dim
-    if deg_xi or deg_eta:
-        warnings.warn(
-            "analysis operator has a nontrivial kernel; inf-sup constants "
-            "computed on the quotient",
-            DegenerateNormWarning,
-        )
     if r_xi == 0 or r_eta == 0:
         return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
     if bundle_xi.count in (r_xi, r_eta):
@@ -200,9 +146,7 @@ def zero_closed_from_bundles(
         bundle_eta.singular_values, dim, count, tol
     )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateNormWarning)
-        isc = infsup_constants(bundle_xi, bundle_eta, tol)
+    isc = infsup_constants(bundle_xi, bundle_eta, tol)
     max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
 
     # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2. With
@@ -314,12 +258,6 @@ class ShiftResult:
     min_shifted_modulus: float
     shifted_zero_closed: bool
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for k in ("sigma", "shifted"):
-            d[k] = [json_scalar(v) for v in d[k]]
-        return d
-
 
 def solvability_shift(
     alpha: Sequence[complex], tol: Tolerances = DEFAULT_TOL
@@ -330,12 +268,12 @@ def solvability_shift(
     alpha = np.asarray(alpha, dtype=complex).ravel()
     sigma = np.where(np.abs(alpha) <= 1.0, 1.0 - alpha, 0.0 + 0j)
     shifted = alpha + sigma
-    min_mod = float(np.min(np.abs(shifted)))
-    s = np.linalg.svd(np.diag(shifted), compute_uv=False)
-    zero_closed = lower_frame_data(s, s.size, s.size, tol)[3]
+    moduli = np.abs(shifted)
+    # the singular values of diag(alpha + sigma) are its moduli
+    min_mod = float(np.min(moduli))
     return ShiftResult(
         sigma=sigma,
         shifted=shifted,
         min_shifted_modulus=min_mod,
-        shifted_zero_closed=zero_closed,
+        shifted_zero_closed=min_mod > rank_cutoff(float(np.max(moduli)), tol),
     )

@@ -22,7 +22,6 @@ from .core import (
     Tolerances,
     TruncationLadder,
     column_prefix_fsums,
-    json_scalar,
     partial_sum_trend,
     probe_series,
 )
@@ -33,12 +32,13 @@ from .forms import (
     weighted_riesz_associated,
     zero_closed_from_bundles,
 )
-from .operators import build_bundle, bundle_from_columns, operator_image_bundle
+from .operators import build_bundle, bundle_from_columns
 from .reconstruct import max_residual, reproducing_pair_duals
 from .sequences import (
     DiagonalWeights,
     FiniteDifference,
     Interleave,
+    OperatorImage,
     PairedDouble,
     ScalarRule,
     TriplePattern,
@@ -63,18 +63,7 @@ class ClaimResult:
         return self.status == "diagnostic" and not self.evidence.get("as_expected", True)
 
     def to_dict(self) -> dict:
-        evidence = {k: _jsonable(v) for k, v in self.evidence.items()}
-        return {**dataclasses.asdict(self), "evidence": evidence}
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, complex):
-        return json_scalar(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    return v
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,7 @@ def _verdict_evidence(v):
 # finite-difference: xi_1 = e_1, xi_n = n(e_n - e_{n-1})
 
 
-def _scenario_finite_difference(ladder, tol, params):
+def _scenario_finite_difference(ladder, tol):
     spec = FiniteDifference()
     dim = ladder.top
     f = (1.0 / np.arange(1, dim + 1)).astype(complex)
@@ -185,13 +174,13 @@ def _scenario_finite_difference(ladder, tol, params):
 # interleaved-lower: {e_1, xi_1, e_2, xi_2, ...}
 
 
-def _scenario_interleaved_lower(ladder, tol, params):
+def _scenario_interleaved_lower(ladder, tol):
     base = FiniteDifference()
     onb = DiagonalWeights(ScalarRule("constant", 1.0))
     inter = Interleave(onb, base)
     dim = ladder.top
     rng = np.random.default_rng(5)
-    n_vecs = int(params.get("vectors", 100))
+    n_vecs = 100
     F = rng.standard_normal((dim, n_vecs)) + 1j * rng.standard_normal((dim, n_vecs))
 
     Xs = inter.materialize_sparse(dim, 2 * dim)
@@ -203,7 +192,7 @@ def _scenario_interleaved_lower(ladder, tol, params):
     base_part, total = column_prefix_fsums([A2[1::2], A2[::2]], ladder.sizes)
     (norm_part,) = column_prefix_fsums([fnorm2], ladder.sizes)
     worst = float(np.max(
-        np.abs(total - base_part - norm_part) / np.maximum(1.0, total), initial=0.0
+        np.abs(total - base_part - norm_part) / np.maximum(1.0, total)
     ))
     claims.append(
         _claim(
@@ -236,13 +225,13 @@ def _scenario_interleaved_lower(ladder, tol, params):
     for N in ladder.sizes:
         tot = A2[: 2 * N, :].sum(axis=0)
         nrm = fnorm2[:N, :].sum(axis=0)
-        ratios.append(float(np.min(tot / nrm, initial=np.inf)))
+        ratios.append(float(np.min(tot / nrm)))
     claims.append(
         _claim(
             "sampled ratio sum |<f, xi'_n>|^2 / ||f||^2 >= 1 at every rung",
             "interleaved-lower/lower-bound-sampled",
             min(ratios) >= 1.0 - 1e-9,
-            {"min_ratio": min(ratios) if n_vecs else None},
+            {"min_ratio": min(ratios)},
             diagnostic=True,
         )
     )
@@ -253,7 +242,7 @@ def _scenario_interleaved_lower(ladder, tol, params):
 # dc-vs-s: xi = {e_1, e_1, e_2, 2e_2, ...}, eta = {e_1, 0, e_2, 0, ...}
 
 
-def _scenario_dc_vs_s(ladder, tol, params):
+def _scenario_dc_vs_s(ladder, tol):
     xi = PairedDouble("xi")
     eta = PairedDouble("eta")
     dim = (ladder.top + 1) // 2
@@ -294,7 +283,7 @@ def _scenario_dc_vs_s(ladder, tol, params):
 # telescoping-pair: xi = {e_1, e_1, -e_1, e_2, ...}, eta = {e_1, e_1, e_1, e_2, ...}
 
 
-def _scenario_telescoping(ladder, tol, params):
+def _scenario_telescoping(ladder, tol):
     # each rung s is also read at the mid-group rung 3 (s // 3) - 1
     groups = [s // 3 for s in ladder.sizes]
     if groups[0] < 1 or any(b <= a for a, b in zip(groups, groups[1:])):
@@ -380,7 +369,7 @@ def _scenario_telescoping(ladder, tol, params):
 # weight-inverse-pair: xi = {n e_n}, eta = {e_n / n}
 
 
-def _scenario_weight_inverse(ladder, tol, params):
+def _scenario_weight_inverse(ladder, tol):
     xi = DiagonalWeights(ScalarRule("n"))
     eta = DiagonalWeights(ScalarRule("1/n"))
     sizes = [s for s in ladder.sizes if s <= 512] or [8, 16, 32]
@@ -439,16 +428,10 @@ def _random_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _scenario_weighted_riesz(ladder, tol, params):
-    dim = int(params.get("dim", 16))
-    alpha = np.asarray(
-        params.get("alpha", np.arange(1, dim + 1)), dtype=complex
-    ).ravel()
-    dim = alpha.size
-    V = params.get("V")
-    if V is None:
-        V = _random_unitary(dim, np.random.default_rng(7))
-    V = np.asarray(V, dtype=complex)
+def _scenario_weighted_riesz(ladder, tol):
+    dim = 16
+    alpha = np.arange(1, dim + 1, dtype=complex)
+    V = _random_unitary(dim, np.random.default_rng(7))
     unitary = bool(
         np.max(np.abs(V.conj().T @ V - np.eye(dim))) < 1e-10
     )
@@ -472,8 +455,8 @@ def _scenario_weighted_riesz(ladder, tol, params):
     reals = np.abs(alpha)
     probes = [
         complex(reals.min()) - 0.5,
-        complex(alpha[min(2, dim - 1)]) + 0.5 if dim > 1 else 0.5,
-        complex(alpha[min(2, dim - 1)]),
+        complex(alpha[2]) + 0.5,
+        complex(alpha[2]),
         complex(reals.max()) + 0.5,
     ]
     verdicts = lambda_region_weighted(alpha, probes, tol, V=V)
@@ -524,18 +507,17 @@ def _scenario_weighted_riesz(ladder, tol, params):
 # operator-image: xi_n = V e_n, eta_n = Z e_n
 
 
-def _scenario_operator_image(ladder, tol, params):
-    dim = int(params.get("dim", 8))
-    trials = int(params.get("trials", 20))
+def _scenario_operator_image(ladder, tol):
+    dim, trials = 8, 20
     rng = np.random.default_rng(31)
     worst_c = worst_s = worst_pair = 0.0
     for _ in range(trials):
         V = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        res = operator_image_bundle(V)
-        worst_c = max(worst_c, res.analysis_error)
-        worst_s = max(worst_s, res.frame_error)
-        assoc = bundle_from_columns(Z).C.conj().T @ res.bundle.C
+        bundle = build_bundle(OperatorImage(V), dim, dim)
+        worst_c = max(worst_c, float(np.max(np.abs(bundle.C - V.conj().T))))
+        worst_s = max(worst_s, float(np.max(np.abs(bundle.S - V @ V.conj().T))))
+        assoc = bundle_from_columns(Z).C.conj().T @ bundle.C
         worst_pair = max(
             worst_pair, float(np.max(np.abs(assoc - Z @ V.conj().T)))
         )
@@ -581,7 +563,6 @@ def run_scenario(
     scenario_id: str,
     ladder: Optional[TruncationLadder] = None,
     tol: Tolerances = DEFAULT_TOL,
-    params: Optional[dict] = None,
 ) -> ScenarioReport:
     if scenario_id not in _SCENARIOS:
         raise UnknownScenario(
@@ -589,7 +570,7 @@ def run_scenario(
         )
     ladder = ladder or DEFAULT_LADDER
     t0 = time.perf_counter()
-    claims = _SCENARIOS[scenario_id](ladder, tol, params or {})
+    claims = _SCENARIOS[scenario_id](ladder, tol)
     runtime = time.perf_counter() - t0
     return ScenarioReport(
         scenario_id=scenario_id, claims=tuple(claims), runtime=runtime

@@ -11,12 +11,9 @@ from seqforms import (
     TriplePattern,
     TruncationLadder,
     build_bundle,
-    check_biorthogonal,
     classify_finite,
     diagnose_asymptotic,
-    weighted_space_frame,
 )
-from seqforms.errors import NotPositiveDefinite
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
 
@@ -90,31 +87,6 @@ def test_diagnose_paired_double_unbounded_above():
     ladder = TruncationLadder((8, 32, 128))
     diag = diagnose_asymptotic(PairedDouble("xi"), ladder)
     assert diag.inferred_class == "LowerSemiFrame"
-
-
-def test_biorthogonal_weights():
-    assert check_biorthogonal(
-        DiagonalWeights(ScalarRule("n")), DiagonalWeights(ScalarRule("1/n")), 6, 6
-    )
-    assert not check_biorthogonal(
-        DiagonalWeights(ScalarRule("n")), DiagonalWeights(ScalarRule("n")), 6, 6
-    )
-
-
-def test_weighted_space_frame_diagonal():
-    # xi = ONB, R = diag(1..4): bounds are extremes of 1/r_n
-    R = np.diag([1.0, 2.0, 3.0, 4.0])
-    wb = weighted_space_frame(ONB, R, 4, 4)
-    assert wb.lower == pytest.approx(0.25)
-    assert wb.upper == pytest.approx(1.0)
-    assert wb.identity_error < 1e-10
-
-
-def test_weighted_space_frame_rejects_bad_metric():
-    with pytest.raises(NotPositiveDefinite):
-        weighted_space_frame(ONB, np.diag([1.0, -1.0]), 2, 2)
-    with pytest.raises(NotPositiveDefinite):
-        weighted_space_frame(ONB, np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 2)
 
 
 def test_finite_difference_bounds_spread():

@@ -4,6 +4,8 @@ import warnings
 import pytest
 
 from seqforms.cli import _load_sequence, main
+from seqforms.operators import DENSE_MAX_SIZE
+from seqforms.sequences import SequenceSpec
 
 ONB = {"rule": "diagonal", "params": {"weight": {"kind": "constant", "value": 1.0}}}
 W_N = {"rule": "diagonal", "params": {"weight": {"kind": "n"}}}
@@ -270,6 +272,31 @@ def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules,
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "ScaleOutOfRange"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("dim", [4097, 100000])
+@pytest.mark.parametrize("command,flags", [
+    ("form-assess", ["--left", "--right"]),
+    ("reconstruct", ["--spec"]),
+    ("reconstruct", ["--left", "--right"]),
+])
+def test_dense_cap_is_a_domain_error_before_materializing(
+    spec_file, capsys, monkeypatch, command, flags, dim
+):
+    def refuse(self, dim, count):
+        raise AssertionError(f"materialized a dense {dim} x {count} matrix")
+
+    monkeypatch.setattr(SequenceSpec, "materialize", refuse)
+    path = spec_file("onb.json", ONB)
+    argv = [command, "--dim", str(dim)]
+    for flag in flags:
+        argv += [flag, path]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DenseTooLarge"
+    assert error["details"] == {"dim": dim, "count": dim, "cap": DENSE_MAX_SIZE}
 
 
 @pytest.mark.parametrize("ladder", ["1,2,3", "2,3,4", "3,4,5", "1,3,6"])

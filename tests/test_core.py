@@ -3,45 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from seqforms import (
-    CoeffVector,
     DEFAULT_TOL,
     Tolerances,
     TruncationLadder,
-    WeightVector,
-    inner_product,
     partial_sum_trend,
     probe_series,
-    weighted_norm,
 )
-from seqforms.errors import DimensionMismatch
-
-
-def test_inner_product_is_conjugate_linear_in_second_argument():
-    f = CoeffVector([1 + 1j, 2.0])
-    g = CoeffVector([0.0, 1j])
-    # <f, i*g> = -i <f, g>
-    gi = CoeffVector(1j * g.coeffs)
-    assert inner_product(f, gi) == pytest.approx(-1j * inner_product(f, g))
-
-
-def test_parseval_identity_random(rng=np.random.default_rng(3)):
-    for _ in range(20):
-        z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        f = CoeffVector(z)
-        assert inner_product(f, f) == pytest.approx(np.sum(np.abs(z) ** 2), abs=1e-10)
-
-
-def test_inner_product_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner_product(CoeffVector([1.0]), CoeffVector([1.0, 2.0]))
-
-
-def test_weighted_norm_diagonal_weights():
-    w = WeightVector(np.arange(1, 6))
-    c = [1.0, 1.0, 0.0, 0.0, 2.0]
-    assert weighted_norm(c, w) == pytest.approx(np.sqrt(1 + 2 + 20))
-    with pytest.raises(DimensionMismatch):
-        weighted_norm(np.ones(7), w)
 
 
 def test_tolerances_must_be_positive():

@@ -1,17 +1,11 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from seqforms import (
-    CoeffVector,
     DiagonalWeights,
     ExplicitColumns,
     ScalarRule,
-    TruncationLadder,
     build_bundle,
-    eval_form_pair,
-    eval_gram_form,
     infsup_constants,
     lambda_region_weighted,
     principal_angles,
@@ -20,51 +14,8 @@ from seqforms import (
     weighted_riesz_associated,
     zero_closed_check,
 )
-from seqforms.errors import DegenerateNormWarning, DimensionMismatch
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
-
-
-def random_vec(dim, rng, support=None):
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if support is not None:
-        z[support:] = 0.0
-    return CoeffVector(z / np.linalg.norm(z))
-
-
-def test_pair_form_onb_is_inner_product():
-    # finite-support vectors: partial sums stop moving before the top rung
-    rng = np.random.default_rng(0)
-    ladder = TruncationLadder((4, 8, 16))
-    f = random_vec(16, rng, support=4)
-    g = random_vec(16, rng, support=4)
-    value, verdict = eval_form_pair(ONB, ONB, f, g, ladder)
-    assert verdict.kind == "Converged"
-    assert value == pytest.approx(np.vdot(g.coeffs, f.coeffs), abs=1e-12)
-
-
-def test_pair_form_weights_cancel():
-    rng = np.random.default_rng(1)
-    ladder = TruncationLadder((4, 8, 16))
-    f = random_vec(16, rng, support=4)
-    g = random_vec(16, rng, support=4)
-    value, _ = eval_form_pair(
-        DiagonalWeights(ScalarRule("n")), DiagonalWeights(ScalarRule("1/n")),
-        f, g, ladder,
-    )
-    assert value == pytest.approx(np.vdot(g.coeffs, f.coeffs), abs=1e-12)
-
-
-def test_gram_form_matches_synthesis_inner_product():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    spec = ExplicitColumns(X)
-    c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    value = eval_gram_form(spec, c, d, 3, 5)
-    assert value == pytest.approx(np.vdot(X @ d, X @ c), abs=1e-10)
-    with pytest.raises(DimensionMismatch):
-        eval_gram_form(spec, c[:3], d, 3, 5)
 
 
 def test_infsup_equal_ranges_give_c1_one():
@@ -105,9 +56,7 @@ def test_infsup_one_svd_matches_three_svd_formula(rank_xi, rank_eta):
             return 0.0
         return np.linalg.svd(dst.conj().T @ src, compute_uv=False)[-1]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateNormWarning)
-        isc = infsup_constants(b_xi, b_eta)
+    isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - min_projection(Qxi, Qeta)) < 1e-14
     assert abs(isc.c2 - min_projection(Qeta, Qxi)) < 1e-14
     assert np.max(np.abs(isc.angles - principal_angles(Qxi, Qeta))) < 1e-14
@@ -134,14 +83,6 @@ def test_infsup_small_angle_from_sines():
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.angles[-1] - theta) <= 1e-15 * theta
     assert isc.c1 == pytest.approx(1.0)
-
-
-def test_infsup_warns_on_degenerate_norm():
-    X = np.zeros((2, 2))
-    X[0, 0] = 1.0  # analysis kernel contains e_2
-    b = build_bundle(ExplicitColumns(X), 2, 2)
-    with pytest.warns(DegenerateNormWarning):
-        infsup_constants(b, b)
 
 
 def test_zero_closed_weight_inverse_pair():

@@ -5,15 +5,14 @@ import scipy.linalg
 from seqforms import (
     DiagonalWeights,
     ExplicitColumns,
+    OperatorImage,
     ScalarRule,
     build_bundle,
     bundle_from_columns,
     classify_finite,
     complement_basis,
     direct_sum_check,
-    operator_image_bundle,
     principal_angles,
-    pseudo_inverse,
     range_basis,
     zero_closed_check,
 )
@@ -108,20 +107,11 @@ def test_direct_sum_check_cases():
     assert direct_sum_check(span2, span2) == "fails_span"
 
 
-def test_pseudo_inverse_reconstructs_on_range():
-    X = random_columns(5, 3, 3)
-    P = pseudo_inverse(X)
-    assert np.allclose(X @ P @ X, X, atol=1e-10)
-
-
 def test_operator_image_identities():
     V = random_columns(6, 6, 4)
-    res = operator_image_bundle(V)
-    assert res.analysis_error < 1e-12
-    assert res.frame_error < 1e-12
-    assert res.ok()
-    with pytest.raises(DimensionMismatch):
-        operator_image_bundle(random_columns(3, 4, 5))
+    b = build_bundle(OperatorImage(V), 6, 6)
+    assert np.max(np.abs(b.C - V.conj().T)) < 1e-12
+    assert np.max(np.abs(b.S - V @ V.conj().T)) < 1e-12
 
 
 def _count_svds(monkeypatch):

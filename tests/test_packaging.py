@@ -1,7 +1,9 @@
 """Every module the package imports is either the standard library, the
-package itself, or a dependency declared in pyproject.toml."""
+package itself, or a dependency declared in pyproject.toml; no module
+imports a name it never reads; and the export lists match the modules."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -64,3 +66,23 @@ def test_no_unused_imports():
         for name in _unused_imports(path)
     }
     assert not unused
+
+
+def test_export_lists_match_the_modules():
+    """Every __all__ entry exists in its module, and every name the package
+    re-exports from a module that has an __all__ is listed there."""
+    init = ROOT / "src" / "seqforms" / "__init__.py"
+    missing, unlisted = set(), set()
+    for path in sorted((ROOT / "src" / "seqforms").glob("*.py")):
+        module = importlib.import_module(f"seqforms.{path.stem}")
+        missing |= {f"{path.name}: {name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)}
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = getattr(importlib.import_module(f"seqforms.{node.module}"),
+                               "__all__", None)
+            if exported is not None:
+                unlisted |= {f"{node.module}: {a.name}" for a in node.names
+                             if a.name not in exported}
+    assert not missing
+    assert not unlisted
