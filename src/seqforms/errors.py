@@ -30,10 +30,11 @@ class UnknownScenario(SeqFormsError):
 
 
 class DenseTooLarge(SeqFormsError):
-    """A verdict would need a dense factorization above the size cap.
+    """A verdict would need dense arrays above a size cap.
 
-    details holds the sizes (dim, count, cap, and the rung when a ladder
-    asked) for the machine-readable error report.
+    details holds the sizes for the machine-readable error report: dim,
+    count, cap, and the rung when a ladder asked, or a scenario's ladder
+    top and cap.
     """
 
     def __init__(self, message: str, **details):

@@ -307,3 +307,37 @@ def test_telescoping_pair_rungs_in_one_group_are_usage_errors(capsys, ladder):
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error: telescoping-pair needs every ladder rung >= 3, "
                           "each in a different group of three")
+
+
+def test_weight_inverse_pair_reports_a_form_that_is_not_zero_closed(capsys):
+    # at this cutoff the N = 32 form is not 0-closed, so no duals exist
+    code, payload = run_json(capsys, ["scenario", "--id", "weight-inverse-pair",
+                                      "--ladder", "8,16,32", "--tol-rank", "0.5"])
+    assert code == 0
+    report = payload["report"]
+    assert report["all_ok"] is False and len(report["claims"]) == 3
+    reconstruction = report["claims"][2]
+    assert reconstruction["reference"] == "weight-inverse-pair/reconstruction"
+    assert reconstruction["status"] == "fail"
+    assert reconstruction["evidence"] == {"max_residual": None, "dim": 32}
+
+
+@pytest.mark.parametrize("scenario,cap", [
+    ("finite-difference", 10**6),
+    ("interleaved-lower", 10**5),
+    ("dc-vs-s", 10**6),
+    ("telescoping-pair", 10**6),
+])
+def test_scenario_ladder_cap_is_a_domain_error_before_allocating(
+    capsys, monkeypatch, scenario, cap
+):
+    def refuse(self, dim, count):
+        raise AssertionError(f"materialized a {dim} x {count} sparse matrix")
+
+    monkeypatch.setattr(SequenceSpec, "materialize_sparse", refuse)
+    code = main(["scenario", "--id", scenario, "--ladder", "100,1000,1000000000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DenseTooLarge"
+    assert error["details"] == {"top": 10**9, "cap": cap}

@@ -1,6 +1,7 @@
 """Every module the package imports is either the standard library, the
 package itself, or a dependency declared in pyproject.toml; no module
-imports a name it never reads; and the export lists match the modules."""
+imports a name it never reads; the export lists match the modules; and no
+source line is longer than 88 columns."""
 
 import ast
 import importlib
@@ -86,3 +87,14 @@ def test_export_lists_match_the_modules():
                              if a.name not in exported}
     assert not missing
     assert not unlisted
+
+
+def test_source_lines_fit_88_columns():
+    # a line count compares like with like only at a fixed width
+    long_lines = {
+        f"{path.name}:{number}: {len(line)}"
+        for path in sorted((ROOT / "src" / "seqforms").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 88
+    }
+    assert not long_lines

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from seqforms import TruncationLadder, run_scenario, scenario_ids
+from seqforms import (
+    DEFAULT_TOL,
+    Tolerances,
+    TruncationLadder,
+    run_scenario,
+    scenario_ids,
+)
 from seqforms.errors import UnknownScenario
+from seqforms.scenarios import _CLAIMS
 from seqforms.sequences import DiagonalWeights, FiniteDifference, Interleave, ScalarRule
 
 # ladder rungs a decade apart, like the default, so tail estimates behave
@@ -21,6 +28,16 @@ def test_catalog_is_stable():
         "weight-inverse-pair",
         "weighted-riesz",
     ]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(rank_tol=2.0)],
+                         ids=["default", "rank_tol=2"])
+def test_every_scenario_reports_exactly_its_declared_claims(tol):
+    for sid in scenario_ids():
+        declared = [ref for ref in _CLAIMS if ref.split("/")[0] == sid]
+        assert declared
+        references = [c.reference for c in run_scenario(sid, tol=tol).claims]
+        assert references == declared, sid
 
 
 def test_unknown_scenario():
