@@ -38,20 +38,20 @@ from .sequences import (
     term,
 )
 from .operators import (
-    FrameSpectrum,
     OperatorBundle,
     build_bundle,
     bundle_from_columns,
     complement_basis,
     direct_sum_check,
-    frame_spectrum,
     principal_angles,
     range_basis,
 )
 from .classify import (
     AsymptoticDiagnosis,
+    FrameSpectrum,
     classify_finite,
     diagnose_asymptotic,
+    frame_spectrum,
 )
 from .forms import (
     FormAssessment,

@@ -21,11 +21,11 @@ import time
 import numpy as np
 import orjson
 
-from .classify import diagnose_asymptotic
+from .classify import diagnose_asymptotic, frame_spectrum
 from .core import DEFAULT_TOL, Tolerances, TruncationLadder
 from .errors import ScaleOutOfRange, SeqFormsError, UsageError
 from .forms import zero_closed_check, zero_closed_from_bundles
-from .operators import build_bundle, frame_spectrum
+from .operators import build_bundle
 from .reconstruct import canonical_dual, max_residual, reproducing_pair_duals
 from .scenarios import run_scenario, scenario_ids
 from .sequences import spec_from_json
@@ -93,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol-eq", type=float, default=None,
-                       help="override the equality tolerance")
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help="override the relative rank cutoff")
+    def add_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def add_common(p):
+        p.add_argument("--tol-rank", type=float, default=None,
+                       help="override the relative rank cutoff")
+        add_output(p)
 
     p = sub.add_parser("classify", help="classify one sequence at a truncation")
     p.add_argument("--spec", required=True, help="sequence rule JSON file")
@@ -131,10 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run one catalog scenario")
     p.add_argument("--id", required=True, dest="scenario_id")
     p.add_argument("--ladder", type=_ladder_arg, default=None)
+    p.add_argument("--tol-eq", type=float, default=None,
+                   help="override the equality tolerance of the lambda probes")
     add_common(p)
 
     p = sub.add_parser("list", help="list the scenario catalog")
-    add_common(p)
+    add_output(p)
 
     return parser
 

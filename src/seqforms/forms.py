@@ -17,14 +17,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .classify import classify_finite
 from .core import DEFAULT_TOL, Tolerances, json_pairs, json_scalar
 from .errors import DimensionMismatch
 from .operators import (
     OperatorBundle,
     _direct_sum_verdict,
+    _rank,
     build_bundle,
     cosines_and_angles,
-    lower_frame_data,
     rank_cutoff,
 )
 from .sequences import SequenceSpec
@@ -48,8 +49,6 @@ class InfSupConstants:
     c1: float
     c2: float
     angles: np.ndarray
-    degenerate_xi: bool  # C_xi has a nontrivial kernel at this truncation
-    degenerate_eta: bool
 
 
 def infsup_constants(
@@ -69,10 +68,8 @@ def infsup_constants(
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
     r_xi, r_eta = bundle_xi.rank(tol), bundle_eta.rank(tol)
-    deg_xi = r_xi < bundle_xi.dim
-    deg_eta = r_eta < bundle_eta.dim
     if r_xi == 0 or r_eta == 0:
-        return InfSupConstants(0.0, 0.0, np.empty(0), deg_xi, deg_eta)
+        return InfSupConstants(0.0, 0.0, np.empty(0))
     if bundle_xi.count in (r_xi, r_eta):
         cos_min, angles = 1.0, np.zeros(min(r_xi, r_eta))
     else:
@@ -83,7 +80,7 @@ def infsup_constants(
     # min cosine over the smaller range is c1 or c2
     c1 = cos_min if r_xi <= r_eta else 0.0
     c2 = cos_min if r_eta <= r_xi else 0.0
-    return InfSupConstants(c1, c2, angles, deg_xi, deg_eta)
+    return InfSupConstants(c1, c2, angles)
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,9 @@ def zero_closed_from_bundles(
         raise DimensionMismatch("bundles must share (dim, count)")
     dim, count = bundle_xi.dim, bundle_xi.count
 
-    _, sigma_xi, r_xi, lower_xi = lower_frame_data(
-        bundle_xi.singular_values, dim, count, tol
-    )
-    _, sigma_eta, r_eta, lower_eta = lower_frame_data(
-        bundle_eta.singular_values, dim, count, tol
-    )
+    spectrum_xi = classify_finite(bundle_xi, tol)
+    spectrum_eta = classify_finite(bundle_eta, tol)
+    r_xi, r_eta = spectrum_xi.rank, spectrum_eta.rank
 
     isc = infsup_constants(bundle_xi, bundle_eta, tol)
     max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
@@ -155,15 +149,14 @@ def zero_closed_from_bundles(
     c = isc.c1
     half_tan = c / (1.0 + math.sqrt(max(0.0, 1.0 - c * c))) if 0 < r_xi < count else 1.0
     ds = _direct_sum_verdict(r_xi - r_eta, half_tan, tol)
-    route_b = lower_xi and lower_eta and ds == "holds"
+    route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
     assoc = bundle_eta.C.conj().T @ bundle_xi.C
     s_assoc = np.linalg.svd(assoc, compute_uv=False)
-    _, smin_assoc, rank_assoc, assoc_invertible = lower_frame_data(
-        s_assoc, dim, dim, tol
-    )
-    assoc_inverse_norm = 1.0 / smin_assoc if assoc_invertible else None
+    rank_assoc = _rank(s_assoc, tol)
+    assoc_invertible = rank_assoc == dim
+    assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
 
     return FormAssessment(
         null_dim_left=dim - rank_assoc,
@@ -175,10 +168,10 @@ def zero_closed_from_bundles(
         associated_operator=assoc,
         assoc_invertible=assoc_invertible,
         assoc_inverse_norm=assoc_inverse_norm,
-        lower_xi=lower_xi,
-        lower_eta=lower_eta,
-        lower_bound_xi=sigma_xi**2,
-        lower_bound_eta=sigma_eta**2,
+        lower_xi=spectrum_xi.frame,
+        lower_eta=spectrum_eta.frame,
+        lower_bound_xi=spectrum_xi.lower_bound,
+        lower_bound_eta=spectrum_eta.lower_bound,
         dim=dim,
         count=count,
     )
@@ -238,14 +231,13 @@ def lambda_region_weighted(
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
         s = np.linalg.svd(H - lam * np.eye(alpha.size), compute_uv=False)
-        _, smin, _, invertible = lower_frame_data(s, alpha.size, alpha.size, tol)
         out.append(
             LambdaVerdict(
                 lam=lam,
                 distance=dist,
                 lambda_closed=dist > tol.eq_tol,
-                resolvent_invertible=invertible,
-                sigma_min=smin,
+                resolvent_invertible=_rank(s, tol) == alpha.size,
+                sigma_min=float(s[-1]),
             )
         )
     return out

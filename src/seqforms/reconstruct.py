@@ -16,8 +16,9 @@ import numpy as np
 
 from .core import DEFAULT_TOL, CoeffVector, Tolerances, json_pairs
 from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
+from .classify import classify_finite
 from .forms import FormAssessment
-from .operators import OperatorBundle, lower_frame_data
+from .operators import OperatorBundle
 
 __all__ = [
     "DualSystem",
@@ -69,20 +70,17 @@ def canonical_dual(
     The reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which
     equals 1/sigma_dim(C)^2.
     """
-    _, sigma_dim, _, is_lower = lower_frame_data(
-        bundle.singular_values, bundle.dim, bundle.count, tol
-    )
-    if not is_lower:
+    spectrum = classify_finite(bundle, tol)
+    if not spectrum.frame:
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
     dual = np.linalg.inv(bundle.S) @ bundle.columns
-    bound = 1.0 / sigma_dim**2
     return DualSystem(
         primal=bundle.columns,
         dual=dual,
         kind="canonical_lower",
-        bessel_bound_of_dual=bound,
+        bessel_bound_of_dual=1.0 / spectrum.lower_bound,
     )
 
 

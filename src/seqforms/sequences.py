@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CoeffVector, json_scalar
+from .core import CoeffVector
 from .errors import SupportOverflow
 
 __all__ = [
@@ -79,14 +79,6 @@ class ScalarRule:
             out = np.array(self.values)[n - 1]
         return out.astype(complex)
 
-    def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "constant":
-            d["value"] = json_scalar(self.value)
-        if self.kind == "table":
-            d["values"] = [json_scalar(v) for v in self.values]
-        return d
-
     @staticmethod
     def from_json(d) -> "ScalarRule":
         if isinstance(d, str):
@@ -103,7 +95,6 @@ class SequenceSpec:
 
     #: number of sequence members consumed per basis index in ladder probes
     arity = 1
-    tag = None
 
     def entries(self, n: np.ndarray) -> Coo:
         """Supports of the members xi_n for a 1-D int array n of 1-based
@@ -137,17 +128,10 @@ class SequenceSpec:
         rows, cols, vals = self._coo(np.arange(1, count + 1), dim)
         return sp.csc_matrix((vals, (rows, cols)), shape=(dim, count))
 
-    def to_json(self) -> dict:
-        return {"rule": self.tag, "params": self._params_json()}
-
-    def _params_json(self) -> dict:
-        return {}
-
 
 @dataclass(frozen=True)
 class ExplicitColumns(SequenceSpec):
     matrix: np.ndarray
-    tag = "explicit"
 
     def __post_init__(self):
         object.__setattr__(
@@ -163,29 +147,20 @@ class ExplicitColumns(SequenceSpec):
         rows, cols = np.nonzero(self.matrix[:, n - 1])
         return rows, cols, self.matrix[rows, n[cols] - 1]
 
-    def _params_json(self):
-        return {"matrix": [[json_scalar(v) for v in row] for row in self.matrix]}
-
 
 @dataclass(frozen=True)
 class DiagonalWeights(SequenceSpec):
     """xi_n = alpha_n e_n."""
 
     weight: ScalarRule
-    tag = "diagonal"
 
     def entries(self, n: np.ndarray) -> Coo:
         return n - 1, np.arange(n.size), self.weight(n)
-
-    def _params_json(self):
-        return {"weight": self.weight.to_json()}
 
 
 @dataclass(frozen=True)
 class FiniteDifference(SequenceSpec):
     """xi_1 = e_1 and xi_n = n (e_n - e_{n-1}) for n >= 2."""
-
-    tag = "finite_difference"
 
     def entries(self, n: np.ndarray) -> Coo:
         tail = np.flatnonzero(n > 1)
@@ -200,7 +175,6 @@ class Interleave(SequenceSpec):
 
     first: SequenceSpec
     second: SequenceSpec
-    tag = "interleave"
 
     @property
     def arity(self):
@@ -219,9 +193,6 @@ class Interleave(SequenceSpec):
             np.concatenate([v1, v2]),
         )
 
-    def _params_json(self):
-        return {"first": self.first.to_json(), "second": self.second.to_json()}
-
 
 @dataclass(frozen=True)
 class TriplePattern(SequenceSpec):
@@ -229,7 +200,6 @@ class TriplePattern(SequenceSpec):
     kind "eta": {e_1, e_1, e_1, e_2, e_2, e_2, ...}."""
 
     kind: str
-    tag = "triple"
     arity = 3
 
     def __post_init__(self):
@@ -245,9 +215,6 @@ class TriplePattern(SequenceSpec):
         rows = np.where(pos == 0, group - 1, 0)
         return rows, np.arange(n.size), np.where(pos == 2, -1, 1).astype(complex)
 
-    def _params_json(self):
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class PairedDouble(SequenceSpec):
@@ -255,7 +222,6 @@ class PairedDouble(SequenceSpec):
     kind "eta": {e_1, 0, e_2, 0, ...}."""
 
     kind: str
-    tag = "paired_double"
     arity = 2
 
     def __post_init__(self):
@@ -268,15 +234,10 @@ class PairedDouble(SequenceSpec):
         vals = np.where(n % 2 == 1, 1, second).astype(complex)
         return k - 1, np.arange(n.size), vals
 
-    def _params_json(self):
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class OperatorImage(ExplicitColumns):
     """xi_n = V e_n, i.e. xi_n is column n of the matrix V."""
-
-    tag = "operator_image"
 
 
 @dataclass(frozen=True)
@@ -285,7 +246,6 @@ class Scaled(SequenceSpec):
 
     base: SequenceSpec
     factor: ScalarRule
-    tag = "scaled"
 
     @property
     def arity(self):  # noqa: D401 - passthrough
@@ -294,9 +254,6 @@ class Scaled(SequenceSpec):
     def entries(self, n: np.ndarray) -> Coo:
         rows, cols, vals = self.base.entries(n)
         return rows, cols, vals * self.factor(n)[cols]
-
-    def _params_json(self):
-        return {"base": self.base.to_json(), "factor": self.factor.to_json()}
 
 
 def term(spec: SequenceSpec, n: int, dim: int) -> CoeffVector:

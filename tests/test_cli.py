@@ -193,8 +193,18 @@ def test_sizes_below_one_are_usage_errors(spec_file, capsys, extra):
     "extra", [["--tol-rank", "nan"], ["--tol-eq", "inf"], ["--tol-rank=-inf"]]
 )
 def test_non_finite_tolerances_are_usage_errors(spec_file, capsys, extra):
+    if "--tol-eq" in extra:  # only scenario takes the equality tolerance
+        argv = ["scenario", "--id", "weighted-riesz"]
+    else:
+        argv = ["classify", "--spec", spec_file("wn.json", W_N), "--dim", "8"]
+    _assert_usage_error(main(argv + extra), capsys)
+
+
+def test_tol_eq_is_refused_by_commands_that_do_not_read_it(spec_file, capsys):
     path = spec_file("wn.json", W_N)
-    _assert_usage_error(main(["classify", "--spec", path, "--dim", "8"] + extra), capsys)
+    assert main(["classify", "--spec", path, "--dim", "8", "--tol-eq", "1e-9"]) == 2
+    assert "--tol-eq" in capsys.readouterr().err
+    assert main(["list", "--tol-rank", "0.5"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -33,3 +33,35 @@ def test_traced_scenario_records_the_series_layers(tmp_path):
             "sequences.SequenceSpec.materialize_sparse",
             "core.probe_series"} <= names
     assert tracer.counts["core.probe_series_terms"] == 2 * 40
+
+
+def test_traced_classification_records_each_dense_verdict(tmp_path):
+    """classify_finite is the one dense classification: the tracer sees it
+    once per dense rung (and truncation) and once per sequence of a pair."""
+    rule, inverse = tmp_path / "wn.json", tmp_path / "winv.json"
+    for path, kind in ((rule, "n"), (inverse, "1/n")):
+        path.write_text(json.dumps(
+            {"rule": "diagonal", "params": {"weight": {"kind": kind}}}))
+    out = tmp_path / "report.json"
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["classify", "--spec", str(rule), "--dim", "8",
+                       "--ladder", "8,16,256", "--out", str(out)])
+        ladder_spans = len(tracer.spans)
+        rc_pair = cli.main(["form-assess", "--left", str(rule),
+                            "--right", str(inverse), "--dim", "8",
+                            "--out", str(tmp_path / "pair.json")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0 and rc_pair == 0
+    spectral = json.loads(out.read_text())["meta"]["spectral"]
+    backends = [spectral["truncation"]["backend"]]
+    backends += [rung["backend"] for rung in spectral["ladder"]]
+    assert backends == ["dense", "dense", "dense", "diagonal"]
+
+    def verdicts(spans):
+        return sum(span[0] == "classify.classify_finite" for span in spans)
+
+    assert verdicts(tracer.spans[:ladder_spans]) == 3
+    assert verdicts(tracer.spans[ladder_spans:]) == 2

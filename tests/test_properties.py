@@ -12,22 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import seqforms.classify as classify
 import seqforms.core as core
-import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
     bundle_from_columns,
     complement_basis,
     direct_sum_check,
     frame_spectrum,
-    materialize,
     range_basis,
     spec_from_json,
     term,
 )
 from seqforms.errors import SupportOverflow
 from seqforms.forms import infsup_constants, zero_closed_from_bundles
-from seqforms.operators import cosines_and_angles, lower_frame_data
+from seqforms.operators import cosines_and_angles
 
 small = st.integers(-3, 3).map(float)
 scalar_value = st.one_of(small, st.tuples(small, small).map(list))
@@ -101,16 +100,6 @@ def same(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(rule_trees(2), sizes)
-def test_json_round_trip_materializes_identically(rule, size):
-    spec = spec_from_json(rule)
-    back = spec_from_json(spec.to_json())
-    assert back.to_json() == spec.to_json()
-    assert same(outcome(lambda: materialize(back, *size)),
-                outcome(lambda: materialize(spec, *size)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(rule_trees(2), sizes)
 def test_dense_and_sparse_agree_bit_for_bit(rule, size):
     spec = spec_from_json(rule)
     dense = outcome(lambda: spec.materialize(*size))
@@ -130,7 +119,7 @@ def test_columns_are_single_terms(rule, size):
         assert term(spec, n, dim).coeffs.tobytes() == X[:, n - 1].tobytes()
 
 
-@pytest.mark.parametrize("crossover", [0, operators.BANDED_MIN_SIZE])
+@pytest.mark.parametrize("crossover", [0, classify.BANDED_MIN_SIZE])
 @settings(max_examples=300, deadline=None)
 @given(
     rule_trees(2, structured_leaves),
@@ -147,7 +136,7 @@ def test_frame_bounds_bracket_the_analysis_energy(crossover, rule, dim, count, s
     X = outcome(lambda: spec.materialize(dim, count))
     if isinstance(X, str):
         return
-    with mock.patch.object(operators, "BANDED_MIN_SIZE", crossover):
+    with mock.patch.object(classify, "BANDED_MIN_SIZE", crossover):
         sp = frame_spectrum(spec, dim, count)
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((dim, 16)) + 1j * rng.standard_normal((dim, 16))
@@ -267,10 +256,10 @@ def thin_svd_reference(b_xi, b_eta, tol=DEFAULT_TOL):
     c1 = float(cos[-1]) if r_xi <= r_eta else 0.0
     c2 = float(cos[-1]) if r_eta <= r_xi else 0.0
     verdict, ratio = stacked_direct_sum(Q_xi, complement_basis(b_eta.C))
-    lower = [
-        lower_frame_data(np.linalg.svd(b.C, full_matrices=False)[1], b.dim, b.count)[3]
-        for b in (b_xi, b_eta)
-    ]
+    lower = []
+    for b in (b_xi, b_eta):
+        s = np.linalg.svd(b.C, full_matrices=False)[1]
+        lower.append(b.count >= b.dim and s[b.dim - 1] > tol.rank_tol * s[0])
     return c1, c2, angles, verdict, ratio, all(lower) and verdict == "holds"
 
 

@@ -104,23 +104,6 @@ def test_materialize_sparse_matches_dense():
         assert np.allclose(sparse.toarray(), dense)
 
 
-def test_json_round_trip():
-    specs = [
-        DiagonalWeights(ScalarRule("1/n")),
-        FiniteDifference(),
-        Interleave(DiagonalWeights(ScalarRule("constant", 1.0)), FiniteDifference()),
-        TriplePattern("eta"),
-        PairedDouble("xi"),
-        Scaled(FiniteDifference(), ScalarRule("table", values=(1.0, 2.0, 3.0))),
-        ExplicitColumns(np.array([[1.0, 1j], [0.0, 2.0]])),
-    ]
-    for spec in specs:
-        back = spec_from_json(spec.to_json())
-        assert np.allclose(
-            materialize(back, 6, 2), materialize(spec, 6, 2)
-        ), spec.tag
-
-
 def test_spec_from_json_rejects_unknown_rule():
     with pytest.raises(ValueError):
         spec_from_json({"rule": "mystery", "params": {}})

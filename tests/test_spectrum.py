@@ -1,4 +1,4 @@
-"""The classification backends of operators.frame_spectrum: banded and
+"""The classification backends of classify.frame_spectrum: banded and
 diagonal extremes against the dense SVD, the accuracy guard and rank cutoff
 that send a truncation back to dense, the dense size cap, and the backend
 provenance that `classify` writes to meta.spectral."""
@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import seqforms.classify as classify
 import seqforms.operators as operators
 from seqforms import (
     DenseTooLarge,
@@ -43,14 +44,13 @@ RULES = load_rules()
 
 
 def dense(spec, dim, count):
-    s = build_bundle(spec, dim, count).singular_values
-    return FrameSpectrum.from_singular_values(s, dim, count)
+    return classify_finite(build_bundle(spec, dim, count))
 
 
 @pytest.fixture
 def banded_everywhere(monkeypatch):
     """Take the banded path at every size, as large truncations do."""
-    monkeypatch.setattr(operators, "BANDED_MIN_SIZE", 0)
+    monkeypatch.setattr(classify, "BANDED_MIN_SIZE", 0)
 
 
 def assert_agrees(got, ref):
@@ -121,7 +121,13 @@ def test_wide_band_stays_dense(banded_everywhere):
 def test_classify_finite_reads_the_dense_spectrum():
     spec = spec_from_json(RULES["interleave_onb_fd"])
     report = classify_finite(build_bundle(spec, 9, 18))
-    assert report == dense(spec, 9, 18)
+    s = np.linalg.svd(spec.materialize(9, 18), compute_uv=False)
+    assert report.rank == 9 and report.backend == "dense"
+    ref = FrameSpectrum(9, 18, s[0] ** 2, s[8] ** 2, 9, s[8] ** 2)
+    for field in ("bessel_bound", "lower_bound", "riesz_fischer_bound"):
+        assert getattr(report, field) == pytest.approx(getattr(ref, field), rel=1e-13)
+    # below the banded crossover frame_spectrum is classify_finite itself
+    assert frame_spectrum(spec, 9, 18) == report
 
 
 def test_dense_cap_raises_instead_of_allocating(monkeypatch, banded_everywhere):
