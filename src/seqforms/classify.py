@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder
 from .core import json_scalar, partial_sum_trend
 from .errors import DenseTooLarge
-from .operators import OperatorBundle, _rank, build_bundle, rank_cutoff
+from .operators import BANDED_MIN_SIZE, OperatorBundle, _rank, build_bundle, rank_cutoff
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -35,10 +35,9 @@ __all__ = [
 ]
 
 
-# Backends of frame_spectrum. A dense complex SVD takes about 0.3 ms at
-# 128 x 128 and 13.5 ms at 256 x 256, the banded extremes about 1.5 ms, so
-# the banded path starts at count * dim = 256^2 (one BLAS thread).
-BANDED_MIN_SIZE = 256 * 256
+# Backends of frame_spectrum. The banded extremes take about 1.5 ms, against
+# 13.5 ms for a dense complex SVD at 256 x 256, so the banded path starts at
+# count * dim = BANDED_MIN_SIZE = 256^2 (one BLAS thread).
 BANDED_MAX_WIDTH = 8
 # S squares the condition number of C, so a banded verdict stands only when
 # lambda_min >= GUARD_FACTOR * (w + 1) * eps * lambda_max.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import gc
 import io
 import json
@@ -86,7 +87,9 @@ def _check_sizes(args) -> None:
             raise UsageError(f"--{name} must be at least 1, got {value}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="seqforms",
         description="numerical workbench for sequence-defined sesquilinear forms",

@@ -26,6 +26,8 @@ from .operators import (
     _rank,
     build_bundle,
     cosines_and_angles,
+    factorize,
+    matmul,
     rank_cutoff,
 )
 from .sequences import SequenceSpec
@@ -152,8 +154,8 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = bundle_eta.C.conj().T @ bundle_xi.C
-    s_assoc = np.linalg.svd(assoc, compute_uv=False)
+    assoc = matmul(bundle_eta.C.conj().T, bundle_xi.C)
+    s_assoc = factorize("svdvals", assoc)
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
     assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
@@ -230,7 +232,7 @@ def lambda_region_weighted(
     for lam in lambdas:
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
-        s = np.linalg.svd(H - lam * np.eye(alpha.size), compute_uv=False)
+        s = factorize("svdvals", H - lam * np.eye(alpha.size))
         out.append(
             LambdaVerdict(
                 lam=lam,

@@ -18,7 +18,7 @@ from .core import DEFAULT_TOL, CoeffVector, Tolerances, json_pairs
 from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .classify import classify_finite
 from .forms import FormAssessment
-from .operators import OperatorBundle
+from .operators import OperatorBundle, factorize, matmul
 
 __all__ = [
     "DualSystem",
@@ -67,15 +67,15 @@ def canonical_dual(
 ) -> DualSystem:
     """Dual columns S^{-1} xi_n of a truncated lower semi-frame.
 
-    The reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which
-    equals 1/sigma_dim(C)^2.
+    The columns solve S D = X by Cholesky. The reported Bessel bound of the
+    dual is sigma_max(C S^{-1})^2, which equals 1/sigma_dim(C)^2.
     """
     spectrum = classify_finite(bundle, tol)
     if not spectrum.frame:
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    dual = np.linalg.inv(bundle.S) @ bundle.columns
+    dual = factorize("cho_solve", bundle.S, bundle.columns)
     return DualSystem(
         primal=bundle.columns,
         dual=dual,
@@ -132,11 +132,12 @@ def reproducing_pair_duals(
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
     T = assessment.associated_operator
-    T_inv = np.linalg.inv(T)
-    left_cols = T_inv.conj().T @ bundle_xi.columns
-    right_cols = T_inv @ bundle_eta.columns
-    left_bound = float(np.linalg.norm(bundle_xi.C @ T_inv, 2) ** 2)
-    right_bound = float(np.linalg.norm(bundle_eta.C @ T_inv.conj().T, 2) ** 2)
+    T_inv = factorize("inv", T)
+    T_inv_h = T_inv.conj().T
+    left_cols = matmul(T_inv_h, bundle_xi.columns)
+    right_cols = matmul(T_inv, bundle_eta.columns)
+    left_bound = float(factorize("svdvals", matmul(bundle_xi.C, T_inv))[0]) ** 2
+    right_bound = float(factorize("svdvals", matmul(bundle_eta.C, T_inv_h))[0]) ** 2
     left = DualSystem(
         primal=bundle_xi.columns,
         dual=left_cols,

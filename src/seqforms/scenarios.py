@@ -158,8 +158,11 @@ def _verdict_evidence(v):
 
 
 def _gaussian(rng, shape):
-    """Standard complex Gaussians: the real parts are drawn first."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Standard complex Gaussians, real parts drawn first, in one array."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    return out
 
 
 def _unit(v):

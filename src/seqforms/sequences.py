@@ -147,6 +147,24 @@ class ExplicitColumns(SequenceSpec):
         rows, cols = np.nonzero(self.matrix[:, n - 1])
         return rows, cols, self.matrix[rows, n[cols] - 1]
 
+    def materialize(self, dim: int, count: int) -> np.ndarray:
+        """The first count columns cut or zero-padded to dim rows: the COO
+        path's matrix, without its scatter."""
+        if count > self.matrix.shape[1] or self.matrix[dim:, :count].any():
+            return super().materialize(dim, count)  # its SupportOverflow
+        X = np.zeros((dim, count), dtype=complex)
+        X[: self.matrix.shape[0]] = self.matrix[:dim, :count]
+        X += 0  # -0 parts to +0, as on the COO path
+        return X
+
+    def materialize_sparse(self, dim: int, count: int) -> sp.csc_matrix:
+        XT = self.materialize(dim, count).T
+        live = XT != 0  # row n of XT is column n of X
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
+        return sp.csc_matrix(
+            (XT[live], np.flatnonzero(live) % dim, indptr), shape=(dim, count)
+        )
+
 
 @dataclass(frozen=True)
 class DiagonalWeights(SequenceSpec):

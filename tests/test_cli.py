@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from seqforms.cli import _load_sequence, main
+from seqforms.cli import _load_sequence, build_parser, main
 from seqforms.operators import DENSE_MAX_SIZE
 from seqforms.sequences import SequenceSpec
 
@@ -351,3 +353,34 @@ def test_scenario_ladder_cap_is_a_domain_error_before_allocating(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
     assert error["details"] == {"top": 10**9, "cap": cap}
+
+
+def test_one_parser_serves_a_run_of_calls_like_fresh_processes(spec_file, capsys):
+    """main calls in one process share one parser; a run of them (classify,
+    a usage error, reconstruct, scenario) gives the exit codes, report
+    bodies and usage messages of the same calls each in a fresh process."""
+    wn, winv = spec_file("wn.json", W_N), spec_file("winv.json", W_INV)
+    calls = [
+        ["classify", "--spec", wn, "--dim", "16"],
+        ["classify", "--spec", wn, "--dim", "16", "--bogus"],
+        ["reconstruct", "--left", wn, "--right", winv, "--dim", "8", "--trials", "3"],
+        ["scenario", "--id", "operator-image"],
+    ]
+
+    def body(out):
+        return json.loads(out)["report"] if out else None
+
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, body(captured.out), captured.err))
+    assert build_parser() is build_parser()
+
+    fresh = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "seqforms.cli", *argv],
+                             capture_output=True, text=True, timeout=120)
+        fresh.append((run.returncode, body(run.stdout), run.stderr))
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+    assert in_process == fresh

@@ -11,7 +11,7 @@ from seqforms import (
     scenario_ids,
 )
 from seqforms.errors import UnknownScenario
-from seqforms.scenarios import _CLAIMS
+from seqforms.scenarios import _CLAIMS, _gaussian
 from seqforms.sequences import DiagonalWeights, FiniteDifference, Interleave, ScalarRule
 
 # ladder rungs a decade apart, like the default, so tail estimates behave
@@ -135,3 +135,17 @@ def test_report_serialization_shape():
         assert claim["status"] in ("pass", "fail", "diagnostic")
         assert claim["reference"].startswith("operator-image/")
     assert rep.runtime > 0  # the CLI writes it to meta.runtime_s
+
+
+@pytest.mark.parametrize("shape", [7, (5, 3), (1, 4), 0])
+def test_gaussian_draws_the_old_stream_bit_for_bit(shape):
+    """One complex array written in place holds exactly the values of the
+    sum of the real and the imaginary draws."""
+    old = np.random.default_rng(5)
+    reference = old.standard_normal(shape) + 1j * old.standard_normal(shape)
+    new = np.random.default_rng(5)
+    z = _gaussian(new, shape)
+    assert z.dtype == complex and z.shape == reference.shape
+    assert z.tobytes() == reference.tobytes()
+    # the generator is left where the old expression left it
+    assert new.standard_normal() == old.standard_normal()

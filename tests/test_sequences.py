@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqforms import (
     DiagonalWeights,
@@ -19,7 +20,12 @@ from seqforms import (
 )
 from seqforms.cli import main
 from seqforms.errors import SupportOverflow
-from seqforms.sequences import _as_complex, _matrix_from_json, _uniform_matrix
+from seqforms.sequences import (
+    SequenceSpec,
+    _as_complex,
+    _matrix_from_json,
+    _uniform_matrix,
+)
 
 
 def test_scalar_rules():
@@ -172,3 +178,43 @@ def test_malformed_matrix_is_rejected(rows, tmp_path, capsys):
 def test_spec_from_json_rejects_non_finite_matrix(rule, bad):
     with pytest.raises(ValueError):
         spec_from_json({"rule": rule, "params": {"matrix": [[1.0, bad], [0.0, 1.0]]}})
+
+
+def _outcome(build):
+    try:
+        return build()
+    except SupportOverflow as exc:
+        return f"SupportOverflow: {exc}"
+
+
+signed_parts = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.tuples(signed_parts, signed_parts),
+                           min_size=r * c, max_size=r * c).map(
+            lambda parts: np.array([complex(*p) for p in parts]).reshape(r, c)))),
+    st.sampled_from([ExplicitColumns, OperatorImage]),
+    st.integers(1, 8),
+    st.integers(0, 8),
+)
+def test_matrix_rules_slice_like_the_coo_path(M, rule, dim, count):
+    """Slicing the stored matrix gives the COO scatter's dense and sparse
+    matrices bit for bit (-0 parts turned +0) and its SupportOverflow
+    messages, for truncations that cut, pad or overrun the matrix."""
+    spec = rule(M)
+    sliced = _outcome(lambda: spec.materialize(dim, count))
+    scattered = _outcome(lambda: SequenceSpec.materialize(spec, dim, count))
+    if isinstance(scattered, str):
+        assert sliced == scattered
+        assert _outcome(lambda: spec.materialize_sparse(dim, count)) == scattered
+        return
+    assert sliced.shape == scattered.shape and sliced.tobytes() == scattered.tobytes()
+    sparse = spec.materialize_sparse(dim, count)
+    reference = SequenceSpec.materialize_sparse(spec, dim, count)
+    assert sparse.shape == reference.shape
+    assert np.array_equal(sparse.indptr, reference.indptr)
+    assert np.array_equal(sparse.indices, reference.indices)
+    assert sparse.data.tobytes() == reference.data.tobytes()

@@ -1,0 +1,117 @@
+"""Compare the report bodies of two checkouts, float by float.
+
+    python3 tools/compare_reports.py PARENT CHANGE [--seeds 501,502]
+
+In each checkout it runs, in one fresh process with one BLAS thread, every
+call of the benchmark: the warm-up calls and the round of dense-pair (at
+each seed), class-ladder and series-ladder, with the argv lists read from
+that checkout's perfbench/workloads.py, and every catalog scenario on its
+default ladder. It then prints every float that differs between the two
+report bodies (``meta`` dropped), every other difference, and a summary of
+how many bodies are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _collect(checkout: str, seeds: list, out: str) -> None:
+    """Runs in the child process: writes {call id: {"exit", "body"}}."""
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    import seqforms.cli as cli
+    import workloads
+    from seqforms.scenarios import scenario_ids
+
+    bodies = {}
+    with tempfile.TemporaryDirectory() as work:
+        report = os.path.join(work, "report.json")
+
+        def call(key, argv):
+            if os.path.exists(report):
+                os.remove(report)
+            code = cli.main(argv)
+            body = None
+            if code == 0:
+                with open(report) as fh:
+                    body = json.load(fh)["report"]
+            bodies[key] = {"exit": code, "body": body}
+
+        for workload in workloads.WORKLOADS:
+            for seed in seeds if workload == "dense-pair" else seeds[:1]:
+                files, ops = workloads.build(workload, seed)
+                inputs = os.path.join(work, f"{workload}-{seed}")
+                workloads.write_inputs(files, inputs)
+                for op in workloads.warmup_ops(workload) + ops:
+                    call(f"{workload}/{seed}/{op.id}", op.resolved_argv(inputs, report))
+        for sid in scenario_ids():
+            call(f"scenario/{sid}", ["scenario", "--id", sid, "--out", report])
+    with open(out, "w") as fh:
+        json.dump(bodies, fh)
+
+
+def _run(checkout: str, seeds: list, out: str) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--collect",
+                    os.path.abspath(checkout), "--seeds", ",".join(map(str, seeds)),
+                    "--out", out], env=env, check=True)
+    with open(out) as fh:
+        return json.load(fh)
+
+
+def _differences(path, a, b):
+    """(path, parent value, change value, is_float) for every leaf that
+    differs; a structural difference is one leaf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            yield from _differences(f"{path}.{k}", a[k], b[k])
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _differences(f"{path}[{i}]", x, y)
+    elif type(a) is not type(b) or a != b:
+        yield path, a, b, isinstance(a, float) and isinstance(b, float)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", nargs="?")
+    p.add_argument("change", nargs="?")
+    p.add_argument("--seeds", default="501,502",
+                   help="comma-separated dense-pair seeds")
+    p.add_argument("--collect", help=argparse.SUPPRESS)
+    p.add_argument("--out", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.collect:
+        _collect(args.collect, seeds, args.out)
+        return 0
+    if not (args.parent and args.change):
+        p.error("PARENT and CHANGE checkouts are required")
+
+    with tempfile.TemporaryDirectory() as work:
+        parent = _run(args.parent, seeds, os.path.join(work, "parent.json"))
+        change = _run(args.change, seeds, os.path.join(work, "change.json"))
+    identical = floats = others = 0
+    for key in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(key), change.get(key)
+        if json.dumps(a) == json.dumps(b):
+            identical += 1
+            continue
+        for path, x, y, is_float in _differences(key, a, b):
+            floats += is_float
+            others += not is_float
+            print(f"{'float' if is_float else 'OTHER'} {path}: {x!r} -> {y!r}")
+    total = len(parent.keys() | change.keys())
+    print(f"{identical} of {total} bodies byte-identical; "
+          f"{floats} floats and {others} other values differ")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
