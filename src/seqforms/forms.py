@@ -24,11 +24,12 @@ from .operators import (
     OperatorBundle,
     _direct_sum_verdict,
     _rank,
+    blocks_of,
     build_bundle,
     cosines_and_angles,
-    factorize,
     matmul,
     rank_cutoff,
+    svdvals,
 )
 from .sequences import SequenceSpec
 
@@ -154,8 +155,8 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = matmul(bundle_eta.C.conj().T, bundle_xi.C)
-    s_assoc = factorize("svdvals", assoc)
+    assoc = matmul(bundle_eta.D, bundle_xi.C, bundle_eta.blocks, bundle_xi.blocks)
+    s_assoc = svdvals(assoc, blocks_of(assoc))
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
     assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
@@ -232,7 +233,8 @@ def lambda_region_weighted(
     for lam in lambdas:
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
-        s = factorize("svdvals", H - lam * np.eye(alpha.size))
+        shifted = H - lam * np.eye(alpha.size)
+        s = svdvals(shifted, blocks_of(shifted))
         out.append(
             LambdaVerdict(
                 lam=lam,

@@ -9,10 +9,11 @@ the largest singular value. A basis of a subspace is a plain array with
 orthonormal columns; its rows are the ambient space. Verdicts about a
 sequence (frame bounds, completeness, the class) live in classify.
 
-Every factorization of a bundle's operators, of the associated matrix and
-of the frame matrix goes through factorize, which splits a large matrix into
-the independent blocks of its nonzero pattern and factorizes them block by
-block; only the bases of the subspace geometry below stay dense.
+The values-only SVD, the inverse and the Cholesky solve of a bundle's
+operators, of the associated matrix and of the frame matrix take the
+matrix's independent blocks (blocks_of; a bundle finds those of its C once)
+and factorize block by block when it splits; range bases and the subspace
+geometry below stay dense.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ from .sequences import SequenceSpec
 __all__ = [
     "OperatorBundle",
     "rank_cutoff",
-    "factorize",
+    "blocks_of",
+    "svdvals",
+    "inv",
+    "cho_solve",
     "matmul",
     "build_bundle",
     "bundle_from_columns",
@@ -60,34 +64,45 @@ def _rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
-# for structure (blocks in factorize, a band in classify.frame_spectrum): a
+# for structure (blocks in blocks_of, a band in classify.frame_spectrum): a
 # complex SVD takes 13.5 ms at 256 x 256, 0.06 ms for a 64 x 64 diagonal,
 # whose blocks take 0.23 ms to find (one BLAS thread).
 BANDED_MIN_SIZE = 256 * 256
 
 
-def _split(M: np.ndarray) -> Optional[Tuple[sp.csr_array, np.ndarray, np.ndarray]]:
-    """M as CSR with the block label of each of its rows and columns; None,
-    so that M is factorized whole, below BANDED_MIN_SIZE entries, with no
-    zero entry, or with fewer than two blocks that hold entries. The blocks
-    are the connected components of the nonzero pattern with rows and
-    columns as the two sides of a bipartite graph (Pothen & Fan, ACM TOMS
-    1990); a zero row or column is a block of its own."""
+def blocks_of(M: np.ndarray) -> Optional[dict]:
+    """The blocks of M grouped by shape, {(r, c): (rows, cols)}: row k of
+    the k x r index array rows and of the k x c array cols picks block k.
+    The blocks are the connected components of the nonzero pattern, rows
+    and columns being the two sides of a bipartite graph (Pothen & Fan, ACM
+    TOMS 1990), so a zero row is a 1 x 0 block and a zero column a 0 x 1
+    one. None, and M is factorized whole, below BANDED_MIN_SIZE entries,
+    with no zero entry, or with fewer than two blocks that hold entries."""
     m, n = M.shape
     if m * n < BANDED_MIN_SIZE:
         return None
     live = M != 0
-    nnz = int(np.count_nonzero(live))
-    if nnz == m * n:
+    if np.count_nonzero(live) == m * n:
         return None
     rows, cols = np.divmod(np.flatnonzero(live), n)
     # rows are the vertices 0..m-1 and columns m..m+n-1, one edge per entry
     labels = _components(rows, cols + m, m + n)
-    if np.intersect1d(labels[:m], labels[m:]).size < 2:
+    k = labels.max() + 1
+    r, c = np.bincount(labels[:m], minlength=k), np.bincount(labels[m:], minlength=k)
+    if np.count_nonzero(r * c) < 2:
         return None
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-    csr = sp.csr_array((M[live], cols, indptr), shape=M.shape)
-    return csr, labels[:m], labels[m:]
+    # indices of each block ascending, blocks in label order
+    row_order = np.argsort(labels[:m], kind="stable")
+    col_order = np.argsort(labels[m:], kind="stable")
+    row_start, col_start = np.cumsum(r) - r, np.cumsum(c) - c
+    shape = r * (c.max() + 1) + c  # one integer per block shape
+    blocks = {}
+    for key in np.unique(shape).tolist():
+        ids = np.flatnonzero(shape == key)[:, None]
+        nr, nc = int(r[ids[0, 0]]), int(c[ids[0, 0]])
+        blocks[nr, nc] = (row_order[row_start[ids] + np.arange(nr)],
+                          col_order[col_start[ids] + np.arange(nc)])
+    return blocks
 
 
 def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
@@ -104,119 +119,71 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
             parent = parent[parent]
 
 
-def _block_groups(row_label: np.ndarray, col_label: np.ndarray) -> dict:
-    """The blocks grouped by shape, {(r, c): (rows, cols)}: row k of the
-    k x r index array rows and of the k x c array cols picks block k."""
-    r = np.bincount(row_label, minlength=max(row_label.max(), col_label.max()) + 1)
-    c = np.bincount(col_label, minlength=r.size)
-    # indices of each block ascending, blocks in label order
-    row_order = np.argsort(row_label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
-    row_start, col_start = np.cumsum(r) - r, np.cumsum(c) - c
-    shape = r * (c.max() + 1) + c  # one integer per block shape
-    groups = {}
-    for key in np.unique(shape).tolist():
-        ids = np.flatnonzero(shape == key)[:, None]
-        nr, nc = int(r[ids[0, 0]]), int(c[ids[0, 0]])
-        groups[nr, nc] = (row_order[row_start[ids] + np.arange(nr)],
-                          col_order[col_start[ids] + np.arange(nc)])
-    return groups
-
-
 def _stack(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The blocks M[rows[k]][:, cols[k]] as one k x r x c array."""
     return M[rows[:, :, None], cols[:, None, :]]
 
 
-def _svdvals_blocks(M, groups, _):
+# Each factorization below is the plain call on M when its blocks are None,
+# else one batched call per block shape.
+
+
+def svdvals(M: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
+    """The singular values of M, descending."""
+    if blocks is None:
+        return np.linalg.svd(M, compute_uv=False)
     vals = [np.linalg.svd(_stack(M, rows, cols), compute_uv=False).ravel()
-            for (r, c), (rows, cols) in groups.items() if r and c]
+            for (r, c), (rows, cols) in blocks.items() if r and c]
     vals = np.sort(np.concatenate(vals))[::-1]
     return np.concatenate([vals, np.zeros(min(M.shape) - vals.size)])
 
 
-def _range_whole(M, rank):
-    if rank == M.shape[1]:
-        return np.linalg.qr(M)[0]
-    return np.linalg.svd(M, full_matrices=False)[0][:, :rank]
-
-
-def _range_blocks(M, groups, rank):
-    if rank < M.shape[1]:
-        return _range_whole(M, rank)
-    # full column rank, so every block has r >= c and its Q is r x c
-    Q = np.zeros(M.shape, dtype=complex)
-    for rows, cols in groups.values():
-        Q[rows[:, :, None], cols[:, None, :]] = np.linalg.qr(_stack(M, rows, cols))[0]
-    return Q
-
-
-def _inv_blocks(M, groups, _):
-    if any(r != c for r, c in groups):
+def inv(M: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
+    """The inverse of M; LinAlgError when M is singular."""
+    if blocks is None:
+        return np.linalg.inv(M)
+    if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
     out = np.zeros(M.shape, dtype=np.result_type(M, 1.0))
-    for rows, cols in groups.values():
+    for rows, cols in blocks.values():
         out[cols[:, :, None], rows[:, None, :]] = np.linalg.inv(_stack(M, rows, cols))
     return out
 
 
-def _cho_solve_blocks(S, groups, B):
+def cho_solve(S: np.ndarray, B: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
+    """X with S X = B for a Hermitian positive definite S, by Cholesky:
+    whole, scipy's cho_factor and cho_solve; per block, S = L L^H and
+    X = L^-H L^-1 B. LinAlgError when S is not positive definite."""
+    if blocks is None:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
     # a Hermitian positive definite S has its blocks on the diagonal
-    if not all(np.array_equal(rows, cols) for rows, cols in groups.values()):
-        raise np.linalg.LinAlgError("matrix is not positive definite")
+    if not all(np.array_equal(rows, cols) for rows, cols in blocks.values()):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     out = np.zeros(B.shape, dtype=np.result_type(S, B, 1.0))
-    for (r, _), (rows, cols) in groups.items():
-        # the k r x r blocks of a group are one block-diagonal band of width
-        # r - 1, in upper band storage: one LAPACK call factorizes all
-        blocks = _stack(S, rows, cols)
-        ab = np.zeros((r, blocks.size // r), dtype=blocks.dtype)
-        for d in range(r):
-            ab[r - 1 - d].reshape(-1, r)[:, d:] = np.diagonal(blocks, d, 1, 2)
-        chol = (scipy.linalg.cholesky_banded(ab), False)
-        out[rows.ravel()] = scipy.linalg.cho_solve_banded(chol, B[rows.ravel()])
+    for rows, cols in blocks.values():
+        L_inv = np.linalg.inv(np.linalg.cholesky(_stack(S, rows, cols)))
+        out[rows] = L_inv.conj().transpose(0, 2, 1) @ (L_inv @ B[rows])
     return out
 
 
-# kind -> (factorization of the whole matrix, factorization block by block)
-_FACTORIZATIONS = {
-    "svdvals": (lambda M, _: np.linalg.svd(M, compute_uv=False), _svdvals_blocks),
-    "range": (_range_whole, _range_blocks),
-    "inv": (lambda M, _: np.linalg.inv(M), _inv_blocks),
-    "cho_solve": (
-        lambda S, B: scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B),
-        _cho_solve_blocks,
-    ),
-}
-
-
-def factorize(kind: str, M: np.ndarray, arg=None) -> np.ndarray:
-    """One factorization of M: the plain numpy or scipy call on M, or block
-    by block, batched by block shape, when M splits (see _split). kind
-    "svdvals": the singular values, descending; "range": orthonormal columns
-    spanning R(M) for its rank arg, Q of a reduced QR when arg is the column
-    count, else (whole) left singular vectors of a thin SVD; "inv": the
-    inverse; "cho_solve": X with M X = arg for a Hermitian positive definite
-    M, by Cholesky. A singular M raises LinAlgError either way."""
-    split = _split(M)
-    whole, blockwise = _FACTORIZATIONS[kind]
-    if split is None:
-        return whole(M, arg)
-    return blockwise(M, _block_groups(*split[1:]), arg)
-
-
-def _operand(M: np.ndarray):
-    split = _split(M)
-    return M if split is None else split[0]
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B, dense, taken on a sparse copy of each operand that splits into
-    blocks; with neither splitting, the plain product."""
-    a, b = _operand(A), _operand(B)
-    if a is A and b is B:
+def matmul(
+    A: np.ndarray, B: np.ndarray, a_blocks: Optional[dict], b_blocks: Optional[dict]
+) -> np.ndarray:
+    """A @ B, dense, taken on a sparse copy of each operand that splits;
+    with neither, the plain product. Only whether a_blocks and b_blocks are
+    None is read, so the blocks of A^H or A^-1 serve for A."""
+    if a_blocks is None and b_blocks is None:
         return A @ B
+    a = A if a_blocks is None else _csr(A)
+    b = B if b_blocks is None else _csr(B)
     out = a @ b
     return out.toarray() if sp.issparse(out) else out
+
+
+def _csr(M: np.ndarray) -> sp.csr_array:
+    live = M != 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
+    return sp.csr_array((M[live], np.flatnonzero(live) % M.shape[1], indptr), M.shape)
 
 
 @dataclass(frozen=True)
@@ -247,24 +214,34 @@ class OperatorBundle:
         return self.columns
 
     @cached_property
+    def blocks(self) -> Optional[dict]:
+        """The blocks of C, found once; None when C is factorized whole."""
+        return blocks_of(self.C)
+
+    @cached_property
     def S(self) -> np.ndarray:
-        return matmul(self.D, self.C)
+        return matmul(self.D, self.C, self.blocks, self.blocks)
 
     @cached_property
     def G(self) -> np.ndarray:
-        return matmul(self.C, self.D)
+        return matmul(self.C, self.D, self.blocks, self.blocks)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors."""
-        return factorize("svdvals", self.C)
+        return svdvals(self.C, self.blocks)
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return _rank(self.singular_values, tol)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal columns spanning R(C) (factorize's "range")."""
-        return factorize("range", self.C, self.rank(tol))
+        """Orthonormal columns spanning R(C): Q of a reduced QR when C has
+        full column rank, the leading left singular vectors of a thin SVD
+        only when C is rank-deficient."""
+        r = self.rank(tol)
+        if r == self.dim:
+            return np.linalg.qr(self.C)[0]
+        return np.linalg.svd(self.C, full_matrices=False)[0][:, :r]
 
 
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:

@@ -18,7 +18,9 @@ from .core import DEFAULT_TOL, CoeffVector, Tolerances, json_pairs
 from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .classify import classify_finite
 from .forms import FormAssessment
-from .operators import OperatorBundle, factorize, matmul
+from .operators import (
+    OperatorBundle, blocks_of, cho_solve, inv, matmul, svdvals,
+)
 
 __all__ = [
     "DualSystem",
@@ -75,7 +77,7 @@ def canonical_dual(
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    dual = factorize("cho_solve", bundle.S, bundle.columns)
+    dual = cho_solve(bundle.S, bundle.columns, blocks_of(bundle.S))
     return DualSystem(
         primal=bundle.columns,
         dual=dual,
@@ -122,6 +124,10 @@ def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float
     return max(float(reconstruct_with(system, F)[1].max()) for system in systems)
 
 
+def _sigma_max(M: np.ndarray) -> float:
+    return float(svdvals(M, blocks_of(M))[0])
+
+
 def reproducing_pair_duals(
     assessment: FormAssessment,
     bundle_xi: OperatorBundle,
@@ -132,12 +138,14 @@ def reproducing_pair_duals(
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
     T = assessment.associated_operator
-    T_inv = factorize("inv", T)
+    blocks = blocks_of(T)  # T^-1 and T^-H split when T does
+    T_inv = inv(T, blocks)
     T_inv_h = T_inv.conj().T
-    left_cols = matmul(T_inv_h, bundle_xi.columns)
-    right_cols = matmul(T_inv, bundle_eta.columns)
-    left_bound = float(factorize("svdvals", matmul(bundle_xi.C, T_inv))[0]) ** 2
-    right_bound = float(factorize("svdvals", matmul(bundle_eta.C, T_inv_h))[0]) ** 2
+    xi, eta = bundle_xi.blocks, bundle_eta.blocks
+    left_cols = matmul(T_inv_h, bundle_xi.columns, blocks, xi)
+    right_cols = matmul(T_inv, bundle_eta.columns, blocks, eta)
+    left_bound = _sigma_max(matmul(bundle_xi.C, T_inv, xi, blocks)) ** 2
+    right_bound = _sigma_max(matmul(bundle_eta.C, T_inv_h, eta, blocks)) ** 2
     left = DualSystem(
         primal=bundle_xi.columns,
         dual=left_cols,

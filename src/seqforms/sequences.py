@@ -147,23 +147,29 @@ class ExplicitColumns(SequenceSpec):
         rows, cols = np.nonzero(self.matrix[:, n - 1])
         return rows, cols, self.matrix[rows, n[cols] - 1]
 
-    def materialize(self, dim: int, count: int) -> np.ndarray:
-        """The first count columns cut or zero-padded to dim rows: the COO
-        path's matrix, without its scatter."""
+    def _stored(self, dim: int, count: int) -> np.ndarray:
+        """The first count columns cut to dim rows, -0 parts made +0 as on
+        the COO path; its SupportOverflow when they do not fit."""
         if count > self.matrix.shape[1] or self.matrix[dim:, :count].any():
-            return super().materialize(dim, count)  # its SupportOverflow
+            self._coo(np.arange(1, count + 1), dim)  # raises
+        return self.matrix[:dim, :count] + 0
+
+    def materialize(self, dim: int, count: int) -> np.ndarray:
+        """The stored columns zero-padded to dim rows: the COO path's
+        matrix, without its scatter."""
+        stored = self._stored(dim, count)
         X = np.zeros((dim, count), dtype=complex)
-        X[: self.matrix.shape[0]] = self.matrix[:dim, :count]
-        X += 0  # -0 parts to +0, as on the COO path
+        X[: stored.shape[0]] = stored
         return X
 
     def materialize_sparse(self, dim: int, count: int) -> sp.csc_matrix:
-        XT = self.materialize(dim, count).T
-        live = XT != 0  # row n of XT is column n of X
+        """The CSC matrix of materialize, built from the stored columns
+        alone, so a large dim costs no dense dim x count array."""
+        stored = self._stored(dim, count).T  # row n holds column n
+        live = stored != 0
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-        return sp.csc_matrix(
-            (XT[live], np.flatnonzero(live) % dim, indptr), shape=(dim, count)
-        )
+        rows = np.flatnonzero(live) % stored.shape[1]
+        return sp.csc_matrix((stored[live], rows, indptr), shape=(dim, count))
 
 
 @dataclass(frozen=True)

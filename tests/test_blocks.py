@@ -1,8 +1,8 @@
 """Block-by-block factorization against the whole-matrix numpy and scipy
-calls: property tests of operators.factorize and operators.matmul on
+calls: property tests of operators.svdvals, inv, cho_solve and matmul on
 block-diagonal matrices under random row and column permutations, and the
-{n e_n}/{e_n/n} form and pair reconstruction at dims 256 and 300 against
-the one-block path."""
+{n e_n}/{e_n/n} form, pair reconstruction and canonical dual of {n e_n}
+at dims 256 and 300 against the one-block path."""
 
 import json
 from unittest import mock
@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import seqforms.operators as operators
 from seqforms.cli import main
-from seqforms.operators import _split, factorize, matmul
+from seqforms.operators import blocks_of, cho_solve, inv, matmul, svdvals
 
 # gaussian blocks are r x c; a square one is made diagonally dominant, so
 # well conditioned. rank_one blocks are u v^T with entries +-1, +-2, exactly
@@ -37,15 +37,15 @@ def _block(rng, kind, r, c):
 
 
 @st.composite
-def block_matrices(draw, kinds=KINDS, square_blocks=False, tall=False):
+def block_matrices(draw, kinds=KINDS, square_blocks=False):
     """(P diag(B_1, ..., B_k) Q, the blocks) for random permutations P, Q;
-    square_blocks draws every block square, tall every block with r >= c."""
+    square_blocks draws every block square."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(kinds))
         r = draw(st.integers(1, 4))
-        c = r if square_blocks else draw(st.integers(1, r if tall else 4))
+        c = r if square_blocks else draw(st.integers(1, 4))
         blocks.append(_block(rng, kind, r, c))
     M = scipy.linalg.block_diag(*blocks).astype(complex)
     M = M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])]
@@ -61,34 +61,19 @@ def _splitting():
     return mock.patch.object(operators, "BANDED_MIN_SIZE", 0)
 
 
-def _projector(Q):
-    return Q @ Q.conj().T
-
-
 @settings(max_examples=300, deadline=None)
 @given(block_matrices())
 def test_blockwise_singular_values_match_the_dense_svd(drawn):
     M, blocks = drawn
     with _splitting():
-        s = factorize("svdvals", M)
-        split = _split(M) is not None
+        found = blocks_of(M)
+    s = svdvals(M, found)
+    split = found is not None
     assert split == (_holds_entries(blocks) >= 2)
     dense = np.linalg.svd(M, compute_uv=False)
     assert s.shape == dense.shape
     top = dense[0] if dense.size else 0.0
     assert np.all(np.abs(s - dense) <= 1e-13 * top)
-
-
-@settings(max_examples=200, deadline=None)
-@given(block_matrices(kinds=("gaussian",), tall=True))
-def test_blockwise_qr_range_equals_the_dense_qr_range(drawn):
-    M, _ = drawn
-    with _splitting():
-        Q = factorize("range", M, M.shape[1])
-    assert Q.shape == M.shape
-    assert np.max(np.abs(Q.conj().T @ Q - np.eye(M.shape[1]))) < 1e-13
-    dense = np.linalg.qr(M)[0]
-    assert np.max(np.abs(_projector(Q) - _projector(dense))) < 1e-12
 
 
 def _fixed(*blocks):
@@ -116,11 +101,12 @@ def test_blockwise_inverse_matches_and_fails_where_the_dense_one_does(drawn):
         dense = None
     assert (dense is None) == singular
     with _splitting():
-        if singular:
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                factorize("inv", M)
-            return
-        blockwise = factorize("inv", M)
+        found = blocks_of(M)
+    if singular:
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            inv(M, found)
+        return
+    blockwise = inv(M, found)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(blockwise - dense)) <= 1e-12 * scale
 
@@ -137,16 +123,31 @@ def test_blockwise_cholesky_solve_matches_the_dense_one(drawn, zero_index):
     if zero_index:
         # a zero row and column: S is singular, and both calls refuse it
         S[0, :] = S[:, 0] = 0
-        with _splitting(), pytest.raises(np.linalg.LinAlgError):
-            factorize("cho_solve", S, B)
+        with _splitting():
+            blocks = blocks_of(S)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_solve(S, B, blocks)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(S)
         return
     dense = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
     with _splitting():
-        X = factorize("cho_solve", S, B)
+        X = cho_solve(S, B, blocks_of(S))
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(X - dense)) <= 1e-12 * scale
+
+
+def test_blockwise_cholesky_refuses_blocks_off_the_diagonal():
+    """A Hermitian S whose 1 x 1 blocks sit off the diagonal, as S[0, 2]
+    does, is not positive definite: both calls refuse it, though each such
+    block alone has a Cholesky factor."""
+    S = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(S)
+    with _splitting():
+        blocks = blocks_of(S)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        cho_solve(S, np.eye(3), blocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,7 +165,7 @@ def test_products_on_split_operands_match_the_dense_product(drawn, other):
         "dense_left": (gaussian(5, A.shape[0]), A),
     }[other]
     with _splitting():
-        out = matmul(left, right)
+        out = matmul(left, right, blocks_of(left), blocks_of(right))
     assert isinstance(out, np.ndarray)
     reference = left @ right
     scale = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
@@ -191,7 +192,7 @@ def _close(a, b):
     return type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("command", ["form-assess", "reconstruct"])
+@pytest.mark.parametrize("command", ["form-assess", "reconstruct", "canonical"])
 @pytest.mark.parametrize("dim", [256, 300])
 def test_weight_inverse_pair_reports_match_the_one_block_path(
     tmp_path, capsys, monkeypatch, command, dim
@@ -199,12 +200,15 @@ def test_weight_inverse_pair_reports_match_the_one_block_path(
     left, right = tmp_path / "n.json", tmp_path / "inv.json"
     left.write_text(json.dumps(W_N))
     right.write_text(json.dumps(W_INV))
-    argv = [command, "--left", str(left), "--right", str(right), "--dim", str(dim)]
+    if command == "canonical":  # the canonical dual of {n e_n} alone
+        argv = ["reconstruct", "--spec", str(left), "--dim", str(dim)]
+    else:
+        argv = [command, "--left", str(left), "--right", str(right), "--dim", str(dim)]
 
     with mock.patch.object(operators, "BANDED_MIN_SIZE", 10**12):
         whole = _report(capsys, argv)
     shapes = []
-    for name in ("svd", "inv", "qr"):
+    for name in ("svd", "inv", "qr", "cholesky", "solve"):
         fn = getattr(np.linalg, name)
 
         def spy(M, *args, _fn=fn, **kwargs):

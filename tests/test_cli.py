@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from seqforms.cli import _load_sequence, build_parser, main
@@ -353,6 +354,30 @@ def test_scenario_ladder_cap_is_a_domain_error_before_allocating(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
     assert error["details"] == {"top": 10**9, "cap": cap}
+
+
+def test_explicit_matrix_at_a_huge_dim_is_classified_without_a_dense_copy(
+    spec_file, capsys, monkeypatch
+):
+    """A 2 x 2 identity at dim 10^6 takes the diagonal backend from the
+    stored columns alone: no dim x count array is ever allocated."""
+    dim, count = 10**6, 2
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape) >= dim * count:
+            raise MemoryError(f"allocated a {shape} array")
+        return zeros(shape, *args, **kwargs)
+
+    identity = {"rule": "explicit", "params": {"matrix": [[1, 0], [0, 1]]}}
+    path = spec_file("id.json", identity)
+    monkeypatch.setattr(np, "zeros", guarded)
+    code, payload = run_json(
+        capsys, ["classify", "--spec", path, "--dim", str(dim), "--count", str(count)]
+    )
+    assert code == 0
+    assert payload["meta"]["spectral"]["truncation"]["backend"] == "diagonal"
+    assert payload["report"]["bessel_bound"] == 1.0
 
 
 def test_one_parser_serves_a_run_of_calls_like_fresh_processes(spec_file, capsys):
