@@ -5,7 +5,6 @@ reconstruction, plus an executable catalog of worked scenarios."""
 
 from .core import (
     DEFAULT_TOL,
-    CoeffVector,
     ConvergenceVerdict,
     Tolerances,
     TruncationLadder,

@@ -170,12 +170,12 @@ def _report_form_assess(args, tol):
 
 
 def _report_reconstruct(args, tol):
-    pair = args.left is not None and args.right is not None
-    if args.spec is not None and not pair:
+    pair = (args.left, args.right)
+    if args.spec is not None and pair == (None, None):
         spec = _load_sequence(args.spec)
         bundle = build_bundle(spec, args.dim, args.count)
         systems = [canonical_dual(bundle, tol)]
-    elif pair and args.spec is None:
+    elif args.spec is None and None not in pair:
         left = _load_sequence(args.left)
         right = _load_sequence(args.right)
         b_left = build_bundle(left, args.dim, args.count)
@@ -183,9 +183,7 @@ def _report_reconstruct(args, tol):
         fa = zero_closed_from_bundles(b_left, b_right, tol)
         systems = reproducing_pair_duals(fa, b_left, b_right)
     else:
-        raise UsageError(
-            "reconstruct needs either --spec or both --left and --right"
-        )
+        raise UsageError("reconstruct needs --spec alone, or --left and --right")
     return {
         "systems": [s.to_dict(include_columns=args.dim <= 64) for s in systems],
         "max_residual": max_residual(systems, args.trials, seed=2024),

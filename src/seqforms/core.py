@@ -1,6 +1,6 @@
-"""Coefficient vectors, tolerances and series convergence diagnostics.
+"""Tolerances and series convergence diagnostics.
 
-Vectors are coefficient lists over the canonical orthonormal basis of the
+Vectors are coefficient arrays over the canonical orthonormal basis of the
 truncation, so the plain Euclidean inner product is the Hilbert-space one.
 Series are always summed in increasing index order; partial sums are probed
 on a ladder of truncation sizes and classified as converged, diverged or
@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "CoeffVector",
     "TruncationLadder",
     "ConvergenceVerdict",
     "Tolerances",
@@ -60,23 +59,6 @@ def json_pairs(M) -> list:
     """A complex matrix for JSON, every entry an [re, im] pair."""
     M = np.asarray(M)
     return np.stack([M.real, M.imag], axis=-1).tolist()
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """A vector given by its coefficients relative to the canonical ONB."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex).ravel()
-        object.__setattr__(self, "coeffs", arr)
-        if arr.size == 0:
-            raise ValueError("CoeffVector needs at least one coefficient")
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,17 @@ and xi respectively.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CoeffVector, Tolerances, json_pairs
-from .errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
+from .core import DEFAULT_TOL, Tolerances, json_pairs
+from .errors import DenseTooLarge, DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .classify import classify_finite
 from .forms import FormAssessment
 from .operators import (
-    OperatorBundle, blocks_of, cho_solve, inv, matmul, svdvals,
+    DENSE_MAX_SIZE, OperatorBundle, blocks_of, cho_solve, inv, matmul, svdvals,
 )
 
 __all__ = [
@@ -33,31 +32,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualSystem:
-    """A primal family with its dual columns and the coefficient partner.
+    """Dual columns and the analysis matrix of their coefficient partner.
 
-    reconstruct_with computes sum_n <f, partner_n> dual_n; for the canonical
-    dual the partner is the primal family itself.
+    reconstruct_with computes sum_n <f, partner_n> dual_n = dual (analysis f).
+    analysis is the partner bundle's cached C: the primal family's own for
+    the canonical dual.
     """
 
-    primal: np.ndarray  # dim x count
     dual: np.ndarray  # dim x count
+    analysis: np.ndarray  # count x dim
     kind: str  # canonical_lower | reproducing_left | reproducing_right
     bessel_bound_of_dual: float
-    partner: Optional[np.ndarray] = None
-
-    @functools.cached_property
-    def coefficient_adjoint(self) -> np.ndarray:
-        """partner^H, copied once per system; every reconstruct_with call on
-        the system reuses it."""
-        partner = self.primal if self.partner is None else self.partner
-        return partner.conj().T
 
     def to_dict(self, include_columns: bool = True) -> dict:
         d = {
             "kind": self.kind,
             "bessel_bound_of_dual": self.bessel_bound_of_dual,
-            "dim": int(self.primal.shape[0]),
-            "count": int(self.primal.shape[1]),
+            "dim": int(self.dual.shape[0]),
+            "count": int(self.dual.shape[1]),
         }
         if include_columns:
             d["dual_columns"] = json_pairs(self.dual)
@@ -78,34 +70,26 @@ def canonical_dual(
             "frame matrix is singular at this truncation (A = 0)"
         )
     dual = cho_solve(bundle.S, bundle.columns, blocks_of(bundle.S))
-    return DualSystem(
-        primal=bundle.columns,
-        dual=dual,
-        kind="canonical_lower",
-        bessel_bound_of_dual=1.0 / spectrum.lower_bound,
-    )
+    return DualSystem(dual, bundle.C, "canonical_lower", 1.0 / spectrum.lower_bound)
 
 
 def reconstruct_with(
-    dual_system: DualSystem, f: Union[CoeffVector, np.ndarray]
-) -> Tuple[Union[CoeffVector, np.ndarray], Union[float, np.ndarray]]:
+    dual_system: DualSystem, F: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||.
 
-    f is one CoeffVector, or a dim x k array whose k columns are
-    reconstructed in one product; then the reconstructions come back as a
-    dim x k array and the residuals as one per column.
+    F is one dim vector, or a dim x k block whose k columns are
+    reconstructed in one product; the residual is one float for a vector
+    and one per column for a block.
     """
-    PH = dual_system.coefficient_adjoint
-    F = f.coeffs if isinstance(f, CoeffVector) else np.asarray(f)
-    if F.shape[0] != PH.shape[1]:
+    C = dual_system.analysis
+    F = np.asarray(F)
+    if F.shape[0] != C.shape[1]:
         raise DimensionMismatch(
-            f"vector dim {F.shape[0]} does not match system dim {PH.shape[1]}"
+            f"vector dim {F.shape[0]} does not match system dim {C.shape[1]}"
         )
-    recon = dual_system.dual @ (PH @ F)  # coefficients <f, partner_n>
-    residual = np.linalg.norm(recon - F, axis=0)
-    if isinstance(f, CoeffVector):
-        return CoeffVector(recon), float(residual)
-    return recon, residual
+    recon = dual_system.dual @ (C @ F)  # coefficients <f, partner_n>
+    return recon, np.linalg.norm(recon - F, axis=0)
 
 
 def _probe_draws(trials: int, dim: int, seed: int) -> np.ndarray:
@@ -118,8 +102,19 @@ def _probe_draws(trials: int, dim: int, seed: int) -> np.ndarray:
 
 def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float:
     """Largest reconstruct_with residual over trials random unit probes drawn
-    from default_rng(seed), all reconstructed by one product per system."""
-    z = _probe_draws(trials, systems[0].primal.shape[0], seed)
+    from default_rng(seed), all reconstructed by one product per system.
+
+    DenseTooLarge, before any probe is drawn, when the trials x dim block of
+    probes would be above DENSE_MAX_SIZE.
+    """
+    dim = systems[0].dual.shape[0]
+    if trials * dim > DENSE_MAX_SIZE:
+        raise DenseTooLarge(
+            f"{trials} probes of dim {dim} need {trials * dim} entries, "
+            f"above the cap of {DENSE_MAX_SIZE}",
+            trials=trials, dim=dim, cap=DENSE_MAX_SIZE,
+        )
+    z = _probe_draws(trials, dim, seed)
     F = (z / np.linalg.norm(z, axis=1, keepdims=True)).T
     return max(float(reconstruct_with(system, F)[1].max()) for system in systems)
 
@@ -134,30 +129,20 @@ def reproducing_pair_duals(
     bundle_eta: OperatorBundle,
 ) -> Tuple[DualSystem, DualSystem]:
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
-    {T^{-1} eta_n} paired against xi, with T the associated matrix."""
+    {T^{-1} eta_n} paired against xi, with T the associated matrix.
+
+    Each dual's Bessel bound is sigma_max of its own columns, squared: the
+    analysis matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the
+    conjugate transposes of those columns.
+    """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
     T = assessment.associated_operator
     blocks = blocks_of(T)  # T^-1 and T^-H split when T does
     T_inv = inv(T, blocks)
-    T_inv_h = T_inv.conj().T
-    xi, eta = bundle_xi.blocks, bundle_eta.blocks
-    left_cols = matmul(T_inv_h, bundle_xi.columns, blocks, xi)
-    right_cols = matmul(T_inv, bundle_eta.columns, blocks, eta)
-    left_bound = _sigma_max(matmul(bundle_xi.C, T_inv, xi, blocks)) ** 2
-    right_bound = _sigma_max(matmul(bundle_eta.C, T_inv_h, eta, blocks)) ** 2
-    left = DualSystem(
-        primal=bundle_xi.columns,
-        dual=left_cols,
-        kind="reproducing_left",
-        bessel_bound_of_dual=left_bound,
-        partner=bundle_eta.columns,
+    left = matmul(T_inv.conj().T, bundle_xi.columns, blocks, bundle_xi.blocks)
+    right = matmul(T_inv, bundle_eta.columns, blocks, bundle_eta.blocks)
+    return (
+        DualSystem(left, bundle_eta.C, "reproducing_left", _sigma_max(left) ** 2),
+        DualSystem(right, bundle_xi.C, "reproducing_right", _sigma_max(right) ** 2),
     )
-    right = DualSystem(
-        primal=bundle_eta.columns,
-        dual=right_cols,
-        kind="reproducing_right",
-        bessel_bound_of_dual=right_bound,
-        partner=bundle_xi.columns,
-    )
-    return left, right

@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CoeffVector
 from .errors import SupportOverflow
 
 __all__ = [
@@ -280,13 +279,13 @@ class Scaled(SequenceSpec):
         return rows, cols, vals * self.factor(n)[cols]
 
 
-def term(spec: SequenceSpec, n: int, dim: int) -> CoeffVector:
+def term(spec: SequenceSpec, n: int, dim: int) -> np.ndarray:
     if n < 1:
         raise ValueError("sequence indices start at 1")
     rows, _, vals = spec._coo(np.array([n]), dim)
     out = np.zeros(dim, dtype=complex)
     out[rows] = vals
-    return CoeffVector(out)
+    return out
 
 
 def materialize(spec: SequenceSpec, dim: int, count: int) -> np.ndarray:

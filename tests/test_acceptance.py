@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from seqforms import (
-    CoeffVector,
     DiagonalWeights,
     ExplicitColumns,
     FiniteDifference,
@@ -159,10 +158,10 @@ def test_criterion_05_canonical_dual_reconstruction(capsys):
         systems.append(canonical_dual(bundle_from_columns(X)))
     worst = 0.0
     for ds in systems:
-        dim = ds.primal.shape[0]
+        dim = ds.dual.shape[0]
         for _ in range(100):
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            f = CoeffVector(z / np.linalg.norm(z))
+            f = z / np.linalg.norm(z)
             _, residual = reconstruct_with(ds, f)
             worst = max(worst, residual)
     _report(capsys, 5, "canonical dual reconstruction residual < 1e-10", worst < 1e-10)
@@ -180,7 +179,7 @@ def test_criterion_06_reproducing_pair_identity(capsys):
     worst = 0.0
     for _ in range(50):
         z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f = CoeffVector(z / np.linalg.norm(z))
+        f = z / np.linalg.norm(z)
         _, res_l = reconstruct_with(left, f)
         _, res_r = reconstruct_with(right, f)
         worst = max(worst, res_l, res_r)

@@ -181,6 +181,45 @@ def _assert_usage_error(code, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--spec"], 0),
+    (["--left", "--right"], 0),
+    (["--spec", "--left"], 2),
+    (["--spec", "--right"], 2),
+    (["--spec", "--left", "--right"], 2),
+    (["--left"], 2),
+    (["--right"], 2),
+])
+def test_reconstruct_takes_spec_alone_or_left_and_right(
+    spec_file, capsys, flags, code
+):
+    path = spec_file("onb.json", ONB)
+    argv = ["reconstruct", "--dim", "4", "--trials", "2"]
+    for flag in flags:
+        argv += [flag, path]
+    if code == 2:
+        _assert_usage_error(main(argv), capsys)
+    else:
+        assert main(argv) == 0
+
+
+def test_probe_block_above_the_cap_is_a_domain_error_before_drawing(
+    spec_file, capsys, monkeypatch
+):
+    def refuse(seed):
+        raise AssertionError("drew the probes")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    path = spec_file("wn.json", W_N)
+    trials = 10**9
+    code = main(["reconstruct", "--spec", path, "--dim", "8", "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DenseTooLarge"
+    assert error["details"] == {"trials": trials, "dim": 8, "cap": DENSE_MAX_SIZE}
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--dim", "0"], ["--dim", "-3"], ["--dim", "4", "--count", "0"],

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from seqforms import (
-    CoeffVector,
     DiagonalWeights,
     ExplicitColumns,
     ScalarRule,
     build_bundle,
+    bundle_from_columns,
     canonical_dual,
     max_residual,
     reconstruct_with,
     reproducing_pair_duals,
     zero_closed_check,
+    zero_closed_from_bundles,
 )
 from seqforms.errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from seqforms.reconstruct import _probe_draws
@@ -21,12 +22,14 @@ ONB = DiagonalWeights(ScalarRule("constant", 1.0))
 
 def random_vec(dim, rng):
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return CoeffVector(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def test_onb_is_self_dual():
-    ds = canonical_dual(build_bundle(ONB, 5, 5))
-    assert np.allclose(ds.dual, ds.primal)
+    bundle = build_bundle(ONB, 5, 5)
+    ds = canonical_dual(bundle)
+    assert np.allclose(ds.dual, bundle.columns)
+    assert ds.analysis is bundle.C  # the bundle's cached C, not a copy
     assert ds.bessel_bound_of_dual == pytest.approx(1.0)
 
 
@@ -40,10 +43,9 @@ def test_redundant_frame_dual():
     X = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     ds = canonical_dual(build_bundle(ExplicitColumns(X), 2, 3))
     assert np.allclose(ds.dual, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    f = CoeffVector([3.0, 5.0])
-    recon, residual = reconstruct_with(ds, f)
+    recon, residual = reconstruct_with(ds, np.array([3.0, 5.0]))
     assert residual < 1e-12
-    assert np.allclose(recon.coeffs, [3.0, 5.0])
+    assert np.allclose(recon, [3.0, 5.0])
 
 
 def test_canonical_dual_requires_lower_semi_frame():
@@ -71,8 +73,8 @@ def test_weak_reconstruction_identity_against_test_vectors():
     for _ in range(100):
         f, g = random_vec(4, rng), random_vec(4, rng)
         recon, _ = reconstruct_with(ds, f)
-        lhs = np.vdot(g.coeffs, recon.coeffs)
-        assert lhs == pytest.approx(np.vdot(g.coeffs, f.coeffs), abs=1e-10)
+        lhs = np.vdot(g, recon)
+        assert lhs == pytest.approx(np.vdot(g, f), abs=1e-10)
 
 
 def test_dual_of_dual_returns_original():
@@ -89,7 +91,7 @@ def test_bessel_bound_dominates_sampled_ratios():
     ds = canonical_dual(build_bundle(ExplicitColumns(X), 4, 7))
     for _ in range(1000):
         f = random_vec(4, rng)
-        ratio = float(np.sum(np.abs(ds.dual.conj().T @ f.coeffs) ** 2))
+        ratio = float(np.sum(np.abs(ds.dual.conj().T @ f) ** 2))
         assert ratio <= ds.bessel_bound_of_dual + 1e-10
 
 
@@ -109,7 +111,7 @@ def test_reproducing_pair_duals_weight_inverse():
         rec_l, res_l = reconstruct_with(left, f)
         rec_r, res_r = reconstruct_with(right, f)
         assert res_l < 1e-12 and res_r < 1e-12
-        assert np.allclose(rec_l.coeffs, rec_r.coeffs, atol=1e-12)
+        assert np.allclose(rec_l, rec_r, atol=1e-12)
 
 
 def test_reproducing_pair_duals_small_redundant_pair():
@@ -121,10 +123,45 @@ def test_reproducing_pair_duals_small_redundant_pair():
     left, _ = reproducing_pair_duals(
         fa, build_bundle(xi, 2, 3), build_bundle(eta, 2, 3)
     )
-    f = CoeffVector([2.0, -1.5])
+    f = np.array([2.0, -1.5])
     recon, residual = reconstruct_with(left, f)
     assert residual < 1e-12
-    assert np.allclose(recon.coeffs, f.coeffs)
+    assert np.allclose(recon, f)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda rng: [rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+                 for _ in range(2)],
+    lambda rng: [rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+                 for _ in range(2)],
+    # {n e_n} / {e_n / n}: T = I, the blocks split, the bounds are 256^2 and 1
+    lambda rng: [np.diag(np.arange(1.0, 257)), np.diag(1 / np.arange(1.0, 257))],
+], ids=["square", "redundant", "weights-256"])
+def test_reproducing_dual_bounds_match_the_analysis_products(pair):
+    """The Bessel bound of each reproducing dual, read off its own columns,
+    is sigma_max of its analysis matrix C_xi T^-1 or C_eta T^-H, squared."""
+    b_xi, b_eta = map(bundle_from_columns, pair(np.random.default_rng(15)))
+    fa = zero_closed_from_bundles(b_xi, b_eta)
+    left, right = reproducing_pair_duals(fa, b_xi, b_eta)
+    assert left.analysis is b_eta.C and right.analysis is b_xi.C
+    T_inv = np.linalg.inv(fa.associated_operator)
+    want_left = np.linalg.norm(b_xi.C @ T_inv, 2) ** 2
+    want_right = np.linalg.norm(b_eta.C @ T_inv.conj().T, 2) ** 2
+    assert left.bessel_bound_of_dual == pytest.approx(want_left, rel=1e-12)
+    assert right.bessel_bound_of_dual == pytest.approx(want_right, rel=1e-12)
+    if b_xi.dim == 256:
+        assert b_xi.blocks is not None  # the blockwise path
+        assert (want_left, want_right) == pytest.approx((256.0**2, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("X", [
+    np.diag(np.arange(1.0, 257)),
+    np.random.default_rng(16).standard_normal((5, 9)),
+], ids=["weights-256", "redundant"])
+def test_canonical_dual_bound_is_sigma_max_of_the_dual_squared(X):
+    ds = canonical_dual(bundle_from_columns(X))
+    want = np.linalg.norm(ds.dual, 2) ** 2
+    assert ds.bessel_bound_of_dual == pytest.approx(want, rel=1e-12)
 
 
 def test_reproducing_pair_requires_zero_closed():
@@ -141,7 +178,7 @@ def test_reproducing_pair_requires_zero_closed():
 def test_dimension_mismatch_on_reconstruct():
     ds = canonical_dual(build_bundle(ONB, 4, 4))
     with pytest.raises(DimensionMismatch):
-        reconstruct_with(ds, CoeffVector([1.0, 2.0]))
+        reconstruct_with(ds, np.array([1.0, 2.0]))
 
 
 def test_probe_block_matches_per_trial_draws():
@@ -168,11 +205,11 @@ def test_max_residual_is_the_largest_per_probe_residual(seed):
     worst = 0.0
     for _ in range(11):
         z = draws.standard_normal(6) + 1j * draws.standard_normal(6)
-        f = CoeffVector(z / np.linalg.norm(z))
+        f = z / np.linalg.norm(z)
         for system in systems:
             recon, residual = reconstruct_with(system, f)
-            block, residuals = reconstruct_with(system, f.coeffs[:, None])
-            assert np.max(np.abs(block[:, 0] - recon.coeffs)) < 1e-15
+            block, residuals = reconstruct_with(system, f[:, None])
+            assert np.max(np.abs(block[:, 0] - recon)) < 1e-15
             assert abs(residuals[0] - residual) < 1e-15
             worst = max(worst, residual)
     assert worst > 0

@@ -1,4 +1,4 @@
-"""Compare the report bodies of two checkouts, float by float.
+"""Compare the report bodies and error objects of two checkouts, float by float.
 
     python3 tools/compare_reports.py PARENT CHANGE [--seeds 501,502]
 
@@ -6,14 +6,20 @@ In each checkout it runs, in one fresh process with one BLAS thread, every
 call of the benchmark: the warm-up calls and the round of dense-pair (at
 each seed), class-ladder and series-ladder, with the argv lists read from
 that checkout's perfbench/workloads.py, and every catalog scenario on its
-default ladder. It then prints every float that differs between the two
-report bodies (``meta`` dropped), every other difference, and a summary of
-how many bodies are byte-identical.
+default ladder. Every dense-pair and class-ladder call runs a second time
+at --tol-rank 0.5, where some forms are no longer 0-closed and some
+sequences no longer lower semi-frames, so the error paths are compared too.
+Each call records its exit code, its report body (``meta`` dropped) on exit
+0 and its error object (type, message, details) on exit 1. It then prints
+every float that differs between the two checkouts, every other difference,
+and a summary of how many calls are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,8 +27,12 @@ import sys
 import tempfile
 
 
+# The dense-pair and class-ladder calls run once more with this rank cutoff.
+LOOSE_RANK = ["--tol-rank", "0.5"]
+
+
 def _collect(checkout: str, seeds: list, out: str) -> None:
-    """Runs in the child process: writes {call id: {"exit", "body"}}."""
+    """Runs in the child process: writes {call id: {"exit", "body", "error"}}."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import seqforms.cli as cli
     import workloads
@@ -35,12 +45,16 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
         def call(key, argv):
             if os.path.exists(report):
                 os.remove(report)
-            code = cli.main(argv)
-            body = None
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            body = error = None
             if code == 0:
                 with open(report) as fh:
                     body = json.load(fh)["report"]
-            bodies[key] = {"exit": code, "body": body}
+            elif code == 1:
+                error = json.loads(stderr.getvalue())["error"]
+            bodies[key] = {"exit": code, "body": body, "error": error}
 
         for workload in workloads.WORKLOADS:
             for seed in seeds if workload == "dense-pair" else seeds[:1]:
@@ -48,7 +62,11 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
                 inputs = os.path.join(work, f"{workload}-{seed}")
                 workloads.write_inputs(files, inputs)
                 for op in workloads.warmup_ops(workload) + ops:
-                    call(f"{workload}/{seed}/{op.id}", op.resolved_argv(inputs, report))
+                    key = f"{workload}/{seed}/{op.id}"
+                    argv = op.resolved_argv(inputs, report)
+                    call(key, argv)
+                    if workload != "series-ladder":
+                        call(f"{key}/tol-rank-0.5", argv + LOOSE_RANK)
         for sid in scenario_ids():
             call(f"scenario/{sid}", ["scenario", "--id", sid, "--out", report])
     with open(out, "w") as fh:
@@ -108,7 +126,7 @@ def main(argv=None) -> int:
             others += not is_float
             print(f"{'float' if is_float else 'OTHER'} {path}: {x!r} -> {y!r}")
     total = len(parent.keys() | change.keys())
-    print(f"{identical} of {total} bodies byte-identical; "
+    print(f"{identical} of {total} calls byte-identical; "
           f"{floats} floats and {others} other values differ")
     return 0
 
