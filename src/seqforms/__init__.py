@@ -26,7 +26,6 @@ from .sequences import (
     ExplicitColumns,
     FiniteDifference,
     Interleave,
-    OperatorImage,
     PairedDouble,
     ScalarRule,
     Scaled,
@@ -34,7 +33,6 @@ from .sequences import (
     TriplePattern,
     materialize,
     spec_from_json,
-    term,
 )
 from .operators import (
     OperatorBundle,
@@ -60,7 +58,6 @@ from .forms import (
     infsup_constants,
     lambda_region_weighted,
     solvability_shift,
-    weighted_riesz_associated,
     zero_closed_check,
     zero_closed_from_bundles,
 )

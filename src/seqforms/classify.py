@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .core import DEFAULT_TOL, ConvergenceVerdict, Tolerances, TruncationLadder
-from .core import json_scalar, partial_sum_trend
+from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
+from .core import TruncationLadder, json_scalar, partial_sum_trend
 from .errors import DenseTooLarge
 from .operators import BANDED_MIN_SIZE, OperatorBundle, _rank, build_bundle, rank_cutoff
 from .sequences import SequenceSpec
@@ -254,23 +254,23 @@ def diagnose_asymptotic(
     uppers = [sp.bessel_bound for sp in spectra]
     lowers = [sp.lower_bound for sp in spectra]
 
-    bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers], tol)
-    lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers], tol)
+    bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers])
+    lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers])
 
     slope_b = bessel_trend.growth_exponent
     slope_a = lower_trend.growth_exponent
 
-    b_bounded = slope_b is not None and slope_b < tol.growth_min
+    b_bounded = slope_b is not None and slope_b < GROWTH_MIN
     a_positive = (
         all(a > 0 for a in lowers)
         and slope_a is not None
-        and slope_a > -tol.growth_min
+        and slope_a > -GROWTH_MIN
     )
 
     if slope_a is None and slope_b is None:
         inferred = "Inconclusive"
     elif a_positive and b_bounded:
-        flat = abs(slope_a) < tol.growth_min and abs(slope_b) < tol.growth_min
+        flat = abs(slope_a) < GROWTH_MIN and abs(slope_b) < GROWTH_MIN
         inferred = "RieszBasis" if (flat and spec.arity == 1) else "Frame"
     elif a_positive and not b_bounded:
         inferred = "LowerSemiFrame"

@@ -21,6 +21,8 @@ __all__ = [
     "ConvergenceVerdict",
     "Tolerances",
     "DEFAULT_TOL",
+    "CAUCHY_TOL",
+    "GROWTH_MIN",
     "probe_series",
     "partial_sum_trend",
 ]
@@ -28,25 +30,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds used everywhere.
+    """The numeric thresholds a caller can set.
 
-    rank_tol is relative to the largest singular value of the matrix at hand.
-    growth_min is the smallest fitted log-log exponent that counts as growth.
+    rank_tol is relative to the largest singular value of the matrix at hand;
+    eq_tol is the distance below which two scalars count as equal.
     """
 
     eq_tol: float = 1e-10
     rank_tol: float = 1e-10
-    cauchy_tol: float = 1e-6
-    growth_min: float = 0.25
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol", "cauchy_tol", "growth_min"):
+        for name in ("eq_tol", "rank_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
+
+# Ladder thresholds: a Cauchy gap below CAUCHY_TOL has settled, and
+# GROWTH_MIN is the smallest fitted log-log exponent that counts as growth.
+CAUCHY_TOL = 1e-6
+GROWTH_MIN = 0.25
 
 
 def json_scalar(z):
@@ -99,14 +104,12 @@ def _magnitude(a) -> float:
     return abs(a)
 
 
-def partial_sum_trend(
-    sizes: Sequence[int], sums: Sequence, tol: Tolerances = DEFAULT_TOL
-) -> ConvergenceVerdict:
+def partial_sum_trend(sizes: Sequence[int], sums: Sequence) -> ConvergenceVerdict:
     """Classify a ladder of partial sums (scalars or vectors).
 
     Diverged: partial-sum magnitudes grow with fitted log-log exponent at
-    least growth_min, or the Cauchy gaps stay bounded away from zero across
-    the whole ladder. Converged: the top gap is below cauchy_tol, or the
+    least GROWTH_MIN, or the Cauchy gaps stay bounded away from zero across
+    the whole ladder. Converged: the top gap is below CAUCHY_TOL, or the
     gaps decay geometrically (ratio <= 1/2 rung to rung), in which case the
     limit estimate carries a geometric tail correction.
     """
@@ -126,15 +129,15 @@ def partial_sum_trend(
             cauchy_gap=float(gap), last_partial=sums[-1],
         )
 
-    if growth is not None and growth >= tol.growth_min and norms[-1] > norms[0]:
+    if growth is not None and growth >= GROWTH_MIN and norms[-1] > norms[0]:
         return verdict("Diverged", gaps[-1])
 
     gmax = float(gaps.max())
-    if gaps.min() >= tol.cauchy_tol and gaps[-1] >= 0.5 * gmax:
+    if gaps.min() >= CAUCHY_TOL and gaps[-1] >= 0.5 * gmax:
         # persistent gap: successive rungs keep moving by about the same amount
         return verdict("Diverged", gaps.min())
 
-    if gaps[-1] < tol.cauchy_tol and gaps[-1] <= gmax * (1 + 1e-12):
+    if gaps[-1] < CAUCHY_TOL and gaps[-1] <= gmax * (1 + 1e-12):
         return verdict("Converged", gaps[-1], limit=sums[-1])
 
     if np.all(gaps[:-1] > 0):
@@ -205,9 +208,7 @@ def column_prefix_fsums(mats: Sequence[np.ndarray], stops) -> list:
     return out
 
 
-def probe_series(
-    terms, ladder: TruncationLadder, tol: Tolerances = DEFAULT_TOL
-) -> ConvergenceVerdict:
+def probe_series(terms, ladder: TruncationLadder) -> ConvergenceVerdict:
     """Sum a series in increasing index order and classify its partial sums
     at the ladder rungs.
 
@@ -227,4 +228,4 @@ def probe_series(
         T = sp.csr_matrix(terms, dtype=complex)
         ones = np.ones(ladder.top)
         sums = [T[:, :N] @ ones[:N] for N in rungs]
-    return partial_sum_trend(rungs, sums, tol)
+    return partial_sum_trend(rungs, sums)

@@ -43,7 +43,6 @@ __all__ = [
     "zero_closed_from_bundles",
     "lambda_region_weighted",
     "solvability_shift",
-    "weighted_riesz_associated",
 ]
 
 
@@ -155,7 +154,7 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = matmul(bundle_eta.D, bundle_xi.C, bundle_eta.blocks, bundle_xi.blocks)
+    assoc = matmul(bundle_eta.columns, bundle_xi.C, bundle_eta.blocks, bundle_xi.blocks)
     s_assoc = svdvals(assoc, blocks_of(assoc))
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
@@ -180,23 +179,6 @@ def zero_closed_from_bundles(
     )
 
 
-def weighted_riesz_associated(
-    alpha: Sequence[complex], V: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Associated matrix of the weighted pair xi = {V e_n},
-    eta = {alpha_n (V^{-1})^H e_n}: similar to diag(alpha), so its spectrum
-    is exactly {alpha_n}."""
-    alpha = np.asarray(alpha, dtype=complex).ravel()
-    N = alpha.size
-    if V is None:
-        return np.diag(alpha)
-    V = np.atleast_2d(np.asarray(V, dtype=complex))
-    if V.shape != (N, N):
-        raise DimensionMismatch("V must be square of size len(alpha)")
-    Vh = V.conj().T
-    return np.linalg.solve(Vh, np.diag(alpha) @ Vh)
-
-
 @dataclass(frozen=True)
 class LambdaVerdict:
     lam: complex
@@ -212,12 +194,14 @@ class LambdaVerdict:
 
 def lambda_region_weighted(
     alpha: Sequence[complex],
+    H: np.ndarray,
     lambdas: Sequence[complex],
     tol: Tolerances = DEFAULT_TOL,
-    V: Optional[np.ndarray] = None,
     accumulation_points: Sequence[complex] = (),
 ) -> list:
-    """Per-probe lambda-closedness of the weighted Riesz form.
+    """Per-probe lambda-closedness of the weighted Riesz form with weights
+    alpha and associated matrix H, e.g. the associated_operator of
+    zero_closed_from_bundles on the pair {V e_n}, {alpha_n (V^-1)^H e_n}.
 
     lambda-closed iff the distance from lambda to the weight values (plus the
     declared accumulation points; closures of infinite sets are not inferred)
@@ -225,7 +209,8 @@ def lambda_region_weighted(
     the truncation.
     """
     alpha = np.asarray(alpha, dtype=complex).ravel()
-    H = weighted_riesz_associated(alpha, V)
+    if H.shape != (alpha.size, alpha.size):
+        raise DimensionMismatch("H must be square of size len(alpha)")
     spectrum = np.concatenate(
         [alpha, np.asarray(list(accumulation_points), dtype=complex)]
     )

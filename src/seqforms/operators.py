@@ -1,10 +1,9 @@
-"""Analysis/synthesis/frame/Gram matrices, the rank cutoff and subspace
-geometry.
+"""Analysis and frame matrices, the rank cutoff and subspace geometry.
 
 Conventions: for columns xi_n (dim x count matrix X), the analysis matrix is
 C = X^H, so (C f)_n = <f, xi_n> including the complex conjugation; the
-synthesis matrix is D = C^H = X; the frame matrix is S = D C and the Gram
-matrix is G = C D. Rank decisions use a singular-value cutoff relative to
+synthesis matrix is C^H = X, the columns themselves, and the frame matrix is
+S = X C. Rank decisions use a singular-value cutoff relative to
 the largest singular value. A basis of a subspace is a plain array with
 orthonormal columns; its rows are the ambient space. Verdicts about a
 sequence (frame bounds, completeness, the class) live in classify.
@@ -209,10 +208,6 @@ class OperatorBundle:
     def C(self) -> np.ndarray:
         return self.columns.conj().T
 
-    @property
-    def D(self) -> np.ndarray:
-        return self.columns
-
     @cached_property
     def blocks(self) -> Optional[dict]:
         """The blocks of C, found once; None when C is factorized whole."""
@@ -220,11 +215,7 @@ class OperatorBundle:
 
     @cached_property
     def S(self) -> np.ndarray:
-        return matmul(self.D, self.C, self.blocks, self.blocks)
-
-    @cached_property
-    def G(self) -> np.ndarray:
-        return matmul(self.C, self.D, self.blocks, self.blocks)
+        return matmul(self.columns, self.C, self.blocks, self.blocks)
 
     @cached_property
     def singular_values(self) -> np.ndarray:

@@ -26,19 +26,14 @@ from .core import (
     probe_series,
 )
 from .errors import DenseTooLarge, UnknownScenario, UsageError
-from .forms import (
-    lambda_region_weighted,
-    solvability_shift,
-    weighted_riesz_associated,
-    zero_closed_from_bundles,
-)
+from .forms import lambda_region_weighted, solvability_shift, zero_closed_from_bundles
 from .operators import build_bundle, bundle_from_columns
 from .reconstruct import max_residual, reproducing_pair_duals
 from .sequences import (
     DiagonalWeights,
+    ExplicitColumns,
     FiniteDifference,
     Interleave,
-    OperatorImage,
     PairedDouble,
     ScalarRule,
     TriplePattern,
@@ -178,13 +173,13 @@ def _scenario_finite_difference(ladder, tol):
 
     # sum |<f, xi_n>|^2 converges to 1 + pi^2/6
     target = 1.0 + math.pi**2 / 6.0
-    norm_verdict = probe_series(np.abs(coeffs) ** 2, ladder, tol)
+    norm_verdict = probe_series(np.abs(coeffs) ** 2, ladder)
     limit = norm_verdict.limit_estimate
     err = abs(complex(limit).real - target) if limit is not None else None
 
     # the frame-operator partial sums do not settle: the trailing basis
     # coefficient -k/(k-1) moves to a fresh coordinate at every step
-    series_verdict = probe_series(Xs.multiply(coeffs), ladder, tol)
+    series_verdict = probe_series(Xs.multiply(coeffs), ladder)
     gap = series_verdict.cauchy_gap or 0.0
 
     # the weak functionals g -> sum <f, xi_n><xi_n, g> stay bounded on
@@ -197,7 +192,7 @@ def _scenario_finite_difference(ladder, tol):
         d = Xs.conj().T.dot(g)
         terms = coeffs * np.conj(d)
         sums = np.cumsum(terms)[np.array(ladder.sizes) - 1]
-        v = partial_sum_trend(ladder.sizes, list(sums), tol)
+        v = partial_sum_trend(ladder.sizes, list(sums))
         bounded = bounded and v.kind != "Diverged"
         max_abs = max(max_abs, float(np.max(np.abs(sums))))
     return {
@@ -260,11 +255,11 @@ def _scenario_dc_vs_s(ladder, tol):
 
     # reconstruction series sum <f, xi_n> eta_n converges to f
     Xeta = eta.materialize_sparse(dim, ladder.top)
-    v_rec = probe_series(Xeta.multiply(coeffs), ladder, tol)
+    v_rec = probe_series(Xeta.multiply(coeffs), ladder)
     resid = float(np.linalg.norm(v_rec.last_partial - f))
 
     # ||C_xi f||^2 partial sums grow linearly: f is outside dom(xi)
-    v_norm = probe_series(np.abs(coeffs) ** 2, ladder, tol)
+    v_norm = probe_series(np.abs(coeffs) ** 2, ladder)
     exponent = v_norm.growth_exponent or 0.0
     return {
         "multiplier-identity": (v_rec.kind == "Converged" and resid < 1e-10,
@@ -303,12 +298,12 @@ def _scenario_telescoping(ladder, tol):
     # vector series for f = e_1 keeps oscillating at mid-group rungs
     e1 = np.zeros(dim, dtype=complex)
     e1[0] = 1.0
-    v_e1 = probe_series(Xeta.multiply(XxiH @ e1), mid_rungs, tol)
+    v_e1 = probe_series(Xeta.multiply(XxiH @ e1), mid_rungs)
 
     # ... while a decaying vector orthogonal to e_1 is reproduced
     h = np.zeros(dim, dtype=complex)
     h[1:] = 1.0 / np.arange(2, dim + 1)
-    v_h = probe_series(Xeta.multiply(XxiH @ _unit(h)), mid_rungs, tol)
+    v_h = probe_series(Xeta.multiply(XxiH @ _unit(h)), mid_rungs)
 
     # eta is Bessel with bound 3; the identity form then forces a lower
     # bound 1/3 for xi -- witnessed at a moderate truncation
@@ -364,7 +359,14 @@ def _scenario_weighted_riesz(ladder, tol):
     V = q * (np.diag(r) / np.abs(np.diag(r)))  # a random unitary
     unitary = bool(np.max(np.abs(V.conj().T @ V - np.eye(dim))) < 1e-10)
 
-    H = weighted_riesz_associated(alpha, V)
+    # the pair {phi_n}, {alpha_n psi_n} has the associated matrix
+    # H = V^-H diag(alpha) V^H, similar to diag(alpha), and its reproducing
+    # duals are the two weighted reconstruction formulas. They hold for any
+    # rank cutoff, so the pair is assessed at the default one.
+    b_phi = bundle_from_columns(V)
+    b_eta = bundle_from_columns(np.linalg.inv(V).conj().T * alpha)
+    fa = zero_closed_from_bundles(b_phi, b_eta)
+    H = fa.associated_operator
     eigs = np.linalg.eigvals(H)
     order = np.lexsort((eigs.imag, eigs.real))
     aorder = np.lexsort((alpha.imag, alpha.real))
@@ -377,19 +379,11 @@ def _scenario_weighted_riesz(ladder, tol):
         complex(alpha[2]),
         complex(reals.max()) + 0.5,
     ]
-    verdicts = lambda_region_weighted(alpha, probes, tol, V=V)
+    verdicts = lambda_region_weighted(alpha, H, probes, tol)
     agree = all(v.lambda_closed == v.resolvent_invertible for v in verdicts)
 
     shift = solvability_shift(alpha, tol)
-
-    # the pair {phi_n}, {alpha_n psi_n} has associated matrix H, and its
-    # reproducing duals are the two weighted reconstruction formulas. They
-    # hold for any rank cutoff, so the pair is assessed at the default one.
-    b_phi = bundle_from_columns(V)
-    b_eta = bundle_from_columns(np.linalg.inv(V).conj().T * alpha)
-    duals = reproducing_pair_duals(zero_closed_from_bundles(b_phi, b_eta),
-                                   b_phi, b_eta)
-    res = max_residual(duals, trials=1, seed=29)
+    res = max_residual(reproducing_pair_duals(fa, b_phi, b_eta), trials=1, seed=29)
     return {
         "spectrum": (spec_err < 1e-8 if unitary else spec_err < 1e-6,
                      {"max_eigenvalue_defect": spec_err, "unitary": unitary}),
@@ -409,10 +403,11 @@ def _scenario_operator_image(ladder, tol):
     for _ in range(trials):
         V = _gaussian(rng, (dim, dim))
         Z = _gaussian(rng, (dim, dim))
-        bundle = build_bundle(OperatorImage(V), dim, dim)
+        bundle = build_bundle(ExplicitColumns(V), dim, dim)
         worst_c = max(worst_c, float(np.max(np.abs(bundle.C - V.conj().T))))
         worst_s = max(worst_s, float(np.max(np.abs(bundle.S - V @ V.conj().T))))
-        assoc = bundle_from_columns(Z).C.conj().T @ bundle.C
+        assoc = zero_closed_from_bundles(
+            bundle, bundle_from_columns(Z), tol).associated_operator
         worst_pair = max(
             worst_pair, float(np.max(np.abs(assoc - Z @ V.conj().T)))
         )

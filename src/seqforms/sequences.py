@@ -1,15 +1,16 @@
 """Rule-based sequence specifications and their truncated materializations.
 
 A SequenceSpec describes a sequence {xi_n} by a closed vocabulary of rules
-(explicit columns, diagonal weights, finite differences, interleavings,
-fixed patterns, operator images, scalings). Each rule produces the supports
-of a whole batch of members at once as COO arrays, so large truncations
-stay cheap for the structured rules.
+(explicit columns, which are also the operator images V e_n, diagonal
+weights, finite differences, interleavings, fixed patterns, scalings). Each
+rule produces the supports of a whole batch of members at once as COO
+arrays, so large truncations stay cheap for the structured rules.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -27,9 +28,7 @@ __all__ = [
     "Interleave",
     "TriplePattern",
     "PairedDouble",
-    "OperatorImage",
     "Scaled",
-    "term",
     "materialize",
     "spec_from_json",
 ]
@@ -37,10 +36,15 @@ __all__ = [
 Coo = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _as_complex(x):
+def _as_complex(x) -> complex:
+    """A number, or an [re, im] pair of real numbers; TypeError for anything
+    else, a string included."""
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(x[0], x[1])
-    return complex(x)
+        if all(isinstance(v, numbers.Real) for v in x):
+            return complex(x[0], x[1])
+    elif isinstance(x, numbers.Number):
+        return complex(x)
+    raise TypeError(f"expected a number or an [re, im] pair, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class ScalarRule:
                 self, "values", tuple(_as_complex(v) for v in self.values)
             )
         object.__setattr__(self, "value", _as_complex(self.value))
+        if not all(map(np.isfinite, (self.value, *(self.values or ())))):
+            raise ValueError("scalar rule values must be finite numbers")
 
     def __call__(self, n) -> np.ndarray:
         """The scalars at the 1-based index or int array of indices n."""
@@ -130,6 +136,8 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class ExplicitColumns(SequenceSpec):
+    """xi_n = V e_n, i.e. xi_n is column n of the matrix V."""
+
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -259,11 +267,6 @@ class PairedDouble(SequenceSpec):
 
 
 @dataclass(frozen=True)
-class OperatorImage(ExplicitColumns):
-    """xi_n = V e_n, i.e. xi_n is column n of the matrix V."""
-
-
-@dataclass(frozen=True)
 class Scaled(SequenceSpec):
     """xi_n = beta_n * base_n."""
 
@@ -279,15 +282,6 @@ class Scaled(SequenceSpec):
         return rows, cols, vals * self.factor(n)[cols]
 
 
-def term(spec: SequenceSpec, n: int, dim: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("sequence indices start at 1")
-    rows, _, vals = spec._coo(np.array([n]), dim)
-    out = np.zeros(dim, dtype=complex)
-    out[rows] = vals
-    return out
-
-
 def materialize(spec: SequenceSpec, dim: int, count: int) -> np.ndarray:
     return spec.materialize(dim, count)
 
@@ -296,7 +290,7 @@ def spec_from_json(d: dict) -> SequenceSpec:
     """Build a SequenceSpec from {"rule": tag, "params": {...}}."""
     rule = d["rule"]
     p = d.get("params", {})
-    if rule == "explicit":
+    if rule in ("explicit", "operator_image"):  # xi_n = V e_n is column n of V
         return ExplicitColumns(_matrix_from_json(p["matrix"]))
     if rule == "diagonal":
         return DiagonalWeights(ScalarRule.from_json(p["weight"]))
@@ -308,8 +302,6 @@ def spec_from_json(d: dict) -> SequenceSpec:
         return TriplePattern(p["kind"])
     if rule == "paired_double":
         return PairedDouble(p["kind"])
-    if rule == "operator_image":
-        return OperatorImage(_matrix_from_json(p["matrix"]))
     if rule == "scaled":
         return Scaled(spec_from_json(p["base"]), ScalarRule.from_json(p["factor"]))
     raise ValueError(f"unknown sequence rule {rule!r}")

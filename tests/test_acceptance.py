@@ -29,7 +29,6 @@ from seqforms import (
     reproducing_pair_duals,
     run_scenario,
     solvability_shift,
-    weighted_riesz_associated,
     zero_closed_check,
     zero_closed_from_bundles,
 )
@@ -208,12 +207,13 @@ def test_criterion_08_weighted_riesz_spectrum(capsys):
     Z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     V, _ = np.linalg.qr(Z)
     alpha = np.arange(1, 17, dtype=float)
-    H = weighted_riesz_associated(alpha, V)
+    Vh = V.conj().T
+    H = np.linalg.solve(Vh, np.diag(alpha) @ Vh)  # V^-H diag(alpha) V^H
     eigs = np.sort(np.linalg.eigvals(H).real)
     spectrum_ok = np.max(np.abs(eigs - alpha)) <= 1e-8
 
     probes = [0.5, 3.0, 3.5, 16.5, 100.0]
-    verdicts = lambda_region_weighted(alpha, probes, V=V)
+    verdicts = lambda_region_weighted(alpha, H, probes)
     rule = [float(np.min(np.abs(alpha - lam))) > 1e-10 for lam in probes]
     lambda_ok = [v.lambda_closed for v in verdicts] == rule
 

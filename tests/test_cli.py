@@ -280,6 +280,41 @@ def test_integer_entry_beyond_64_bits_loads_as_its_float(spec_file):
     assert M[0, 0] == complex(float(big), -float(big))
 
 
+def _weight(**weight):
+    return {"rule": "diagonal", "params": {"weight": {"kind": "constant", **weight}}}
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        _weight(value="nan"),
+        _weight(value="inf"),
+        _weight(value="1+2j"),
+        {"rule": "diagonal", "params": {"weight": {"kind": "table", "values": [1, "nan"]}}},
+        {"rule": "explicit", "params": {"matrix": [[1.0, [0.0, 1.0]], ["2", 1.0]]}},
+    ],
+    ids=["value-nan", "value-inf", "value-complex", "table-nan", "mixed-matrix"],
+)
+def test_string_where_a_number_belongs_is_a_usage_error(spec_file, capsys, rule):
+    code = main(["classify", "--spec", spec_file("bad.json", rule), "--dim", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load sequence rule") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("weight,bessel", [
+    ({"kind": "constant", "value": 2.5}, 6.25),
+    ({"kind": "constant", "value": [0, 1]}, 1.0),
+    ("n", 4.0),
+])
+def test_numbers_pairs_and_kind_shorthand_still_load(spec_file, capsys, weight, bessel):
+    rule = {"rule": "diagonal", "params": {"weight": weight}}
+    code, payload = run_json(
+        capsys, ["classify", "--spec", spec_file("ok.json", rule), "--dim", "2"])
+    assert code == 0
+    assert payload["report"]["bessel_bound"] == pytest.approx(bessel, rel=1e-12)
+
+
 def test_scenario_report_is_strict_json(capsys):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

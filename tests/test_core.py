@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import seqforms.core as core
 from seqforms import (
     DEFAULT_TOL,
     Tolerances,
@@ -15,11 +16,12 @@ def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(eq_tol=0.0)
     assert DEFAULT_TOL.eq_tol == 1e-10
+    assert (core.CAUCHY_TOL, core.GROWTH_MIN) == (1e-6, 0.25)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_tolerances_must_be_finite(value):
-    for name in ("eq_tol", "rank_tol", "cauchy_tol", "growth_min"):
+    for name in ("eq_tol", "rank_tol"):
         with pytest.raises(ValueError):
             Tolerances(**{name: value})
 

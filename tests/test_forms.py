@@ -6,13 +6,14 @@ from seqforms import (
     ExplicitColumns,
     ScalarRule,
     build_bundle,
+    bundle_from_columns,
     infsup_constants,
     lambda_region_weighted,
     principal_angles,
     range_basis,
     solvability_shift,
-    weighted_riesz_associated,
     zero_closed_check,
+    zero_closed_from_bundles,
 )
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
@@ -114,19 +115,38 @@ def test_zero_closed_routes_agree_on_random_instances():
         assert fa.zero_closed == fa.assoc_invertible
 
 
-def test_weighted_riesz_associated_similarity():
-    alpha = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(weighted_riesz_associated(alpha), np.diag(alpha))
-    rng = np.random.default_rng(3)
-    V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    H = weighted_riesz_associated(alpha, V)
-    eigs = np.sort(np.linalg.eigvals(H).real)
-    assert np.allclose(eigs, alpha, atol=1e-8)
+def weighted_pair_associated(alpha, V):
+    """The associated matrix of the pair {V e_n}, {alpha_n (V^-1)^H e_n}."""
+    b_xi = bundle_from_columns(V)
+    b_eta = bundle_from_columns(np.linalg.inv(V).conj().T * alpha)
+    return zero_closed_from_bundles(b_xi, b_eta).associated_operator
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_weighted_pair_associated_matches_the_similarity(unitary, seed):
+    """H = V^-H diag(alpha) V^H, against numpy's solve, with eigenvalues alpha."""
+    rng = np.random.default_rng(seed)
+    alpha = np.arange(1.0, 7.0) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+    V = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    if unitary:
+        V = np.linalg.qr(V)[0]
+    Vh = V.conj().T
+    reference = np.linalg.solve(Vh, np.diag(alpha) @ Vh)
+    H = weighted_pair_associated(alpha, V)
+    assert np.linalg.norm(H - reference) <= 1e-12 * np.linalg.norm(reference)
+    eigs = np.linalg.eigvals(H)
+    assert np.allclose(eigs[np.argsort(np.abs(eigs))], alpha, atol=1e-8)
+
+
+def test_weighted_pair_associated_at_the_identity_is_diag_alpha():
+    alpha = np.array([1.0, 2.0 - 1j, 3.0])
+    assert np.array_equal(weighted_pair_associated(alpha, np.eye(3)), np.diag(alpha))
 
 
 def test_lambda_region_matches_resolvent():
     alpha = np.arange(1, 9, dtype=float)
-    verdicts = lambda_region_weighted(alpha, [0.0, 3.0, 3.5, 100.0])
+    verdicts = lambda_region_weighted(alpha, np.diag(alpha), [0.0, 3.0, 3.5, 100.0])
     closed = [v.lambda_closed for v in verdicts]
     assert closed == [True, False, True, True]
     for v in verdicts:
@@ -136,9 +156,10 @@ def test_lambda_region_matches_resolvent():
 def test_lambda_region_accumulation_point():
     alpha = 1.0 / np.arange(1, 20)
     # 0 is an accumulation point of {1/n}; it must be declared explicitly
-    free = lambda_region_weighted(alpha, [0.0])[0]
+    free = lambda_region_weighted(alpha, np.diag(alpha), [0.0])[0]
     assert free.lambda_closed  # finite window alone cannot see the closure
-    pinned = lambda_region_weighted(alpha, [0.0], accumulation_points=[0.0])[0]
+    pinned = lambda_region_weighted(alpha, np.diag(alpha), [0.0],
+                                    accumulation_points=[0.0])[0]
     assert not pinned.lambda_closed
 
 

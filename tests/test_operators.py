@@ -5,7 +5,6 @@ import scipy.linalg
 from seqforms import (
     DiagonalWeights,
     ExplicitColumns,
-    OperatorImage,
     ScalarRule,
     build_bundle,
     bundle_from_columns,
@@ -29,22 +28,12 @@ def test_bundle_conventions():
     b = bundle_from_columns(X)
     assert b.dim == 4 and b.count == 6
     assert np.allclose(b.C, X.conj().T)
-    assert np.allclose(b.D, b.C.conj().T)
     assert np.allclose(b.S, X @ X.conj().T)
-    assert np.allclose(b.G, X.conj().T @ X)
     # (C f)_n = <f, xi_n>
     f = random_columns(4, 1, 1).ravel()
     coeffs = b.C @ f
     for n in range(6):
         assert coeffs[n] == pytest.approx(np.vdot(X[:, n], f))
-
-
-def test_gram_and_frame_share_nonzero_spectrum():
-    X = random_columns(3, 5, 2)
-    b = bundle_from_columns(X)
-    eig_S = np.sort(np.linalg.eigvalsh(b.S))
-    eig_G = np.sort(np.linalg.eigvalsh(b.G))[-3:]
-    assert np.allclose(eig_S, eig_G, atol=1e-10)
 
 
 def test_build_bundle_from_rule():
@@ -109,7 +98,7 @@ def test_direct_sum_check_cases():
 
 def test_operator_image_identities():
     V = random_columns(6, 6, 4)
-    b = build_bundle(OperatorImage(V), 6, 6)
+    b = build_bundle(ExplicitColumns(V), 6, 6)
     assert np.max(np.abs(b.C - V.conj().T)) < 1e-12
     assert np.max(np.abs(b.S - V @ V.conj().T)) < 1e-12
 

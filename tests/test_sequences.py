@@ -9,14 +9,12 @@ from seqforms import (
     ExplicitColumns,
     FiniteDifference,
     Interleave,
-    OperatorImage,
     PairedDouble,
     ScalarRule,
     Scaled,
     TriplePattern,
     materialize,
     spec_from_json,
-    term,
 )
 from seqforms.cli import main
 from seqforms.errors import SupportOverflow
@@ -26,6 +24,14 @@ from seqforms.sequences import (
     _matrix_from_json,
     _uniform_matrix,
 )
+
+
+def term(spec, n, dim):
+    """xi_n as a dim vector, scattered from the rule's checked entries."""
+    rows, _, vals = spec._coo(np.array([n]), dim)
+    out = np.zeros(dim, dtype=complex)
+    out[rows] = vals
+    return out
 
 
 def test_scalar_rules():
@@ -38,6 +44,11 @@ def test_scalar_rules():
         table(3)
     with pytest.raises(ValueError):
         ScalarRule("log n")
+    for bad in (float("nan"), complex(1.0, float("inf"))):
+        with pytest.raises(ValueError):
+            ScalarRule("constant", bad)
+        with pytest.raises(ValueError):
+            ScalarRule("table", values=(1.0, bad))
 
 
 def test_diagonal_weights_terms():
@@ -90,10 +101,13 @@ def test_paired_double():
 def test_operator_image_and_explicit_columns():
     rng = np.random.default_rng(1)
     V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(materialize(OperatorImage(V), 4, 4), V)
+    image = spec_from_json({"rule": "operator_image",
+                            "params": {"matrix": np.stack([V.real, V.imag], -1).tolist()}})
+    assert type(image) is ExplicitColumns
+    assert np.allclose(materialize(image, 4, 4), V)
     assert np.allclose(materialize(ExplicitColumns(V), 4, 4), V)
     with pytest.raises(SupportOverflow):
-        term(OperatorImage(V), 5, 4)
+        materialize(ExplicitColumns(V), 4, 5)
 
 
 def test_scaled_spec():
@@ -120,7 +134,7 @@ def test_spec_from_json_rejects_unknown_rule():
     [
         [[[1.5, -0.0], [0.0, 2.0]], [[-3.0, 0.25], [1e-300, -1e300]]],  # pairs
         [[1.5, -0.0, 3], [0.0, -2.5, 1e-300]],  # real entries
-        [[1.0, [0.0, 2.0]], ["3+1j", [-0.0, -1.0]]],  # mixed scalars and pairs
+        [[1.0, [0.0, 2.0]], [3, [-0.0, -1.0]]],  # mixed scalars and pairs
         [[]],
     ],
 )
@@ -196,15 +210,14 @@ signed_parts = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5])
         lambda c: st.lists(st.tuples(signed_parts, signed_parts),
                            min_size=r * c, max_size=r * c).map(
             lambda parts: np.array([complex(*p) for p in parts]).reshape(r, c)))),
-    st.sampled_from([ExplicitColumns, OperatorImage]),
     st.integers(1, 8),
     st.integers(0, 8),
 )
-def test_matrix_rules_slice_like_the_coo_path(M, rule, dim, count):
+def test_matrix_rules_slice_like_the_coo_path(M, dim, count):
     """Slicing the stored matrix gives the COO scatter's dense and sparse
     matrices bit for bit (-0 parts turned +0) and its SupportOverflow
     messages, for truncations that cut, pad or overrun the matrix."""
-    spec = rule(M)
+    spec = ExplicitColumns(M)
     sliced = _outcome(lambda: spec.materialize(dim, count))
     scattered = _outcome(lambda: SequenceSpec.materialize(spec, dim, count))
     if isinstance(scattered, str):

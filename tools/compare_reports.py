@@ -6,13 +6,19 @@ In each checkout it runs, in one fresh process with one BLAS thread, every
 call of the benchmark: the warm-up calls and the round of dense-pair (at
 each seed), class-ladder and series-ladder, with the argv lists read from
 that checkout's perfbench/workloads.py, and every catalog scenario on its
-default ladder. Every dense-pair and class-ladder call runs a second time
-at --tol-rank 0.5, where some forms are no longer 0-closed and some
-sequences no longer lower semi-frames, so the error paths are compared too.
+default ladder. Every dense-pair, class-ladder and scenario call runs a
+second time at --tol-rank 0.5, where some forms are no longer 0-closed and
+some sequences no longer lower semi-frames, so the error paths are compared
+too; every scenario runs a third time at --tol-eq 0.6, where the lambda
+probes at distance 0.5 flip and weighted-riesz/lambda-region fails.
 Each call records its exit code, its report body (``meta`` dropped) on exit
 0 and its error object (type, message, details) on exit 1. It then prints
 every float that differs between the two checkouts, every other difference,
 and a summary of how many calls are byte-identical.
+
+Exit status: 1 when a value other than a float differs (an exit code, a
+boolean, an integer, a string, an error type) or a call ran in one checkout
+only; 0 when the checkouts differ in floats at most.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ import sys
 import tempfile
 
 
-# The dense-pair and class-ladder calls run once more with this rank cutoff.
+# The dense-pair, class-ladder and scenario calls run once more with this
+# rank cutoff, and the scenarios once more with this equality tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
+LOOSE_EQ = ["--tol-eq", "0.6"]
 
 
 def _collect(checkout: str, seeds: list, out: str) -> None:
@@ -68,7 +76,10 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
                     if workload != "series-ladder":
                         call(f"{key}/tol-rank-0.5", argv + LOOSE_RANK)
         for sid in scenario_ids():
-            call(f"scenario/{sid}", ["scenario", "--id", sid, "--out", report])
+            argv = ["scenario", "--id", sid, "--out", report]
+            call(f"scenario/{sid}", argv)
+            call(f"scenario/{sid}/tol-rank-0.5", argv + LOOSE_RANK)
+            call(f"scenario/{sid}/tol-eq-0.6", argv + LOOSE_EQ)
     with open(out, "w") as fh:
         json.dump(bodies, fh)
 
@@ -128,7 +139,7 @@ def main(argv=None) -> int:
     total = len(parent.keys() | change.keys())
     print(f"{identical} of {total} calls byte-identical; "
           f"{floats} floats and {others} other values differ")
-    return 0
+    return 1 if others else 0
 
 
 if __name__ == "__main__":
