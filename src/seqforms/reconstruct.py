@@ -4,12 +4,17 @@ A canonical dual of a truncated lower semi-frame is {S^{-1} xi_n}; for a
 0-closed two-sequence form with associated matrix T the left/right duals
 {(T^{-1})^H xi_n} and {T^{-1} eta_n} reconstruct the identity against eta
 and xi respectively.
+
+A DualSystem holds the inverse that forms its dual, not the dual's columns:
+a reconstruction applies it once to the dim x k block X (analysis F), and
+the columns are formed only when a report prints them or a bound needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import partial
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -32,24 +37,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualSystem:
-    """Dual columns and the analysis matrix of their coefficient partner.
+    """A dual as the inverse that forms it, its primal family and the
+    analysis matrix of its coefficient partner.
 
-    reconstruct_with computes sum_n <f, partner_n> dual_n = dual (analysis f).
-    analysis is the partner bundle's cached C: the primal family's own for
-    the canonical dual.
+    The dual columns are solve(primal.columns): S^-1 X_xi for the canonical
+    dual, T^-H X_xi for the left dual and T^-1 X_eta for the right one.
+    reconstruct_with computes sum_n <f, partner_n> dual_n =
+    solve(X (analysis f)). analysis is the partner bundle's cached C: the
+    primal family's own for the canonical dual, C_eta for the left dual and
+    C_xi for the right one.
     """
 
-    dual: np.ndarray  # dim x count
+    solve: Callable[[np.ndarray], np.ndarray]  # dim x k block -> dim x k
+    primal: OperatorBundle
     analysis: np.ndarray  # count x dim
     kind: str  # canonical_lower | reproducing_left | reproducing_right
     bessel_bound_of_dual: float
+
+    @property
+    def dual(self) -> np.ndarray:
+        """The dim x count dual columns, formed on each read."""
+        return self.solve(self.primal.columns)
 
     def to_dict(self, include_columns: bool = True) -> dict:
         d = {
             "kind": self.kind,
             "bessel_bound_of_dual": self.bessel_bound_of_dual,
-            "dim": int(self.dual.shape[0]),
-            "count": int(self.dual.shape[1]),
+            "dim": self.primal.dim,
+            "count": self.primal.count,
         }
         if include_columns:
             d["dual_columns"] = json_pairs(self.dual)
@@ -59,18 +74,20 @@ class DualSystem:
 def canonical_dual(
     bundle: OperatorBundle, tol: Tolerances = DEFAULT_TOL
 ) -> DualSystem:
-    """Dual columns S^{-1} xi_n of a truncated lower semi-frame.
+    """The canonical dual S^{-1} xi_n of a truncated lower semi-frame.
 
-    The columns solve S D = X by Cholesky. The reported Bessel bound of the
-    dual is sigma_max(C S^{-1})^2, which equals 1/sigma_dim(C)^2.
+    Its solve is a Cholesky solve with S, on S's blocks found here once. The
+    reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which equals
+    1/sigma_dim(C)^2 = 1/A.
     """
     spectrum = classify_finite(bundle, tol)
     if not spectrum.frame:
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    dual = cho_solve(bundle.S, bundle.columns, blocks_of(bundle.S))
-    return DualSystem(dual, bundle.C, "canonical_lower", 1.0 / spectrum.lower_bound)
+    solve = partial(cho_solve, bundle.S, blocks=blocks_of(bundle.S))
+    return DualSystem(solve, bundle, bundle.C, "canonical_lower",
+                      1.0 / spectrum.lower_bound)
 
 
 def reconstruct_with(
@@ -79,16 +96,18 @@ def reconstruct_with(
     """sum_n <f, partner_n> dual_n and the Euclidean residual ||sum - f||.
 
     F is one dim vector, or a dim x k block whose k columns are
-    reconstructed in one product; the residual is one float for a vector
-    and one per column for a block.
+    reconstructed by one solve on X (analysis F); the residual is one float
+    for a vector and one per column for a block.
     """
-    C = dual_system.analysis
+    C, primal = dual_system.analysis, dual_system.primal
     F = np.asarray(F)
     if F.shape[0] != C.shape[1]:
         raise DimensionMismatch(
             f"vector dim {F.shape[0]} does not match system dim {C.shape[1]}"
         )
-    recon = dual_system.dual @ (C @ F)  # coefficients <f, partner_n>
+    coeffs = C @ F.reshape(F.shape[0], -1)  # <f, partner_n>
+    synth = matmul(primal.columns, coeffs, primal.blocks, None)
+    recon = dual_system.solve(synth).reshape(F.shape)
     return recon, np.linalg.norm(recon - F, axis=0)
 
 
@@ -102,17 +121,19 @@ def _probe_draws(trials: int, dim: int, seed: int) -> np.ndarray:
 
 def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float:
     """Largest reconstruct_with residual over trials random unit probes drawn
-    from default_rng(seed), all reconstructed by one product per system.
+    from default_rng(seed), all reconstructed by one solve per system.
 
     DenseTooLarge, before any probe is drawn, when the trials x dim block of
-    probes would be above DENSE_MAX_SIZE.
+    probes or the count x trials block of their coefficients would be above
+    DENSE_MAX_SIZE.
     """
-    dim = systems[0].dual.shape[0]
-    if trials * dim > DENSE_MAX_SIZE:
+    dim, count = systems[0].primal.dim, systems[0].primal.count
+    if trials * max(dim, count) > DENSE_MAX_SIZE:
         raise DenseTooLarge(
-            f"{trials} probes of dim {dim} need {trials * dim} entries, "
+            f"{trials} probes of dim {dim} and their coefficients against "
+            f"{count} vectors need {trials * max(dim, count)} entries, "
             f"above the cap of {DENSE_MAX_SIZE}",
-            trials=trials, dim=dim, cap=DENSE_MAX_SIZE,
+            trials=trials, dim=dim, count=count, cap=DENSE_MAX_SIZE,
         )
     z = _probe_draws(trials, dim, seed)
     F = (z / np.linalg.norm(z, axis=1, keepdims=True)).T
@@ -131,18 +152,30 @@ def reproducing_pair_duals(
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
     {T^{-1} eta_n} paired against xi, with T the associated matrix.
 
-    Each dual's Bessel bound is sigma_max of its own columns, squared: the
-    analysis matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the
-    conjugate transposes of those columns.
+    Their solves are products with T^-H and T^-1, on T's blocks. Each dual's
+    Bessel bound is sigma_max of its own columns, squared: the analysis
+    matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the conjugate
+    transposes of those columns. When count = dim both families are frames
+    of square invertible X (route (b) holds), so T = X_eta X_xi^H gives the
+    left dual X_eta^-H and the right dual X_xi^-H: the bounds are 1/A_eta
+    and 1/A_xi, read off the assessment with no columns formed.
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
     T = assessment.associated_operator
     blocks = blocks_of(T)  # T^-1 and T^-H split when T does
     T_inv = inv(T, blocks)
-    left = matmul(T_inv.conj().T, bundle_xi.columns, blocks, bundle_xi.blocks)
-    right = matmul(T_inv, bundle_eta.columns, blocks, bundle_eta.blocks)
+    solve_left = partial(matmul, T_inv.conj().T, a_blocks=blocks, b_blocks=None)
+    solve_right = partial(matmul, T_inv, a_blocks=blocks, b_blocks=None)
+    if assessment.count == assessment.dim:
+        bound_left = 1.0 / assessment.lower_bound_eta
+        bound_right = 1.0 / assessment.lower_bound_xi
+    else:
+        bound_left = _sigma_max(solve_left(bundle_xi.columns)) ** 2
+        bound_right = _sigma_max(solve_right(bundle_eta.columns)) ** 2
     return (
-        DualSystem(left, bundle_eta.C, "reproducing_left", _sigma_max(left) ** 2),
-        DualSystem(right, bundle_xi.C, "reproducing_right", _sigma_max(right) ** 2),
+        DualSystem(solve_left, bundle_xi, bundle_eta.C, "reproducing_left",
+                   bound_left),
+        DualSystem(solve_right, bundle_eta, bundle_xi.C, "reproducing_right",
+                   bound_right),
     )

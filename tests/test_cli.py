@@ -217,7 +217,31 @@ def test_probe_block_above_the_cap_is_a_domain_error_before_drawing(
     assert code == 1 and captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
-    assert error["details"] == {"trials": trials, "dim": 8, "cap": DENSE_MAX_SIZE}
+    assert error["details"] == {
+        "trials": trials, "dim": 8, "count": 8, "cap": DENSE_MAX_SIZE,
+    }
+
+
+def test_coefficient_block_above_the_cap_is_a_domain_error_before_drawing(
+    spec_file, capsys, monkeypatch
+):
+    """The triple pair at dim 10 has count 30: 100 probes fit the cap as a
+    dim x trials block (1000 entries), but their count x trials block of
+    coefficients (3000) does not."""
+    def refuse(*args):
+        raise AssertionError("drew the probes")
+
+    monkeypatch.setattr("seqforms.reconstruct._probe_draws", refuse)
+    monkeypatch.setattr("seqforms.reconstruct.DENSE_MAX_SIZE", 2000)
+    xi = spec_file("xi.json", {"rule": "triple", "params": {"kind": "xi"}})
+    eta = spec_file("eta.json", {"rule": "triple", "params": {"kind": "eta"}})
+    code = main(["reconstruct", "--left", xi, "--right", eta, "--dim", "10",
+                 "--count", "30", "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DenseTooLarge"
+    assert error["details"] == {"trials": 100, "dim": 10, "count": 30, "cap": 2000}
 
 
 @pytest.mark.parametrize(

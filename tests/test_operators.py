@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,7 @@ from seqforms import (
     range_basis,
     zero_closed_check,
 )
+from seqforms.cli import main
 from seqforms.errors import DimensionMismatch
 
 
@@ -151,6 +154,25 @@ def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
     # both ranges are all of l2: no basis, no QR and no cosine SVD
     assert calls == [("numpy.svd", False, (7, 7))] * 3
     assert fa.c1 == fa.c2 == 1.0 and fa.max_principal_angle == 0.0
+
+
+def test_square_pair_reconstruct_takes_no_svd_of_dual_columns(
+    tmp_path, capsys, monkeypatch
+):
+    """A square dense pair reconstruct takes the values-only SVDs of C_xi,
+    C_eta and T, and none of its duals: their bounds are 1/A_eta and 1/A_xi."""
+    rng = np.random.default_rng(20)
+    paths = []
+    for name in ("xi.json", "eta.json"):
+        path = tmp_path / name
+        matrix = rng.standard_normal((80, 80)).tolist()
+        path.write_text(json.dumps({"rule": "explicit", "params": {"matrix": matrix}}))
+        paths.append(str(path))
+    calls = _count_svds(monkeypatch)
+    argv = ["reconstruct", "--left", paths[0], "--right", paths[1], "--dim", "80"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["max_residual"] < 1e-10
+    assert calls == [("numpy.svd", False, (80, 80))] * 3
 
 
 def test_rank_deficient_bundle_keeps_the_thin_svd(monkeypatch):

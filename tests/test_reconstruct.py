@@ -1,20 +1,30 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
+import seqforms.reconstruct as reconstruct
 from seqforms import (
     DiagonalWeights,
+    DualSystem,
     ExplicitColumns,
     ScalarRule,
+    TriplePattern,
     build_bundle,
     bundle_from_columns,
     canonical_dual,
+    classify_finite,
     max_residual,
     reconstruct_with,
     reproducing_pair_duals,
     zero_closed_check,
     zero_closed_from_bundles,
 )
+from seqforms.cli import main
 from seqforms.errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
+from seqforms.operators import blocks_of
 from seqforms.reconstruct import _probe_draws
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
@@ -138,8 +148,9 @@ def test_reproducing_pair_duals_small_redundant_pair():
     lambda rng: [np.diag(np.arange(1.0, 257)), np.diag(1 / np.arange(1.0, 257))],
 ], ids=["square", "redundant", "weights-256"])
 def test_reproducing_dual_bounds_match_the_analysis_products(pair):
-    """The Bessel bound of each reproducing dual, read off its own columns,
-    is sigma_max of its analysis matrix C_xi T^-1 or C_eta T^-H, squared."""
+    """The Bessel bound of each reproducing dual, 1/A of its partner for a
+    square pair and read off its own columns otherwise, is sigma_max of its
+    analysis matrix C_xi T^-1 or C_eta T^-H, squared."""
     b_xi, b_eta = map(bundle_from_columns, pair(np.random.default_rng(15)))
     fa = zero_closed_from_bundles(b_xi, b_eta)
     left, right = reproducing_pair_duals(fa, b_xi, b_eta)
@@ -214,3 +225,129 @@ def test_max_residual_is_the_largest_per_probe_residual(seed):
             worst = max(worst, residual)
     assert worst > 0
     assert abs(max_residual(systems, 11, seed) - worst) < 1e-15
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(_gaussian(rng, n, n))[0]
+
+
+@st.composite
+def square_pairs(draw):
+    """Two dim x dim column matrices U diag(s) V^H with random unitary U, V
+    and singular values s in [1/2, 2]."""
+    dim = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [_unitary(rng, dim) @ np.diag(rng.uniform(0.5, 2.0, dim))
+            @ _unitary(rng, dim) for _ in range(2)]
+
+
+def _blocked_pair(rng):
+    """{n e_n} at dim 256 against 128 diagonally dominant 2 x 2 blocks:
+    blocks_of splits both, and T."""
+    blocks = _gaussian(rng, 128, 2, 2) + 3 * np.eye(2)
+    return [np.diag(np.arange(1.0, 257)).astype(complex),
+            scipy.linalg.block_diag(*blocks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_pairs())
+@example(_blocked_pair(np.random.default_rng(41)))
+def test_square_pair_bounds_are_one_over_the_partners_lower_bound(pair):
+    """For count = dim the left dual is X_eta^-H and the right X_xi^-H, so
+    their bounds are 1/A_eta and 1/A_xi: equal to sigma_max^2 of the formed
+    columns, and exchanged exactly when the two families are swapped."""
+    b_xi, b_eta = map(bundle_from_columns, pair)
+    fa = zero_closed_from_bundles(b_xi, b_eta)
+    left, right = reproducing_pair_duals(fa, b_xi, b_eta)
+    assert left.bessel_bound_of_dual == 1 / classify_finite(b_eta).lower_bound
+    assert right.bessel_bound_of_dual == 1 / classify_finite(b_xi).lower_bound
+    for system in (left, right):
+        want = np.linalg.norm(system.dual, 2) ** 2
+        assert system.bessel_bound_of_dual == pytest.approx(want, rel=1e-10)
+    s_eta, s_xi = map(bundle_from_columns, pair[::-1])
+    swapped = reproducing_pair_duals(zero_closed_from_bundles(s_eta, s_xi),
+                                     s_eta, s_xi)
+    assert [s.bessel_bound_of_dual for s in swapped] == [
+        right.bessel_bound_of_dual, left.bessel_bound_of_dual]
+    if b_xi.dim == 256:
+        assert b_xi.blocks is not None and b_eta.blocks is not None
+        assert blocks_of(fa.associated_operator) is not None
+
+
+PAIRS = {
+    "dense-square": lambda rng: [_gaussian(rng, 6, 6) for _ in range(2)],
+    "dense-redundant": lambda rng: [
+        X := _gaussian(rng, 5, 9), X @ _gaussian(rng, 9, 9)],
+    "blocked-weights": lambda rng: [np.diag(np.arange(1.0, 257)),
+                                    np.diag(1 / np.arange(1.0, 257))],
+    "blocked-2x2": _blocked_pair,
+    "triple": lambda rng: [build_bundle(TriplePattern(kind), 8, 24).columns
+                           for kind in ("xi", "eta")],
+}
+
+
+def _formed_duals(X_xi, X_eta):
+    """kind -> (dual columns D, partner analysis C), by plain numpy."""
+    C_xi, C_eta = X_xi.conj().T, X_eta.conj().T
+    T_inv = np.linalg.inv(X_eta @ C_xi)
+    return {
+        "canonical_lower": (np.linalg.solve(X_xi @ C_xi, X_xi), C_xi),
+        "reproducing_left": (T_inv.conj().T @ X_xi, C_eta),
+        "reproducing_right": (T_inv @ X_eta, C_xi),
+    }
+
+
+@pytest.mark.parametrize("k", [None, 4], ids=["vector", "block"])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_solves_on_the_probe_block_match_the_formed_duals(pair, k):
+    rng = np.random.default_rng(17)
+    X_xi, X_eta = (np.asarray(X, dtype=complex) for X in PAIRS[pair](rng))
+    b_xi, b_eta = bundle_from_columns(X_xi), bundle_from_columns(X_eta)
+    assert (b_xi.blocks is not None) == pair.startswith("blocked")
+    fa = zero_closed_from_bundles(b_xi, b_eta)
+    systems = [canonical_dual(b_xi), *reproducing_pair_duals(fa, b_xi, b_eta)]
+    formed = _formed_duals(X_xi, X_eta)
+    F = _gaussian(rng, b_xi.dim) if k is None else _gaussian(rng, b_xi.dim, k)
+    for system in systems:
+        D, C = formed[system.kind]
+        got, residual = reconstruct_with(system, F)
+        want = D @ (C @ F)
+        assert got.shape == F.shape and np.shape(residual) == F.shape[1:]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _explicit(tmp_path, name, X):
+    path = tmp_path / name
+    path.write_text(json.dumps({"rule": "explicit", "params": {"matrix": X.tolist()}}))
+    return str(path)
+
+
+def test_reconstruct_above_dim_64_never_forms_the_dual_columns(
+    tmp_path, capsys, monkeypatch
+):
+    """The canonical Cholesky solve runs once, on the dim x trials block, and
+    no DualSystem.dual is read when the body prints no columns."""
+    def refuse(self):
+        raise AssertionError("formed the dual columns")
+
+    rhs = []
+
+    def recorded(S, B, blocks):
+        rhs.append(np.shape(B))
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
+
+    monkeypatch.setattr(DualSystem, "dual", property(refuse))
+    monkeypatch.setattr(reconstruct, "cho_solve", recorded)
+    rng = np.random.default_rng(19)
+    xi = _explicit(tmp_path, "xi.json", rng.standard_normal((80, 80)))
+    eta = _explicit(tmp_path, "eta.json", rng.standard_normal((80, 80)))
+    size = ["--dim", "80", "--trials", "7"]
+    for argv in (["--spec", xi], ["--left", xi, "--right", eta]):
+        assert main(["reconstruct", *argv, *size]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert "dual_columns" not in report["systems"][0]
+    assert rhs == [(80, 7)]
