@@ -154,7 +154,7 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = matmul(bundle_eta.columns, bundle_xi.C, bundle_eta.blocks, bundle_xi.blocks)
+    assoc = matmul(bundle_eta.columns_op, bundle_xi.C_op)
     s_assoc = svdvals(assoc, blocks_of(assoc))
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim

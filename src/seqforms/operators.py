@@ -12,7 +12,9 @@ The values-only SVD, the inverse and the Cholesky solve of a bundle's
 operators, of the associated matrix and of the frame matrix take the
 matrix's independent blocks (blocks_of; a bundle finds those of its C once)
 and factorize block by block when it splits; range bases and the subspace
-geometry below stay dense.
+geometry below stay dense. A bundle whose C splits keeps one CSR copy of
+its columns and the inverse of a split matrix is CSR, so matmul takes its
+operands as they come.
 """
 
 from __future__ import annotations
@@ -137,16 +139,19 @@ def svdvals(M: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
     return np.concatenate([vals, np.zeros(min(M.shape) - vals.size)])
 
 
-def inv(M: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
-    """The inverse of M; LinAlgError when M is singular."""
+def inv(M: np.ndarray, blocks: Optional[dict]):
+    """The inverse of M, a CSR matrix assembled from the block inverses when
+    M splits; LinAlgError when M is singular."""
     if blocks is None:
         return np.linalg.inv(M)
     if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
-    out = np.zeros(M.shape, dtype=np.result_type(M, 1.0))
-    for rows, cols in blocks.values():
-        out[cols[:, :, None], rows[:, None, :]] = np.linalg.inv(_stack(M, rows, cols))
-    return out
+    # block k of M^-1 sits at rows cols[k] and columns rows[k]
+    parts = [(np.linalg.inv(_stack(M, rows, cols)),
+              *np.broadcast_arrays(cols[:, :, None], rows[:, None, :]))
+             for rows, cols in blocks.values()]
+    vals, i, j = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts))
+    return sp.csr_array((vals, (i, j)), M.shape)
 
 
 def cho_solve(S: np.ndarray, B: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
@@ -165,17 +170,9 @@ def cho_solve(S: np.ndarray, B: np.ndarray, blocks: Optional[dict]) -> np.ndarra
     return out
 
 
-def matmul(
-    A: np.ndarray, B: np.ndarray, a_blocks: Optional[dict], b_blocks: Optional[dict]
-) -> np.ndarray:
-    """A @ B, dense, taken on a sparse copy of each operand that splits;
-    with neither, the plain product. Only whether a_blocks and b_blocks are
-    None is read, so the blocks of A^H or A^-1 serve for A."""
-    if a_blocks is None and b_blocks is None:
-        return A @ B
-    a = A if a_blocks is None else _csr(A)
-    b = B if b_blocks is None else _csr(B)
-    out = a @ b
+def matmul(A, B) -> np.ndarray:
+    """A @ B as a dense array, for dense or sparse operands."""
+    out = A @ B
     return out.toarray() if sp.issparse(out) else out
 
 
@@ -214,8 +211,18 @@ class OperatorBundle:
         return blocks_of(self.C)
 
     @cached_property
+    def columns_op(self):
+        """The columns as a product operand: one CSR copy when C splits."""
+        return self.columns if self.blocks is None else _csr(self.columns)
+
+    @cached_property
+    def C_op(self):
+        """C as a product operand: columns_op's conjugate transpose."""
+        return self.C if self.blocks is None else self.columns_op.conj().T
+
+    @cached_property
     def S(self) -> np.ndarray:
-        return matmul(self.columns, self.C, self.blocks, self.blocks)
+        return matmul(self.columns_op, self.C_op)
 
     @cached_property
     def singular_values(self) -> np.ndarray:

@@ -43,14 +43,14 @@ class DualSystem:
     The dual columns are solve(primal.columns): S^-1 X_xi for the canonical
     dual, T^-H X_xi for the left dual and T^-1 X_eta for the right one.
     reconstruct_with computes sum_n <f, partner_n> dual_n =
-    solve(X (analysis f)). analysis is the partner bundle's cached C: the
-    primal family's own for the canonical dual, C_eta for the left dual and
-    C_xi for the right one.
+    solve(X (analysis f)). analysis is the partner bundle's cached C
+    operand (C_op, sparse when C splits): the primal family's own for the
+    canonical dual, C_eta for the left dual and C_xi for the right one.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]  # dim x k block -> dim x k
     primal: OperatorBundle
-    analysis: np.ndarray  # count x dim
+    analysis: object  # count x dim, dense or sparse
     kind: str  # canonical_lower | reproducing_left | reproducing_right
     bessel_bound_of_dual: float
 
@@ -86,7 +86,7 @@ def canonical_dual(
             "frame matrix is singular at this truncation (A = 0)"
         )
     solve = partial(cho_solve, bundle.S, blocks=blocks_of(bundle.S))
-    return DualSystem(solve, bundle, bundle.C, "canonical_lower",
+    return DualSystem(solve, bundle, bundle.C_op, "canonical_lower",
                       1.0 / spectrum.lower_bound)
 
 
@@ -105,8 +105,8 @@ def reconstruct_with(
         raise DimensionMismatch(
             f"vector dim {F.shape[0]} does not match system dim {C.shape[1]}"
         )
-    coeffs = C @ F.reshape(F.shape[0], -1)  # <f, partner_n>
-    synth = matmul(primal.columns, coeffs, primal.blocks, None)
+    coeffs = matmul(C, F.reshape(F.shape[0], -1))  # <f, partner_n>
+    synth = matmul(primal.columns_op, coeffs)
     recon = dual_system.solve(synth).reshape(F.shape)
     return recon, np.linalg.norm(recon - F, axis=0)
 
@@ -140,10 +140,6 @@ def max_residual(systems: Sequence[DualSystem], trials: int, seed: int) -> float
     return max(float(reconstruct_with(system, F)[1].max()) for system in systems)
 
 
-def _sigma_max(M: np.ndarray) -> float:
-    return float(svdvals(M, blocks_of(M))[0])
-
-
 def reproducing_pair_duals(
     assessment: FormAssessment,
     bundle_xi: OperatorBundle,
@@ -152,30 +148,30 @@ def reproducing_pair_duals(
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
     {T^{-1} eta_n} paired against xi, with T the associated matrix.
 
-    Their solves are products with T^-H and T^-1, on T's blocks. Each dual's
-    Bessel bound is sigma_max of its own columns, squared: the analysis
-    matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the conjugate
-    transposes of those columns. When count = dim both families are frames
-    of square invertible X (route (b) holds), so T = X_eta X_xi^H gives the
-    left dual X_eta^-H and the right dual X_xi^-H: the bounds are 1/A_eta
-    and 1/A_xi, read off the assessment with no columns formed.
+    Their solves are products with T^-H and T^-1, CSR when T splits. Each
+    dual's Bessel bound is sigma_max of its own columns, squared: the
+    analysis matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the
+    conjugate transposes of those columns. When count = dim both families
+    are frames of square invertible X (route (b) holds), so T = X_eta X_xi^H
+    gives the left dual X_eta^-H and the right dual X_xi^-H: the bounds are
+    1/A_eta and 1/A_xi, read off the assessment with no columns formed.
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
     T = assessment.associated_operator
-    blocks = blocks_of(T)  # T^-1 and T^-H split when T does
-    T_inv = inv(T, blocks)
-    solve_left = partial(matmul, T_inv.conj().T, a_blocks=blocks, b_blocks=None)
-    solve_right = partial(matmul, T_inv, a_blocks=blocks, b_blocks=None)
+    T_inv = inv(T, blocks_of(T))
+    solve_left = partial(matmul, T_inv.conj().T)
+    solve_right = partial(matmul, T_inv)
     if assessment.count == assessment.dim:
         bound_left = 1.0 / assessment.lower_bound_eta
         bound_right = 1.0 / assessment.lower_bound_xi
     else:
-        bound_left = _sigma_max(solve_left(bundle_xi.columns)) ** 2
-        bound_right = _sigma_max(solve_right(bundle_eta.columns)) ** 2
+        bound_left, bound_right = (
+            float(svdvals(D, blocks_of(D))[0]) ** 2
+            for D in (solve_left(bundle_xi.columns), solve_right(bundle_eta.columns)))
     return (
-        DualSystem(solve_left, bundle_xi, bundle_eta.C, "reproducing_left",
+        DualSystem(solve_left, bundle_xi, bundle_eta.C_op, "reproducing_left",
                    bound_left),
-        DualSystem(solve_right, bundle_eta, bundle_xi.C, "reproducing_right",
+        DualSystem(solve_right, bundle_eta, bundle_xi.C_op, "reproducing_right",
                    bound_right),
     )

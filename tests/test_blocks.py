@@ -1,6 +1,7 @@
 """Block-by-block factorization against the whole-matrix numpy and scipy
-calls: property tests of operators.svdvals, inv, cho_solve and matmul on
-block-diagonal matrices under random row and column permutations, and the
+calls: property tests of operators.svdvals, inv and cho_solve on
+block-diagonal matrices under random row and column permutations, of
+matmul on every mix of dense and sparse operands, and the
 {n e_n}/{e_n/n} form, pair reconstruction and canonical dual of {n e_n}
 at dims 256 and 300 against the one-block path."""
 
@@ -10,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 import seqforms.operators as operators
@@ -107,6 +109,10 @@ def test_blockwise_inverse_matches_and_fails_where_the_dense_one_does(drawn):
             inv(M, found)
         return
     blockwise = inv(M, found)
+    # a split inverse is assembled sparse, never held as a dense array
+    assert sp.issparse(blockwise) == (found is not None)
+    if found is not None:
+        blockwise = blockwise.toarray()
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(blockwise - dense)) <= 1e-12 * scale
 
@@ -150,9 +156,25 @@ def test_blockwise_cholesky_refuses_blocks_off_the_diagonal():
         cho_solve(S, np.eye(3), blocks)
 
 
+OPERANDS = ("dense", "csr", "csr_adjoint")
+
+
+def _operand(M, kind):
+    """M as a product operand: itself, a CSR copy, or the conjugate
+    transpose of a CSR copy of M^H (the form a bundle's C operand takes)."""
+    if kind == "dense":
+        return M
+    if kind == "csr":
+        return sp.csr_array(M)
+    return sp.csr_array(M.conj().T).conj().T
+
+
 @settings(max_examples=200, deadline=None)
-@given(block_matrices(), st.sampled_from(["split", "dense_right", "dense_left"]))
-def test_products_on_split_operands_match_the_dense_product(drawn, other):
+@given(block_matrices(), st.sampled_from(["split", "dense_right", "dense_left"]),
+       st.sampled_from(OPERANDS), st.sampled_from(OPERANDS))
+def test_products_on_split_operands_match_the_dense_product(
+    drawn, other, left_kind, right_kind
+):
     A = drawn[0]
     rng = np.random.default_rng(A.size)
 
@@ -164,10 +186,10 @@ def test_products_on_split_operands_match_the_dense_product(drawn, other):
         "dense_right": (A, gaussian(A.shape[1], 5)),
         "dense_left": (gaussian(5, A.shape[0]), A),
     }[other]
-    with _splitting():
-        out = matmul(left, right, blocks_of(left), blocks_of(right))
+    out = matmul(_operand(left, left_kind), _operand(right, right_kind))
     assert isinstance(out, np.ndarray)
     reference = left @ right
+    assert out.shape == reference.shape
     scale = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
     assert np.max(np.abs(out - reference), initial=0.0) <= 1e-13 * scale
 
@@ -220,3 +242,31 @@ def test_weight_inverse_pair_reports_match_the_one_block_path(
     assert _close(whole, blockwise)
     # the diagonal pair splits into 1 x 1 blocks: no dense factorization
     assert shapes and all(shape[-2:] == (1, 1) for shape in shapes)
+
+
+@pytest.mark.parametrize("command, dim, conversions", [
+    # one CSR copy of each bundle's columns; T^-1 is assembled sparse and
+    # the probes' products reuse the copies
+    ("reconstruct", 256, 2),
+    ("canonical", 384, 1),
+    ("form-assess", 256, 2),
+])
+def test_each_split_operand_is_converted_to_csr_once(
+    tmp_path, capsys, monkeypatch, command, dim, conversions
+):
+    left, right = tmp_path / "n.json", tmp_path / "inv.json"
+    left.write_text(json.dumps(W_N))
+    right.write_text(json.dumps(W_INV))
+    if command == "canonical":
+        argv = ["reconstruct", "--spec", str(left), "--dim", str(dim)]
+    else:
+        argv = [command, "--left", str(left), "--right", str(right), "--dim", str(dim)]
+    shapes = []
+
+    def spy(M, _csr=operators._csr):
+        shapes.append(M.shape)
+        return _csr(M)
+
+    monkeypatch.setattr(operators, "_csr", spy)
+    _report(capsys, argv)
+    assert shapes == [(dim, dim)] * conversions

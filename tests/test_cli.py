@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import seqforms
 from seqforms.cli import _load_sequence, build_parser, main
 from seqforms.operators import DENSE_MAX_SIZE
 from seqforms.sequences import SequenceSpec
@@ -500,10 +502,14 @@ def test_one_parser_serves_a_run_of_calls_like_fresh_processes(spec_file, capsys
         in_process.append((code, body(captured.out), captured.err))
     assert build_parser() is build_parser()
 
+    # the fresh processes import the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(seqforms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     fresh = []
     for argv in calls:
         run = subprocess.run([sys.executable, "-m", "seqforms.cli", *argv],
-                             capture_output=True, text=True, timeout=120)
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
         fresh.append((run.returncode, body(run.stdout), run.stderr))
     assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
     assert in_process == fresh

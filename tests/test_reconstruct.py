@@ -39,7 +39,7 @@ def test_onb_is_self_dual():
     bundle = build_bundle(ONB, 5, 5)
     ds = canonical_dual(bundle)
     assert np.allclose(ds.dual, bundle.columns)
-    assert ds.analysis is bundle.C  # the bundle's cached C, not a copy
+    assert ds.analysis is bundle.C_op  # the bundle's cached C operand, not a copy
     assert ds.bessel_bound_of_dual == pytest.approx(1.0)
 
 
@@ -154,7 +154,7 @@ def test_reproducing_dual_bounds_match_the_analysis_products(pair):
     b_xi, b_eta = map(bundle_from_columns, pair(np.random.default_rng(15)))
     fa = zero_closed_from_bundles(b_xi, b_eta)
     left, right = reproducing_pair_duals(fa, b_xi, b_eta)
-    assert left.analysis is b_eta.C and right.analysis is b_xi.C
+    assert left.analysis is b_eta.C_op and right.analysis is b_xi.C_op
     T_inv = np.linalg.inv(fa.associated_operator)
     want_left = np.linalg.norm(b_xi.C @ T_inv, 2) ** 2
     want_right = np.linalg.norm(b_eta.C @ T_inv.conj().T, 2) ** 2
