@@ -61,8 +61,8 @@ def json_scalar(z):
 
 
 def json_pairs(M) -> list:
-    """A complex matrix for JSON, every entry an [re, im] pair."""
-    M = np.asarray(M)
+    """A complex matrix, dense or sparse, for JSON: [re, im] per entry."""
+    M = M.toarray() if sp.issparse(M) else np.asarray(M)
     return np.stack([M.real, M.imag], axis=-1).tolist()
 
 

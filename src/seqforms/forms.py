@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .classify import classify_finite
 from .core import DEFAULT_TOL, Tolerances, json_pairs, json_scalar
@@ -24,10 +25,8 @@ from .operators import (
     OperatorBundle,
     _direct_sum_verdict,
     _rank,
-    blocks_of,
     build_bundle,
     cosines_and_angles,
-    matmul,
     rank_cutoff,
     svdvals,
 )
@@ -95,7 +94,7 @@ class FormAssessment:
     max_principal_angle: float
     direct_sum: str
     zero_closed: bool
-    associated_operator: np.ndarray
+    associated_operator: object  # dense, or CSR when both bundles split
     assoc_invertible: bool
     assoc_inverse_norm: Optional[float]
     lower_xi: bool
@@ -154,8 +153,8 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = matmul(bundle_eta.columns_op, bundle_xi.C_op)
-    s_assoc = svdvals(assoc, blocks_of(assoc))
+    assoc = bundle_eta.columns_op @ bundle_xi.C_op
+    s_assoc = svdvals(assoc)
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
     assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
@@ -218,8 +217,7 @@ def lambda_region_weighted(
     for lam in lambdas:
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
-        shifted = H - lam * np.eye(alpha.size)
-        s = svdvals(shifted, blocks_of(shifted))
+        s = svdvals(H - lam * sp.eye_array(alpha.size))
         out.append(
             LambdaVerdict(
                 lam=lam,

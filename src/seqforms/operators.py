@@ -8,20 +8,19 @@ the largest singular value. A basis of a subspace is a plain array with
 orthonormal columns; its rows are the ambient space. Verdicts about a
 sequence (frame bounds, completeness, the class) live in classify.
 
-The values-only SVD, the inverse and the Cholesky solve of a bundle's
-operators, of the associated matrix and of the frame matrix take the
-matrix's independent blocks (blocks_of; a bundle finds those of its C once)
-and factorize block by block when it splits; range bases and the subspace
-geometry below stay dense. A bundle whose C splits keeps one CSR copy of
-its columns and the inverse of a split matrix is CSR, so matmul takes its
-operands as they come.
+A matrix is sparse exactly when it splits into independent blocks. A
+bundle decides that once, for its columns (columns_op); its C operand, its
+frame matrix and the products of split operands stay sparse. The
+values-only SVD, the inverse and the Cholesky solve factorize a dense matrix
+whole and a sparse one block by block, finding its blocks from its stored
+entries; range bases and the subspace geometry below stay dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +37,6 @@ __all__ = [
     "svdvals",
     "inv",
     "cho_solve",
-    "matmul",
     "build_bundle",
     "bundle_from_columns",
     "range_basis",
@@ -65,33 +63,27 @@ def _rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
-# for structure (blocks in blocks_of, a band in classify.frame_spectrum): a
+# for structure (a bundle's blocks, a band in classify.frame_spectrum): a
 # complex SVD takes 13.5 ms at 256 x 256, 0.06 ms for a 64 x 64 diagonal,
 # whose blocks take 0.23 ms to find (one BLAS thread).
 BANDED_MIN_SIZE = 256 * 256
 
 
-def blocks_of(M: np.ndarray) -> Optional[dict]:
-    """The blocks of M grouped by shape, {(r, c): (rows, cols)}: row k of
-    the k x r index array rows and of the k x c array cols picks block k.
-    The blocks are the connected components of the nonzero pattern, rows
+def blocks_of(M) -> dict:
+    """The blocks of a sparse M grouped by shape, {(r, c): (rows, cols)}:
+    row k of the k x r index array rows and of the k x c array cols picks
+    block k. The blocks are the connected components of the pattern of the
+    entries stored with a nonzero value (inv may store exact zeros), rows
     and columns being the two sides of a bipartite graph (Pothen & Fan, ACM
     TOMS 1990), so a zero row is a 1 x 0 block and a zero column a 0 x 1
-    one. None, and M is factorized whole, below BANDED_MIN_SIZE entries,
-    with no zero entry, or with fewer than two blocks that hold entries."""
+    one."""
+    M = M.tocoo()
     m, n = M.shape
-    if m * n < BANDED_MIN_SIZE:
-        return None
-    live = M != 0
-    if np.count_nonzero(live) == m * n:
-        return None
-    rows, cols = np.divmod(np.flatnonzero(live), n)
+    live = M.data != 0
     # rows are the vertices 0..m-1 and columns m..m+n-1, one edge per entry
-    labels = _components(rows, cols + m, m + n)
+    labels = _components(M.row[live], M.col[live] + m, m + n)
     k = labels.max() + 1
     r, c = np.bincount(labels[:m], minlength=k), np.bincount(labels[m:], minlength=k)
-    if np.count_nonzero(r * c) < 2:
-        return None
     # indices of each block ascending, blocks in label order
     row_order = np.argsort(labels[:m], kind="stable")
     col_order = np.argsort(labels[m:], kind="stable")
@@ -120,30 +112,39 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
             parent = parent[parent]
 
 
-def _stack(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The blocks M[rows[k]][:, cols[k]] as one k x r x c array."""
-    return M[rows[:, :, None], cols[:, None, :]]
+def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The blocks M[rows[k]][:, cols[k]] of a sparse M as one k x r x c
+    array: entry (i, j) of M[rows.ravel()][:, cols.ravel()] is in block
+    i // r, and only a zero one lies outside the blocks."""
+    (k, r), c = rows.shape, cols.shape[1]
+    sub = M[rows.ravel()][:, cols.ravel()].tocoo()
+    live = sub.data != 0
+    i, j = sub.row[live], sub.col[live]
+    out = np.zeros((k, r, c), dtype=M.dtype)
+    out[i // r, i % r, j % c] = sub.data[live]
+    return out
 
 
-# Each factorization below is the plain call on M when its blocks are None,
-# else one batched call per block shape.
+# Each factorization below is the plain numpy or scipy call on a dense M,
+# and one batched call per block shape on a sparse one.
 
 
-def svdvals(M: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
+def svdvals(M) -> np.ndarray:
     """The singular values of M, descending."""
-    if blocks is None:
+    if not sp.issparse(M):
         return np.linalg.svd(M, compute_uv=False)
     vals = [np.linalg.svd(_stack(M, rows, cols), compute_uv=False).ravel()
-            for (r, c), (rows, cols) in blocks.items() if r and c]
-    vals = np.sort(np.concatenate(vals))[::-1]
-    return np.concatenate([vals, np.zeros(min(M.shape) - vals.size)])
+            for (r, c), (rows, cols) in blocks_of(M).items() if r and c]
+    vals = np.concatenate([np.zeros(0), *vals])
+    return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
 
 
-def inv(M: np.ndarray, blocks: Optional[dict]):
+def inv(M):
     """The inverse of M, a CSR matrix assembled from the block inverses when
-    M splits; LinAlgError when M is singular."""
-    if blocks is None:
+    M is sparse; LinAlgError when M is singular."""
+    if not sp.issparse(M):
         return np.linalg.inv(M)
+    blocks = blocks_of(M)
     if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
     # block k of M^-1 sits at rows cols[k] and columns rows[k]
@@ -154,12 +155,13 @@ def inv(M: np.ndarray, blocks: Optional[dict]):
     return sp.csr_array((vals, (i, j)), M.shape)
 
 
-def cho_solve(S: np.ndarray, B: np.ndarray, blocks: Optional[dict]) -> np.ndarray:
+def cho_solve(S, B: np.ndarray) -> np.ndarray:
     """X with S X = B for a Hermitian positive definite S, by Cholesky:
-    whole, scipy's cho_factor and cho_solve; per block, S = L L^H and
+    dense, scipy's cho_factor and cho_solve; sparse, per block S = L L^H and
     X = L^-H L^-1 B. LinAlgError when S is not positive definite."""
-    if blocks is None:
+    if not sp.issparse(S):
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
+    blocks = blocks_of(S)
     # a Hermitian positive definite S has its blocks on the diagonal
     if not all(np.array_equal(rows, cols) for rows, cols in blocks.values()):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -168,12 +170,6 @@ def cho_solve(S: np.ndarray, B: np.ndarray, blocks: Optional[dict]) -> np.ndarra
         L_inv = np.linalg.inv(np.linalg.cholesky(_stack(S, rows, cols)))
         out[rows] = L_inv.conj().transpose(0, 2, 1) @ (L_inv @ B[rows])
     return out
-
-
-def matmul(A, B) -> np.ndarray:
-    """A @ B as a dense array, for dense or sparse operands."""
-    out = A @ B
-    return out.toarray() if sp.issparse(out) else out
 
 
 def _csr(M: np.ndarray) -> sp.csr_array:
@@ -206,28 +202,33 @@ class OperatorBundle:
         return self.columns.conj().T
 
     @cached_property
-    def blocks(self) -> Optional[dict]:
-        """The blocks of C, found once; None when C is factorized whole."""
-        return blocks_of(self.C)
-
-    @cached_property
     def columns_op(self):
-        """The columns as a product operand: one CSR copy when C splits."""
-        return self.columns if self.blocks is None else _csr(self.columns)
+        """The columns as a product operand: one CSR copy when two or more
+        of their blocks hold entries, else the dense columns. Columns below
+        BANDED_MIN_SIZE entries, or with no zero entry, stay dense unseen."""
+        X = self.columns
+        if X.size < BANDED_MIN_SIZE or np.count_nonzero(X) == X.size:
+            return X
+        op = _csr(X)
+        held = sum(len(rows) for (r, c), (rows, _) in blocks_of(op).items() if r and c)
+        return op if held >= 2 else X
 
     @cached_property
     def C_op(self):
-        """C as a product operand: columns_op's conjugate transpose."""
-        return self.C if self.blocks is None else self.columns_op.conj().T
+        """C as a product operand: columns_op's conjugate transpose when the
+        columns split, so the dense C is never formed, else C."""
+        op = self.columns_op
+        return op.conj().T if sp.issparse(op) else self.C
 
     @cached_property
-    def S(self) -> np.ndarray:
-        return matmul(self.columns_op, self.C_op)
+    def S(self):
+        """The frame matrix, CSR when the columns split."""
+        return self.columns_op @ self.C_op
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors."""
-        return svdvals(self.C, self.blocks)
+        return svdvals(self.C_op)
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return _rank(self.singular_values, tol)

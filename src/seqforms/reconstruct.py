@@ -8,10 +8,12 @@ and xi respectively.
 A DualSystem holds the inverse that forms its dual, not the dual's columns:
 a reconstruction applies it once to the dim x k block X (analysis F), and
 the columns are formed only when a report prints them or a bound needs them.
+S, T and T^-1 are sparse when the families split (see operators).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, Tuple
@@ -22,9 +24,7 @@ from .core import DEFAULT_TOL, Tolerances, json_pairs
 from .errors import DenseTooLarge, DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .classify import classify_finite
 from .forms import FormAssessment
-from .operators import (
-    DENSE_MAX_SIZE, OperatorBundle, blocks_of, cho_solve, inv, matmul, svdvals,
-)
+from .operators import DENSE_MAX_SIZE, OperatorBundle, cho_solve, inv, svdvals
 
 __all__ = [
     "DualSystem",
@@ -44,8 +44,8 @@ class DualSystem:
     dual, T^-H X_xi for the left dual and T^-1 X_eta for the right one.
     reconstruct_with computes sum_n <f, partner_n> dual_n =
     solve(X (analysis f)). analysis is the partner bundle's cached C
-    operand (C_op, sparse when C splits): the primal family's own for the
-    canonical dual, C_eta for the left dual and C_xi for the right one.
+    operand (C_op, sparse when its columns split): the primal family's own
+    for the canonical dual, C_eta for the left dual and C_xi for the right.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]  # dim x k block -> dim x k
@@ -76,7 +76,7 @@ def canonical_dual(
 ) -> DualSystem:
     """The canonical dual S^{-1} xi_n of a truncated lower semi-frame.
 
-    Its solve is a Cholesky solve with S, on S's blocks found here once. The
+    Its solve is a Cholesky solve with S, block by block when S is sparse. The
     reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which equals
     1/sigma_dim(C)^2 = 1/A.
     """
@@ -85,7 +85,7 @@ def canonical_dual(
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    solve = partial(cho_solve, bundle.S, blocks=blocks_of(bundle.S))
+    solve = partial(cho_solve, bundle.S)
     return DualSystem(solve, bundle, bundle.C_op, "canonical_lower",
                       1.0 / spectrum.lower_bound)
 
@@ -105,9 +105,8 @@ def reconstruct_with(
         raise DimensionMismatch(
             f"vector dim {F.shape[0]} does not match system dim {C.shape[1]}"
         )
-    coeffs = matmul(C, F.reshape(F.shape[0], -1))  # <f, partner_n>
-    synth = matmul(primal.columns_op, coeffs)
-    recon = dual_system.solve(synth).reshape(F.shape)
+    coeffs = C @ F.reshape(F.shape[0], -1)  # <f, partner_n>
+    recon = dual_system.solve(primal.columns_op @ coeffs).reshape(F.shape)
     return recon, np.linalg.norm(recon - F, axis=0)
 
 
@@ -148,7 +147,7 @@ def reproducing_pair_duals(
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
     {T^{-1} eta_n} paired against xi, with T the associated matrix.
 
-    Their solves are products with T^-H and T^-1, CSR when T splits. Each
+    Their solves are products with T^-H and T^-1, sparse when T is. Each
     dual's Bessel bound is sigma_max of its own columns, squared: the
     analysis matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the
     conjugate transposes of those columns. When count = dim both families
@@ -158,17 +157,16 @@ def reproducing_pair_duals(
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
-    T = assessment.associated_operator
-    T_inv = inv(T, blocks_of(T))
-    solve_left = partial(matmul, T_inv.conj().T)
-    solve_right = partial(matmul, T_inv)
+    T_inv = inv(assessment.associated_operator)
+    solve_left = partial(operator.matmul, T_inv.conj().T)
+    solve_right = partial(operator.matmul, T_inv)
     if assessment.count == assessment.dim:
         bound_left = 1.0 / assessment.lower_bound_eta
         bound_right = 1.0 / assessment.lower_bound_xi
     else:
         bound_left, bound_right = (
-            float(svdvals(D, blocks_of(D))[0]) ** 2
-            for D in (solve_left(bundle_xi.columns), solve_right(bundle_eta.columns)))
+            float(svdvals(solve(bundle.columns_op))[0]) ** 2
+            for solve, bundle in ((solve_left, bundle_xi), (solve_right, bundle_eta)))
     return (
         DualSystem(solve_left, bundle_xi, bundle_eta.C_op, "reproducing_left",
                    bound_left),

@@ -1,7 +1,7 @@
 """Block-by-block factorization against the whole-matrix numpy and scipy
-calls: property tests of operators.svdvals, inv and cho_solve on
-block-diagonal matrices under random row and column permutations, of
-matmul on every mix of dense and sparse operands, and the
+calls: property tests of operators.svdvals, inv and cho_solve on sparse
+copies of block-diagonal matrices under random row and column
+permutations, of the bundle's choice of a sparse operand, and the
 {n e_n}/{e_n/n} form, pair reconstruction and canonical dual of {n e_n}
 at dims 256 and 300 against the one-block path."""
 
@@ -14,9 +14,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
+import seqforms.cli as cli
 import seqforms.operators as operators
 from seqforms.cli import main
-from seqforms.operators import blocks_of, cho_solve, inv, matmul, svdvals
+from seqforms.operators import blocks_of, bundle_from_columns, cho_solve, inv, svdvals
 
 # gaussian blocks are r x c; a square one is made diagonally dominant, so
 # well conditioned. rank_one blocks are u v^T with entries +-1, +-2, exactly
@@ -63,19 +64,32 @@ def _splitting():
     return mock.patch.object(operators, "BANDED_MIN_SIZE", 0)
 
 
+def _every_entry_stored(M):
+    """A CSR copy of M that stores its zero entries too."""
+    return sp.coo_array((M.ravel(), np.indices(M.shape).reshape(2, -1)),
+                        M.shape).tocsr()
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_matrices())
 def test_blockwise_singular_values_match_the_dense_svd(drawn):
     M, blocks = drawn
     with _splitting():
-        found = blocks_of(M)
-    s = svdvals(M, found)
-    split = found is not None
+        split = sp.issparse(bundle_from_columns(M).columns_op)
     assert split == (_holds_entries(blocks) >= 2)
     dense = np.linalg.svd(M, compute_uv=False)
-    assert s.shape == dense.shape
     top = dense[0] if dense.size else 0.0
-    assert np.all(np.abs(s - dense) <= 1e-13 * top)
+    # stored zeros are no entries: they neither join blocks nor fill them
+    stored = _every_entry_stored(M)
+    found, found_stored = blocks_of(sp.csr_array(M)), blocks_of(stored)
+    assert found_stored.keys() == found.keys()
+    for key, (rows, cols) in found_stored.items():
+        assert np.array_equal(rows, found[key][0])
+        assert np.array_equal(cols, found[key][1])
+    for sparse in (sp.csr_array(M), stored):
+        s = svdvals(sparse)
+        assert s.shape == dense.shape
+        assert np.all(np.abs(s - dense) <= 1e-13 * top)
 
 
 def _fixed(*blocks):
@@ -102,17 +116,14 @@ def test_blockwise_inverse_matches_and_fails_where_the_dense_one_does(drawn):
     except np.linalg.LinAlgError:
         dense = None
     assert (dense is None) == singular
-    with _splitting():
-        found = blocks_of(M)
     if singular:
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            inv(M, found)
+            inv(sp.csr_array(M))
         return
-    blockwise = inv(M, found)
-    # a split inverse is assembled sparse, never held as a dense array
-    assert sp.issparse(blockwise) == (found is not None)
-    if found is not None:
-        blockwise = blockwise.toarray()
+    # the inverse of a sparse matrix is assembled sparse, never held dense
+    blockwise = inv(sp.csr_array(M))
+    assert sp.issparse(blockwise)
+    blockwise = blockwise.toarray()
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(blockwise - dense)) <= 1e-12 * scale
 
@@ -129,16 +140,13 @@ def test_blockwise_cholesky_solve_matches_the_dense_one(drawn, zero_index):
     if zero_index:
         # a zero row and column: S is singular, and both calls refuse it
         S[0, :] = S[:, 0] = 0
-        with _splitting():
-            blocks = blocks_of(S)
         with pytest.raises(np.linalg.LinAlgError):
-            cho_solve(S, B, blocks)
+            cho_solve(sp.csr_array(S), B)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(S)
         return
     dense = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
-    with _splitting():
-        X = cho_solve(S, B, blocks_of(S))
+    X = cho_solve(sp.csr_array(S), B)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(X - dense)) <= 1e-12 * scale
 
@@ -150,48 +158,8 @@ def test_blockwise_cholesky_refuses_blocks_off_the_diagonal():
     S = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.cho_factor(S)
-    with _splitting():
-        blocks = blocks_of(S)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        cho_solve(S, np.eye(3), blocks)
-
-
-OPERANDS = ("dense", "csr", "csr_adjoint")
-
-
-def _operand(M, kind):
-    """M as a product operand: itself, a CSR copy, or the conjugate
-    transpose of a CSR copy of M^H (the form a bundle's C operand takes)."""
-    if kind == "dense":
-        return M
-    if kind == "csr":
-        return sp.csr_array(M)
-    return sp.csr_array(M.conj().T).conj().T
-
-
-@settings(max_examples=200, deadline=None)
-@given(block_matrices(), st.sampled_from(["split", "dense_right", "dense_left"]),
-       st.sampled_from(OPERANDS), st.sampled_from(OPERANDS))
-def test_products_on_split_operands_match_the_dense_product(
-    drawn, other, left_kind, right_kind
-):
-    A = drawn[0]
-    rng = np.random.default_rng(A.size)
-
-    def gaussian(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    left, right = {
-        "split": (A.conj().T, A),
-        "dense_right": (A, gaussian(A.shape[1], 5)),
-        "dense_left": (gaussian(5, A.shape[0]), A),
-    }[other]
-    out = matmul(_operand(left, left_kind), _operand(right, right_kind))
-    assert isinstance(out, np.ndarray)
-    reference = left @ right
-    assert out.shape == reference.shape
-    scale = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
-    assert np.max(np.abs(out - reference), initial=0.0) <= 1e-13 * scale
+        cho_solve(sp.csr_array(S), np.eye(3))
 
 
 W_N = {"rule": "diagonal", "params": {"weight": {"kind": "n"}}}
@@ -270,3 +238,28 @@ def test_each_split_operand_is_converted_to_csr_once(
     monkeypatch.setattr(operators, "_csr", spy)
     _report(capsys, argv)
     assert shapes == [(dim, dim)] * conversions
+
+
+def test_a_split_pair_keeps_S_and_T_sparse_and_never_forms_C(
+    tmp_path, capsys, monkeypatch
+):
+    """After a pair reconstruct of {n e_n}/{e_n/n}, the associated matrix
+    and both frame matrices are sparse, and neither bundle holds the dense
+    conjugate copy C of its columns."""
+    left, right = tmp_path / "n.json", tmp_path / "inv.json"
+    left.write_text(json.dumps(W_N))
+    right.write_text(json.dumps(W_INV))
+    calls = []
+
+    def spy(fa, *bundles, _duals=cli.reproducing_pair_duals):
+        calls.append((fa, bundles))
+        return _duals(fa, *bundles)
+
+    monkeypatch.setattr(cli, "reproducing_pair_duals", spy)
+    _report(capsys, ["reconstruct", "--left", str(left), "--right", str(right),
+                     "--dim", "256"])
+    [(fa, bundles)] = calls
+    assert sp.issparse(fa.associated_operator)
+    for b in bundles:
+        assert sp.issparse(b.S)
+        assert "C" not in vars(b)

@@ -6,10 +6,12 @@ In each checkout it runs, in one fresh process with one BLAS thread, every
 call of the benchmark: the warm-up calls and the round of dense-pair (at
 each seed), class-ladder and series-ladder, with the argv lists read from
 that checkout's perfbench/workloads.py, and every catalog scenario on its
-default ladder. Every dense-pair, class-ladder and scenario call runs a
-second time at --tol-rank 0.5, where some forms are no longer 0-closed and
-some sequences no longer lower semi-frames, so the error paths are compared
-too; every scenario runs a third time at --tol-eq 0.6, where the lambda
+default ladder, and a fixed list of calls whose matrices split into blocks
+(see _split_calls), with rule files the tool writes itself. Every
+dense-pair, class-ladder, scenario and split call runs a second time at
+--tol-rank 0.5, where some forms are no longer 0-closed and some sequences
+no longer lower semi-frames, so the error paths are compared too; every
+scenario runs a third time at --tol-eq 0.6, where the lambda
 probes at distance 0.5 flip and weighted-riesz/lambda-region fails.
 Each call records its exit code, its report body (``meta`` dropped) on exit
 0 and its error object (type, message, details) on exit 1. It then prints
@@ -32,11 +34,62 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 
 # The dense-pair, class-ladder and scenario calls run once more with this
 # rank cutoff, and the scenarios once more with this equality tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
 LOOSE_EQ = ["--tol-eq", "0.6"]
+
+
+def _split_calls(work: str) -> dict:
+    """{call id: argv} of the calls whose matrices split, which the benchmark
+    reaches only at dims 256-384 and never prints: form-assess, pair
+    reconstruct and reconstruct --spec of {n e_n}/{e_n/n} at dim 1024 and of
+    the tiled pair X = [I_64 ... I_64] (16 copies) and X diag(1..1024) at
+    dim 64, count 1024, whose matrix and dual columns are printed; classify,
+    form-assess against itself and reconstruct --spec of a 256 x 256
+    diagonal with one zero row and column and of the identity with one
+    singular 2 x 2 block; and the weight-inverse-pair scenario on
+    128,256,512. The rule files are written into work."""
+    tiled = np.tile(np.eye(64), 16)
+    zero_row = np.diag(np.arange(1.0, 257))
+    zero_row[7, 7] = 0
+    singular_block = np.eye(256)
+    singular_block[8:10, 8:10] = 1
+    rules = {
+        "n": {"rule": "diagonal", "params": {"weight": {"kind": "n"}}},
+        "inv": {"rule": "diagonal", "params": {"weight": {"kind": "1/n"}}},
+        **{name: {"rule": "explicit", "params": {"matrix": X.tolist()}}
+           for name, X in [("tiled", tiled),
+                           ("tiled-weighted", tiled * np.arange(1.0, 1025)),
+                           ("zero-row", zero_row),
+                           ("singular-block", singular_block)]},
+    }
+    path = {}
+    for name, rule in rules.items():
+        path[name] = os.path.join(work, f"split-{name}.json")
+        with open(path[name], "w") as fh:
+            json.dump(rule, fh)
+    calls = {}
+    for left, right, size in [("n", "inv", ["--dim", "1024"]),
+                              ("tiled", "tiled-weighted",
+                               ["--dim", "64", "--count", "1024"])]:
+        pair = ["--left", path[left], "--right", path[right], *size]
+        calls[f"{left}/form-assess"] = ["form-assess", *pair]
+        calls[f"{left}/reconstruct"] = ["reconstruct", *pair]
+        calls[f"{left}/reconstruct-spec"] = ["reconstruct", "--spec", path[left], *size]
+    for name in ("zero-row", "singular-block"):
+        size = ["--dim", "256"]
+        calls[f"{name}/classify"] = ["classify", "--spec", path[name], *size]
+        calls[f"{name}/form-assess"] = [
+            "form-assess", "--left", path[name], "--right", path[name], *size]
+        calls[f"{name}/reconstruct-spec"] = [
+            "reconstruct", "--spec", path[name], *size]
+    calls["scenario/weight-inverse-pair"] = [
+        "scenario", "--id", "weight-inverse-pair", "--ladder", "128,256,512"]
+    return calls
 
 
 def _collect(checkout: str, seeds: list, out: str) -> None:
@@ -80,6 +133,10 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
             call(f"scenario/{sid}", argv)
             call(f"scenario/{sid}/tol-rank-0.5", argv + LOOSE_RANK)
             call(f"scenario/{sid}/tol-eq-0.6", argv + LOOSE_EQ)
+        for key, argv in _split_calls(work).items():
+            argv = argv + ["--out", report]
+            call(f"split/{key}", argv)
+            call(f"split/{key}/tol-rank-0.5", argv + LOOSE_RANK)
     with open(out, "w") as fh:
         json.dump(bodies, fh)
 
