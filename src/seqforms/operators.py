@@ -3,10 +3,13 @@
 Conventions: for columns xi_n (dim x count matrix X), the analysis matrix is
 C = X^H, so (C f)_n = <f, xi_n> including the complex conjugation; the
 synthesis matrix is C^H = X, the columns themselves, and the frame matrix is
-S = X C. Rank decisions use a singular-value cutoff relative to
-the largest singular value. A basis of a subspace is a plain array with
-orthonormal columns; its rows are the ambient space. Verdicts about a
-sequence (frame bounds, completeness, the class) live in classify.
+S = X C. The columns are float64 when the sequence's entries are all real
+(see sequences) and complex128 otherwise, and every operator, basis and
+factorization below inherits that dtype. Rank decisions use a
+singular-value cutoff relative to the largest singular value. A basis of a
+subspace is a plain array with orthonormal columns; its rows are the
+ambient space. Verdicts about a sequence (frame bounds, completeness, the
+class) live in classify.
 
 A matrix is sparse exactly when it splits into independent blocks. A
 bundle decides that once, for its columns (columns_op); its C operand, its
@@ -64,8 +67,9 @@ def _rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
 # for structure (a bundle's blocks, a band in classify.frame_spectrum): a
-# complex SVD takes 13.5 ms at 256 x 256, 0.06 ms for a 64 x 64 diagonal,
-# whose blocks take 0.23 ms to find (one BLAS thread).
+# values-only SVD takes 5.2 ms real and 9.8 ms complex at 256 x 256, and
+# 0.03 ms real and 0.05 ms complex for a 64 x 64 diagonal, whose blocks take
+# 0.15 ms to find (one BLAS thread).
 BANDED_MIN_SIZE = 256 * 256
 
 
@@ -244,11 +248,14 @@ class OperatorBundle:
 
 
 def bundle_from_columns(X: np.ndarray) -> OperatorBundle:
-    return OperatorBundle(np.atleast_2d(np.asarray(X, dtype=complex)))
+    """The bundle of the columns X, complex when X is, else float."""
+    X = np.atleast_2d(np.asarray(X))
+    dtype = complex if np.iscomplexobj(X) else float
+    return OperatorBundle(X.astype(dtype, copy=False))
 
 
 # The largest count * dim that is materialized and factorized densely
-# (256 MB of complex).
+# (128 MB of float, 256 MB of complex).
 DENSE_MAX_SIZE = 4096 * 4096
 
 

@@ -4,7 +4,9 @@ A SequenceSpec describes a sequence {xi_n} by a closed vocabulary of rules
 (explicit columns, which are also the operator images V e_n, diagonal
 weights, finite differences, interleavings, fixed patterns, scalings). Each
 rule produces the supports of a whole batch of members at once as COO
-arrays, so large truncations stay cheap for the structured rules.
+arrays, so large truncations stay cheap for the structured rules. A
+truncation is materialized in float64 exactly when all its entries are real,
+else in complex128, and every operator built from it keeps that dtype.
 """
 
 from __future__ import annotations
@@ -108,11 +110,14 @@ class SequenceSpec:
         raise NotImplementedError
 
     def _coo(self, n: np.ndarray, dim: int) -> Coo:
-        """The nonzero entries of the members n, checked to fit in dim."""
+        """The nonzero entries of the members n, checked to fit in dim: real
+        (float64) when every imaginary part is 0, else complex."""
         rows, cols, vals = self.entries(n)
         live = vals != 0
         # + 0 turns a -0 part into +0, as summing into sparse storage does
         rows, cols, vals = rows[live], cols[live], vals[live] + 0
+        if not vals.imag.any():
+            vals = vals.real
         over = rows >= dim
         if over.any():
             first = cols[over].min()
@@ -123,13 +128,15 @@ class SequenceSpec:
         return rows, cols, vals
 
     def materialize(self, dim: int, count: int) -> np.ndarray:
-        """Dense dim x count matrix whose column n is xi_n."""
+        """Dense dim x count matrix whose column n is xi_n: float64 when
+        every entry is real, else complex128."""
         rows, cols, vals = self._coo(np.arange(1, count + 1), dim)
-        X = np.zeros((dim, count), dtype=complex)
+        X = np.zeros((dim, count), dtype=vals.dtype)
         X[rows, cols] = vals
         return X
 
     def materialize_sparse(self, dim: int, count: int) -> sp.csc_matrix:
+        """The CSC matrix of materialize, in the same dtype."""
         rows, cols, vals = self._coo(np.arange(1, count + 1), dim)
         return sp.csc_matrix((vals, (rows, cols)), shape=(dim, count))
 
@@ -155,17 +162,19 @@ class ExplicitColumns(SequenceSpec):
         return rows, cols, self.matrix[rows, n[cols] - 1]
 
     def _stored(self, dim: int, count: int) -> np.ndarray:
-        """The first count columns cut to dim rows, -0 parts made +0 as on
-        the COO path; its SupportOverflow when they do not fit."""
+        """The first count columns cut to dim rows, -0 parts made +0 and
+        real when every imaginary part is 0, as on the COO path; its
+        SupportOverflow when they do not fit."""
         if count > self.matrix.shape[1] or self.matrix[dim:, :count].any():
             self._coo(np.arange(1, count + 1), dim)  # raises
-        return self.matrix[:dim, :count] + 0
+        stored = self.matrix[:dim, :count] + 0
+        return stored if stored.imag.any() else stored.real
 
     def materialize(self, dim: int, count: int) -> np.ndarray:
         """The stored columns zero-padded to dim rows: the COO path's
         matrix, without its scatter."""
         stored = self._stored(dim, count)
-        X = np.zeros((dim, count), dtype=complex)
+        X = np.zeros((dim, count), dtype=stored.dtype)
         X[: stored.shape[0]] = stored
         return X
 

@@ -8,6 +8,7 @@ from seqforms import (
     DiagonalWeights,
     ExplicitColumns,
     ScalarRule,
+    TriplePattern,
     build_bundle,
     bundle_from_columns,
     classify_finite,
@@ -107,14 +108,14 @@ def test_operator_image_identities():
 
 
 def _count_svds(monkeypatch):
-    """Record (function, compute_uv, shape) for every SVD taken through numpy
-    or scipy, and ("numpy.qr", True, shape) for every numpy QR."""
+    """Record (function, compute_uv, shape, dtype) for every SVD taken through
+    numpy or scipy, and ("numpy.qr", True, shape, dtype) for every numpy QR."""
     calls = []
 
     def counted(name, fn, uv_default):
         def wrapper(*args, **kwargs):
             uv = bool(kwargs.get("compute_uv", uv_default))
-            calls.append((name, uv, np.shape(args[0])))
+            calls.append((name, uv, np.shape(args[0]), np.asarray(args[0]).dtype))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -139,11 +140,24 @@ def test_one_factorization_per_operator(monkeypatch):
     # 9 x 9 SVD of the stacked bases is taken
     qrs = [c for c in calls if c[0] == "numpy.qr"]
     assert len(calls) - len(qrs) == 4
-    assert qrs == [("numpy.qr", True, (9, 6))] * 2
-    assert all(shape != (9, 9) for _, _, shape in calls)
+    assert qrs == [("numpy.qr", True, (9, 6), complex)] * 2
+    assert all(shape != (9, 9) for _, _, shape, _ in calls)
+    # complex columns keep every factorization complex
+    assert {dtype for *_, dtype in calls} == {np.dtype(complex)}
     calls.clear()
     classify_finite(build_bundle(xi, 6, 9))
-    assert calls == [("numpy.svd", False, (9, 6))]
+    assert calls == [("numpy.svd", False, (9, 6), complex)]
+
+
+def test_real_pair_factorizes_in_real_arithmetic(monkeypatch):
+    """The triple pair's entries are all real, so every SVD and QR of its
+    zero_closed_check runs on float64: those of both bundles, of the
+    associated matrix, of the inf-sup cosines and of the range bases."""
+    calls = _count_svds(monkeypatch)
+    fa = zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), 6, 18)
+    assert fa.zero_closed
+    assert sorted(name for name, *_ in calls) == ["numpy.qr"] * 2 + ["numpy.svd"] * 4
+    assert {dtype for *_, dtype in calls} == {np.dtype(float)}
 
 
 def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
@@ -152,7 +166,7 @@ def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
     eta = ExplicitColumns(random_columns(7, 7, 16))
     fa = zero_closed_check(xi, eta, 7, 7)
     # both ranges are all of l2: no basis, no QR and no cosine SVD
-    assert calls == [("numpy.svd", False, (7, 7))] * 3
+    assert calls == [("numpy.svd", False, (7, 7), complex)] * 3
     assert fa.c1 == fa.c2 == 1.0 and fa.max_principal_angle == 0.0
 
 
@@ -172,7 +186,8 @@ def test_square_pair_reconstruct_takes_no_svd_of_dual_columns(
     argv = ["reconstruct", "--left", paths[0], "--right", paths[1], "--dim", "80"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["report"]["max_residual"] < 1e-10
-    assert calls == [("numpy.svd", False, (80, 80))] * 3
+    # the real matrices are factorized in real arithmetic
+    assert calls == [("numpy.svd", False, (80, 80), float)] * 3
 
 
 def test_rank_deficient_bundle_keeps_the_thin_svd(monkeypatch):
@@ -180,7 +195,8 @@ def test_rank_deficient_bundle_keeps_the_thin_svd(monkeypatch):
     b = bundle_from_columns(random_columns(6, 2, 17) @ random_columns(2, 9, 18))
     R = b.range_basis()
     assert R.shape == (9, 2)
-    assert calls == [("numpy.svd", False, (9, 6)), ("numpy.svd", True, (9, 6))]
+    assert calls == [("numpy.svd", False, (9, 6), complex),
+                     ("numpy.svd", True, (9, 6), complex)]
 
 
 @pytest.mark.parametrize("dim,count,rank", [(5, 8, 3), (8, 5, 3), (6, 6, 4), (4, 7, 0)])

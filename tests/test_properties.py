@@ -1,8 +1,8 @@
 """Property tests of the batch term path and of the frame bounds over
 random rule trees drawn from the JSON vocabulary of spec_from_json, of the
 direct-sum verdict against the singular values of the stacked bases, of the
-bundle's range bases against thin-SVD ones, and of the exact column sums
-against math.fsum."""
+bundle's range bases against thin-SVD ones, of real against complex
+arithmetic on real rules, and of the exact column sums against math.fsum."""
 
 import itertools
 import math
@@ -17,10 +17,12 @@ import seqforms.core as core
 from seqforms import (
     DEFAULT_TOL,
     bundle_from_columns,
+    classify_finite,
     complement_basis,
     direct_sum_check,
     frame_spectrum,
     range_basis,
+    reproducing_pair_duals,
     spec_from_json,
 )
 from seqforms.errors import SupportOverflow
@@ -29,43 +31,56 @@ from seqforms.operators import cosines_and_angles
 
 small = st.integers(-3, 3).map(float)
 scalar_value = st.one_of(small, st.tuples(small, small).map(list))
-scalar_rules = st.one_of(
-    st.sampled_from([{"kind": "n"}, {"kind": "1/n"}]),
-    scalar_value.map(lambda v: {"kind": "constant", "value": v}),
-    st.lists(scalar_value, min_size=1, max_size=8).map(
-        lambda vs: {"kind": "table", "values": vs}
-    ),
-)
-matrices = st.integers(1, 6).flatmap(
-    lambda rows: st.lists(
-        st.lists(scalar_value, min_size=rows, max_size=rows), min_size=1, max_size=10
-    ).map(lambda cols: [list(r) for r in zip(*cols)])
-)
-leaves = st.one_of(
-    st.just({"rule": "finite_difference"}),
-    scalar_rules.map(lambda w: {"rule": "diagonal", "params": {"weight": w}}),
-    st.sampled_from(["triple", "paired_double"]).flatmap(
-        lambda tag: st.sampled_from(["xi", "eta"]).map(
-            lambda kind: {"rule": tag, "params": {"kind": kind}}
-        )
-    ),
-    st.tuples(st.sampled_from(["explicit", "operator_image"]), matrices).map(
-        lambda t: {"rule": t[0], "params": {"matrix": t[1]}}
-    ),
-)
 
 
-def rule_trees(depth, leaves=leaves):
+def scalar_rules_of(value):
+    return st.one_of(
+        st.sampled_from([{"kind": "n"}, {"kind": "1/n"}]),
+        value.map(lambda v: {"kind": "constant", "value": v}),
+        st.lists(value, min_size=1, max_size=8).map(
+            lambda vs: {"kind": "table", "values": vs}
+        ),
+    )
+
+
+def leaves_of(value):
+    """Every leaf rule, its scalars and matrix entries drawn from value."""
+    matrices = st.integers(1, 6).flatmap(
+        lambda rows: st.lists(
+            st.lists(value, min_size=rows, max_size=rows), min_size=1, max_size=10
+        ).map(lambda cols: [list(r) for r in zip(*cols)])
+    )
+    return st.one_of(
+        st.just({"rule": "finite_difference"}),
+        scalar_rules_of(value).map(
+            lambda w: {"rule": "diagonal", "params": {"weight": w}}
+        ),
+        st.sampled_from(["triple", "paired_double"]).flatmap(
+            lambda tag: st.sampled_from(["xi", "eta"]).map(
+                lambda kind: {"rule": tag, "params": {"kind": kind}}
+            )
+        ),
+        st.tuples(st.sampled_from(["explicit", "operator_image"]), matrices).map(
+            lambda t: {"rule": t[0], "params": {"matrix": t[1]}}
+        ),
+    )
+
+
+scalar_rules = scalar_rules_of(scalar_value)
+leaves = leaves_of(scalar_value)
+
+
+def rule_trees(depth, leaves=leaves, factors=scalar_rules):
     """Rule trees of at most depth + 1 levels."""
     if depth == 0:
         return leaves
-    inner = rule_trees(depth - 1, leaves)
+    inner = rule_trees(depth - 1, leaves, factors)
     return st.one_of(
         leaves,
         st.tuples(inner, inner).map(
             lambda t: {"rule": "interleave", "params": {"first": t[0], "second": t[1]}}
         ),
-        st.tuples(inner, scalar_rules).map(
+        st.tuples(inner, factors).map(
             lambda t: {"rule": "scaled", "params": {"base": t[0], "factor": t[1]}}
         ),
     )
@@ -94,16 +109,22 @@ def outcome(build):
 def same(a, b):
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
 @given(rule_trees(2), sizes)
 def test_dense_and_sparse_agree_bit_for_bit(rule, size):
+    """Both are float64 exactly when every entry of the truncation has a
+    zero imaginary part, else complex128, and hold the same bytes."""
     spec = spec_from_json(rule)
     dense = outcome(lambda: spec.materialize(*size))
     sparse = outcome(lambda: spec.materialize_sparse(*size).toarray())
     assert same(dense, sparse)
+    if not isinstance(dense, str):
+        vals = spec.entries(np.arange(1, size[1] + 1))[2]
+        real = not np.asarray(vals, dtype=complex).imag.any()
+        assert dense.dtype == (np.float64 if real else np.complex128)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,8 +138,12 @@ def test_columns_are_single_terms(rule, size):
     for n in range(1, count + 1):
         rows, _, vals = spec.entries(np.array([n]))
         live = vals != 0  # a zero entry may lie past dim; materialize drops it
-        column = np.zeros(dim, dtype=complex)
-        column[rows[live]] = vals[live] + 0  # + 0 makes a -0 part +0, as there
+        terms = vals[live] + 0  # + 0 makes a -0 part +0, as there
+        if X.dtype == float:
+            assert not terms.imag.any()  # a real X drops only zero parts
+            terms = terms.real
+        column = np.zeros(dim, dtype=X.dtype)
+        column[rows[live]] = terms
         assert column.tobytes() == X[:, n - 1].tobytes()
 
 
@@ -279,6 +304,68 @@ def test_range_bases_match_thin_svd_bases(pair):
         fa = zero_closed_from_bundles(b_xi, b_eta)
         assert fa.direct_sum == verdict
         assert fa.zero_closed == zero_closed
+
+
+real_rules = rule_trees(1, leaves_of(small), scalar_rules_of(small))
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_rules, st.one_of(st.none(), real_rules), st.integers(1, 8),
+       st.integers(1, 16))
+def test_real_arithmetic_matches_complex_arithmetic(rule_xi, rule_eta, dim, count):
+    """A pair of real rules (eta None pairs xi with itself, 0-closed exactly
+    when xi is a frame) gives the same ranks and verdicts, and the same
+    floats to the property tests' tolerances, whether its bundles are real
+    or are built from the same columns cast to complex. Pairs with a
+    statistic within 1e-3 (relative) of its cutoff are skipped."""
+    specs = [spec_from_json(rule) for rule in (rule_xi, rule_eta or rule_xi)]
+    columns = [outcome(lambda: spec.materialize(dim, count)) for spec in specs]
+    if any(isinstance(X, str) for X in columns):
+        return
+    assert all(X.dtype == np.float64 for X in columns)
+    real = [bundle_from_columns(X) for X in columns]
+    cplx = [bundle_from_columns(X.astype(complex)) for X in columns]
+    assert all(b.columns.dtype == np.complex128 for b in cplx)
+    fa_real, fa_cplx = (zero_closed_from_bundles(*b) for b in (real, cplx))
+    T = fa_real.associated_operator
+    assert T.dtype == np.float64
+    s_T = np.linalg.svd(T, compute_uv=False)
+    ratios = [b.singular_values / max(b.singular_values[0], 1e-300) for b in real]
+    ratios.append(s_T / max(s_T[0], 1e-300))
+    c = fa_real.c1
+    half_tan = c / (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    if any(near_cutoff(r) for r in np.concatenate([*ratios, [half_tan]])):
+        return
+
+    for b_real, b_cplx in zip(real, cplx):
+        a, b = classify_finite(b_real), classify_finite(b_cplx)
+        assert (a.rank, a.complete, a.frame, a.riesz_basis) == (
+            b.rank, b.complete, b.frame, b.riesz_basis)
+        slack = 1e-10 * a.bessel_bound
+        for field in ("bessel_bound", "lower_bound", "riesz_fischer_bound"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= slack
+
+    d_real, d_cplx = fa_real.to_dict(), fa_cplx.to_dict()
+    for key in ("null_dim_left", "direct_sum", "zero_closed", "assoc_invertible",
+                "lower_xi", "lower_eta"):
+        assert d_real[key] == d_cplx[key]
+    for key in ("c1", "c2", "max_principal_angle"):
+        assert abs(d_real[key] - d_cplx[key]) < 1e-12
+    assert np.max(np.abs(T - fa_cplx.associated_operator)) <= 1e-12 * max(1.0, s_T[0])
+    if fa_real.assoc_invertible:
+        s_min = 1 / fa_real.assoc_inverse_norm
+        assert abs(s_min - 1 / fa_cplx.assoc_inverse_norm) <= 1e-10 * s_T[0]
+
+    if not fa_real.zero_closed:
+        return
+    for a, b in zip(reproducing_pair_duals(fa_real, *real),
+                    reproducing_pair_duals(fa_cplx, *cplx)):
+        assert a.kind == b.kind
+        bound = pytest.approx(b.bessel_bound_of_dual, rel=1e-10)
+        assert a.bessel_bound_of_dual == bound
+        assert a.dual.dtype == np.float64 and b.dual.dtype == np.complex128
+        scale = max(1.0, np.max(np.abs(b.dual)))
+        assert np.max(np.abs(a.dual - b.dual)) <= 1e-12 * scale
 
 
 # zeros, subnormals, 1e-300 to 1.7e308, and powers of two from 2^-1074 to

@@ -224,7 +224,8 @@ def test_matrix_rules_slice_like_the_coo_path(M, dim, count):
         assert sliced == scattered
         assert _outcome(lambda: spec.materialize_sparse(dim, count)) == scattered
         return
-    assert sliced.shape == scattered.shape and sliced.tobytes() == scattered.tobytes()
+    assert sliced.dtype == scattered.dtype and sliced.shape == scattered.shape
+    assert sliced.tobytes() == scattered.tobytes()
     sparse = spec.materialize_sparse(dim, count)
     reference = SequenceSpec.materialize_sparse(spec, dim, count)
     assert sparse.shape == reference.shape

@@ -6,9 +6,10 @@ In each checkout it runs, in one fresh process with one BLAS thread, every
 call of the benchmark: the warm-up calls and the round of dense-pair (at
 each seed), class-ladder and series-ladder, with the argv lists read from
 that checkout's perfbench/workloads.py, and every catalog scenario on its
-default ladder, and a fixed list of calls whose matrices split into blocks
-(see _split_calls), with rule files the tool writes itself. Every
-dense-pair, class-ladder, scenario and split call runs a second time at
+default ladder, a fixed list of calls whose matrices split into blocks
+(see _split_calls) and one of calls on either side of the real/complex
+boundary (see _dtype_calls), with rule files the tool writes itself. Every
+dense-pair, class-ladder, scenario, split and dtype call runs a second time at
 --tol-rank 0.5, where some forms are no longer 0-closed and some sequences
 no longer lower semi-frames, so the error paths are compared too; every
 scenario runs a third time at --tol-eq 0.6, where the lambda
@@ -37,8 +38,9 @@ import tempfile
 import numpy as np
 
 
-# The dense-pair, class-ladder and scenario calls run once more with this
-# rank cutoff, and the scenarios once more with this equality tolerance.
+# The dense-pair, class-ladder, scenario, split and dtype calls run once more
+# with this rank cutoff, and the scenarios once more with this equality
+# tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
 LOOSE_EQ = ["--tol-eq", "0.6"]
 
@@ -67,11 +69,7 @@ def _split_calls(work: str) -> dict:
                            ("zero-row", zero_row),
                            ("singular-block", singular_block)]},
     }
-    path = {}
-    for name, rule in rules.items():
-        path[name] = os.path.join(work, f"split-{name}.json")
-        with open(path[name], "w") as fh:
-            json.dump(rule, fh)
+    path = _write_rules(work, "split", rules)
     calls = {}
     for left, right, size in [("n", "inv", ["--dim", "1024"]),
                               ("tiled", "tiled-weighted",
@@ -90,6 +88,49 @@ def _split_calls(work: str) -> dict:
     calls["scenario/weight-inverse-pair"] = [
         "scenario", "--id", "weight-inverse-pair", "--ladder", "128,256,512"]
     return calls
+
+
+def _dtype_calls(work: str) -> dict:
+    """{call id: argv} of calls on either side of the real/complex boundary:
+    form-assess and pair reconstruct of the triple pair at dim 512, count
+    1536 (real, dense and above the 256^2 crossover), and classify,
+    form-assess against itself and reconstruct --spec of a random real
+    256 x 256 matrix written as [re, 0.0] pairs, and of the same matrix with
+    one nonzero imaginary part. The rule files are written into work."""
+    real = np.random.default_rng(20).standard_normal((256, 256))
+    one_imag = real.astype(complex)
+    one_imag[3, 5] += 0.5j
+    rules = {
+        "triple-xi": {"rule": "triple", "params": {"kind": "xi"}},
+        "triple-eta": {"rule": "triple", "params": {"kind": "eta"}},
+        **{name: {"rule": "explicit", "params": {
+            "matrix": np.stack([X.real, X.imag], axis=-1).tolist()}}
+           for name, X in [("real-pairs", real.astype(complex)),
+                           ("one-imag", one_imag)]},
+    }
+    path = _write_rules(work, "dtype", rules)
+    pair = ["--left", path["triple-xi"], "--right", path["triple-eta"],
+            "--dim", "512", "--count", "1536"]
+    calls = {"triple/form-assess": ["form-assess", *pair],
+             "triple/reconstruct": ["reconstruct", *pair]}
+    for name in ("real-pairs", "one-imag"):
+        size = ["--dim", "256"]
+        calls[f"{name}/classify"] = ["classify", "--spec", path[name], *size]
+        calls[f"{name}/form-assess"] = [
+            "form-assess", "--left", path[name], "--right", path[name], *size]
+        calls[f"{name}/reconstruct-spec"] = [
+            "reconstruct", "--spec", path[name], *size]
+    return calls
+
+
+def _write_rules(work: str, prefix: str, rules: dict) -> dict:
+    """Writes each rule to work/prefix-name.json; {name: path}."""
+    path = {}
+    for name, rule in rules.items():
+        path[name] = os.path.join(work, f"{prefix}-{name}.json")
+        with open(path[name], "w") as fh:
+            json.dump(rule, fh)
+    return path
 
 
 def _collect(checkout: str, seeds: list, out: str) -> None:
@@ -133,10 +174,12 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
             call(f"scenario/{sid}", argv)
             call(f"scenario/{sid}/tol-rank-0.5", argv + LOOSE_RANK)
             call(f"scenario/{sid}/tol-eq-0.6", argv + LOOSE_EQ)
-        for key, argv in _split_calls(work).items():
-            argv = argv + ["--out", report]
-            call(f"split/{key}", argv)
-            call(f"split/{key}/tol-rank-0.5", argv + LOOSE_RANK)
+        fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work))]
+        for prefix, calls in fixed:
+            for key, argv in calls.items():
+                argv = argv + ["--out", report]
+                call(f"{prefix}/{key}", argv)
+                call(f"{prefix}/{key}/tol-rank-0.5", argv + LOOSE_RANK)
     with open(out, "w") as fh:
         json.dump(bodies, fh)
 
