@@ -151,18 +151,22 @@ def partial_sum_trend(sizes: Sequence[int], sums: Sequence) -> ConvergenceVerdic
     return verdict("Inconclusive", gaps[-1])
 
 
-# Rows per block of column_prefix_fsums: its two block buffers take 1.6 MB
-# at 100 columns, whatever the number of rows.
+# Rows per block of column_prefix_fsums: it asks its caller for this many
+# rows of every summand at a time, and its two block buffers take 1.6 MB at
+# 100 columns, whatever the number of rows.
 FSUM_BLOCK_ROWS = 1024
 
 
-def column_prefix_fsums(mats: Sequence[np.ndarray], stops) -> list:
-    """math.fsum of column prefixes, bit for bit, in whole-array passes.
+def column_prefix_fsums(rows, stops, groups) -> list:
+    """math.fsum of column prefixes, bit for bit, one row block at a time.
 
-    mats are real float matrices with the same columns and at least stops[-1]
-    rows, whose columns have finite sums of absolute values; stops is
-    strictly increasing. out[i][k, j] is fsum(m[:stops[k], j] for m in
-    mats[:i + 1], chained): each later entry adds one more matrix's rows.
+    rows(r0, r1) returns the rows r0:r1 of every summand, as a tuple of real
+    float arrays with the same columns. It is called once per block of
+    FSUM_BLOCK_ROWS rows, in order, up to stops[-1], so no summand need
+    exist whole. Every column of every summand has a finite sum of absolute
+    values, and stops is strictly increasing. out[i][k, j] is
+    fsum(m[:stops[k], j] for the summands m at the positions groups[i],
+    chained): one split of each summand serves every group it is in.
 
     Each block of rows is split level by level into exact high parts (Rump,
     Ogita & Oishi, SIAM J. Sci. Comput. 2008). With sigma a power of two at
@@ -175,17 +179,22 @@ def column_prefix_fsums(mats: Sequence[np.ndarray], stops) -> list:
     fmod(x, 2^-53 sigma), which is exact too but far slower.
     """
     stops = np.asarray(stops)
-    top, cols = int(stops[-1]), mats[0].shape[1]
-    buf = np.empty((2, FSUM_BLOCK_ROWS, cols))
-    pieces, segments, out = [np.zeros((1, cols))], [np.zeros(1, int)], []
-    for M in mats:
-        for r0 in range(0, top, FSUM_BLOCK_ROWS):
-            r1 = min(r0 + FSUM_BLOCK_ROWS, top)
+    top = int(stops[-1])
+    for r0 in range(0, top, FSUM_BLOCK_ROWS):
+        r1 = min(r0 + FSUM_BLOCK_ROWS, top)
+        block = rows(r0, r1)
+        if r0 == 0:
+            cols = block[0].shape[1]
+            buf = np.empty((2, FSUM_BLOCK_ROWS, cols))
+            # per summand: its level sums, and the segment of each
+            pieces = [[np.zeros((1, cols))] for _ in block]
+            segments = [[np.zeros(1, int)] for _ in block]
+        starts = np.concatenate(([r0], stops[(stops > r0) & (stops < r1)]))
+        segment = np.searchsorted(stops, starts, side="right")
+        bits = math.ceil(math.log2(r1 - r0 + 2))
+        for p, M in enumerate(block):
             x, q = buf[:, : r1 - r0]
-            x[...] = M[r0:r1]
-            starts = np.concatenate(([r0], stops[(stops > r0) & (stops < r1)]))
-            segment = np.searchsorted(stops, starts, side="right")
-            bits = math.ceil(math.log2(r1 - r0 + 2))
+            x[...] = M
             mu = np.abs(x, out=q).max(axis=0)
             while (mu > 0).any():  # False on NaN: no endless loop
                 e = np.frexp(mu)[1] + bits  # sigma = 2^e >= 2^bits mu
@@ -197,10 +206,13 @@ def column_prefix_fsums(mats: Sequence[np.ndarray], stops) -> list:
                     np.fmod(x, np.ldexp(1.0, np.maximum(e - 53, -1074)), out=q)
                     np.subtract(x, q, out=q)
                 x -= q
-                pieces.append(np.add.reduceat(q, starts - r0, axis=0))
-                segments.append(segment)
+                pieces[p].append(np.add.reduceat(q, starts - r0, axis=0))
+                segments[p].append(segment)
                 mu = np.abs(x, out=q).max(axis=0)
-        parts, segment = np.concatenate(pieces), np.concatenate(segments)
+    out = []
+    for group in groups:
+        parts = np.concatenate([a for p in group for a in pieces[p]])
+        segment = np.concatenate([s for p in group for s in segments[p]])
         out.append(np.array([
             [math.fsum(col) for col in parts[segment <= k].T.tolist()]
             for k in range(stops.size)

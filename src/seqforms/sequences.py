@@ -71,20 +71,22 @@ class ScalarRule:
             raise ValueError("scalar rule values must be finite numbers")
 
     def __call__(self, n) -> np.ndarray:
-        """The scalars at the 1-based index or int array of indices n."""
+        """The scalars at the 1-based index or int array of indices n:
+        float64 when the rule's values are real, else complex128."""
         n = np.asarray(n)
+        if self.kind == "n":
+            return n.astype(float)
+        if self.kind == "1/n":
+            return 1.0 / n
+        values = np.array([self.value] if self.kind == "constant" else self.values)
+        if not values.imag.any():
+            values = values.real
         if self.kind == "constant":
-            out = np.full(n.shape, self.value)
-        elif self.kind == "n":
-            out = n
-        elif self.kind == "1/n":
-            out = 1.0 / n
-        else:
-            over = n[n > len(self.values)]
-            if over.size:
-                raise SupportOverflow(f"table rule has no entry for n={over.min()}")
-            out = np.array(self.values)[n - 1]
-        return out.astype(complex)
+            return np.full(n.shape, values[0])
+        over = n[n > len(values)]
+        if over.size:
+            raise SupportOverflow(f"table rule has no entry for n={over.min()}")
+        return values[n - 1]
 
     @staticmethod
     def from_json(d) -> "ScalarRule":
@@ -106,7 +108,8 @@ class SequenceSpec:
     def entries(self, n: np.ndarray) -> Coo:
         """Supports of the members xi_n for a 1-D int array n of 1-based
         indices, as COO arrays (rows, cols, vals): rows are 0-based
-        coordinates, cols are positions into n, vals are complex."""
+        coordinates, cols are positions into n, vals are float64 or
+        complex128."""
         raise NotImplementedError
 
     def _coo(self, n: np.ndarray, dim: int) -> Coo:
@@ -116,7 +119,7 @@ class SequenceSpec:
         live = vals != 0
         # + 0 turns a -0 part into +0, as summing into sparse storage does
         rows, cols, vals = rows[live], cols[live], vals[live] + 0
-        if not vals.imag.any():
+        if np.iscomplexobj(vals) and not vals.imag.any():
             vals = vals.real
         over = rows >= dim
         if over.any():
@@ -206,7 +209,7 @@ class FiniteDifference(SequenceSpec):
         tail = np.flatnonzero(n > 1)
         rows = np.concatenate([n - 1, n[tail] - 2])
         cols = np.concatenate([np.arange(n.size), tail])
-        return rows, cols, np.concatenate([n, -n[tail]]).astype(complex)
+        return rows, cols, np.concatenate([n, -n[tail]]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -250,10 +253,10 @@ class TriplePattern(SequenceSpec):
         group = (n + 2) // 3
         pos = (n - 1) % 3
         if self.kind == "eta":
-            return group - 1, np.arange(n.size), np.ones(n.size, dtype=complex)
+            return group - 1, np.arange(n.size), np.ones(n.size)
         # group k of xi is (e_k, e_1, -e_1)
         rows = np.where(pos == 0, group - 1, 0)
-        return rows, np.arange(n.size), np.where(pos == 2, -1, 1).astype(complex)
+        return rows, np.arange(n.size), np.where(pos == 2, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -271,7 +274,7 @@ class PairedDouble(SequenceSpec):
     def entries(self, n: np.ndarray) -> Coo:
         k = (n + 1) // 2
         second = k if self.kind == "xi" else 0
-        vals = np.where(n % 2 == 1, 1, second).astype(complex)
+        vals = np.where(n % 2 == 1, 1, second).astype(float)
         return k - 1, np.arange(n.size), vals
 
 

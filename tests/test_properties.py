@@ -422,11 +422,22 @@ def test_column_prefix_fsums_are_fsum_bit_for_bit(case):
             math.fsum(col)
         except OverflowError:
             assume(False)  # outside the stated domain: a column sum overflows
+    asked = []
+
+    def rows(r0, r1):
+        asked.append((r0, r1))
+        return tuple(m[r0:r1] for m in mats)
+
+    # every chain of summands from the first, and the last summand alone
+    groups = [range(i + 1) for i in range(len(mats))] + [(len(mats) - 1,)]
     with mock.patch.object(core, "FSUM_BLOCK_ROWS", block):
-        got = core.column_prefix_fsums(mats, stops)
-    for i, out in enumerate(got):
+        got = core.column_prefix_fsums(rows, stops, groups)
+    assert asked == [(r0, min(r0 + block, stops[-1]))
+                     for r0 in range(0, stops[-1], block)]
+    assert len(got) == len(groups)
+    for group, out in zip(groups, got):
         expected = [
-            [math.fsum(itertools.chain(*(m[:s, j] for m in mats[: i + 1])))
+            [math.fsum(itertools.chain(*(mats[p][:s, j] for p in group)))
              for j in range(mats[0].shape[1])]
             for s in stops
         ]

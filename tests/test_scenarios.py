@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from seqforms import (
     run_scenario,
     scenario_ids,
 )
+from seqforms import core
 from seqforms.errors import UnknownScenario
 from seqforms.scenarios import _CLAIMS, _gaussian
 from seqforms.sequences import DiagonalWeights, FiniteDifference, Interleave, ScalarRule
@@ -94,9 +97,10 @@ def test_interleaved_lower_small_ladder():
     assert rep.all_ok
 
 
-def norm_split_defect_by_column(ladder):
-    """max_relative_defect of interleaved-lower, one math.fsum per rung,
-    vector and sum, on the scenario's own 100 draws."""
+def norm_split_by_column(ladder):
+    """(max_relative_defect, min_ratio) of interleaved-lower, one math.fsum
+    per rung, vector and sum over whole arrays, on the scenario's own 100
+    draws."""
     n_vecs = 100
     inter = Interleave(DiagonalWeights(ScalarRule("constant", 1.0)), FiniteDifference())
     dim = ladder.top
@@ -104,21 +108,42 @@ def norm_split_defect_by_column(ladder):
     F = rng.standard_normal((dim, n_vecs)) + 1j * rng.standard_normal((dim, n_vecs))
     A2 = np.abs(inter.materialize_sparse(dim, 2 * dim).conj().T.dot(F)) ** 2
     fnorm2 = np.abs(F) ** 2
-    worst = 0.0
+    worst, min_ratio = 0.0, math.inf
     for N in ladder.sizes:
         for j in range(n_vecs):
             total = math.fsum(A2[: 2 * N, j])
             base_part = math.fsum(A2[1 : 2 * N : 2, j])
             norm_part = math.fsum(fnorm2[:N, j])
             worst = max(worst, abs(total - base_part - norm_part) / max(1.0, total))
-    return worst
+            min_ratio = min(min_ratio, total / norm_part)
+    return worst, min_ratio
 
 
 def test_interleaved_lower_norm_split_matches_per_column_fsum():
-    ladder = TruncationLadder((20, 200, 2000))
-    rep = run_scenario("interleaved-lower", ladder)
-    claim = next(c for c in rep.claims if c.reference == "interleaved-lower/norm-identity")
-    assert claim.evidence["max_relative_defect"] == norm_split_defect_by_column(ladder)
+    # ladders whose rungs meet, straddle or pass the edge of a 1024-row
+    # block, each summed in blocks of 1024 rows and of 3 and 5
+    for sizes in [(20, 200, 2000), (1023, 1024, 1025), (7, 1030, 2049)]:
+        ladder = TruncationLadder(sizes)
+        worst, min_ratio = norm_split_by_column(ladder)
+        for block in [1024, 3, 5]:
+            with mock.patch.object(core, "FSUM_BLOCK_ROWS", block):
+                rep = run_scenario("interleaved-lower", ladder)
+            ev = {c.reference.split("/")[1]: c.evidence for c in rep.claims}
+            assert ev["norm-identity"]["max_relative_defect"] == worst, (sizes, block)
+            assert ev["lower-bound-sampled"]["min_ratio"] == min_ratio, (sizes, block)
+
+
+def test_interleaved_lower_holds_one_probe_draw():
+    """Past its 100 x top x 2 draw of probes (30.5 MB at top 20000), the
+    scenario holds row blocks only: no array of the top's size."""
+    run_scenario("interleaved-lower", TruncationLadder((10, 20, 40)))  # warm
+    tracemalloc.start()
+    try:
+        run_scenario("interleaved-lower", TruncationLadder((100, 1000, 20000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (2 * 20000 * 100 * 8)
 
 
 def test_reports_are_reproducible():

@@ -5,10 +5,13 @@
 In each checkout it runs, in one fresh process with one BLAS thread, every
 call of the benchmark: the warm-up calls and the round of dense-pair (at
 each seed), class-ladder and series-ladder, with the argv lists read from
-that checkout's perfbench/workloads.py, and every catalog scenario on its
-default ladder, a fixed list of calls whose matrices split into blocks
-(see _split_calls) and one of calls on either side of the real/complex
-boundary (see _dtype_calls), with rule files the tool writes itself. Every
+that checkout's perfbench/workloads.py, every catalog scenario on its
+default ladder, interleaved-lower once more on 1023,1025,100000 (rungs on
+either side of the edge of a 1024-row block of its exact sums and a top at
+its cap; only at the default tolerances, which reach no rung above 600), a
+fixed list of calls whose matrices split into blocks (see
+_split_calls) and one of calls on either side of the real/complex boundary
+(see _dtype_calls), with rule files the tool writes itself. Every
 dense-pair, class-ladder, scenario, split and dtype call runs a second time at
 --tol-rank 0.5, where some forms are no longer 0-closed and some sequences
 no longer lower semi-frames, so the error paths are compared too; every
@@ -174,6 +177,9 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
             call(f"scenario/{sid}", argv)
             call(f"scenario/{sid}/tol-rank-0.5", argv + LOOSE_RANK)
             call(f"scenario/{sid}/tol-eq-0.6", argv + LOOSE_EQ)
+        call("scenario/interleaved-lower/1023,1025,100000",
+             ["scenario", "--id", "interleaved-lower", "--ladder",
+              "1023,1025,100000", "--out", report])
         fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work))]
         for prefix, calls in fixed:
             for key, argv in calls.items():
