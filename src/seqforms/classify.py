@@ -24,6 +24,7 @@ from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
 from .core import TruncationLadder, json_scalar, partial_sum_trend
 from .errors import DenseTooLarge
 from .operators import BANDED_MIN_SIZE, OperatorBundle, _rank, build_bundle, rank_cutoff
+from .operators import bundle_from_columns
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -139,25 +140,25 @@ def frame_spectrum(
     come from its diagonal (w = 0) or from LAPACK ?sbevx (?hbevx when M is
     complex) in band storage, and stand when lambda_min clears the accuracy
     guard and the rank cutoff (then rank = min(dim, count)). Anything else
-    is classify_finite, up to DENSE_MAX_SIZE; beyond it DenseTooLarge is
-    raised.
+    is classify_finite of the bundle of the same sparse matrix, which raises
+    DenseTooLarge when it needs a dense array above the cap.
     """
+    if dim * count < BANDED_MIN_SIZE:
+        return classify_finite(build_bundle(spec, dim, count), tol)
     found = {}
-    if dim * count >= BANDED_MIN_SIZE:
-        X = spec.materialize_sparse(dim, count)
-        Y = X if count >= dim else X.conj().T.tocsc()
-        w = found["bandwidth"] = _column_spread(Y)
-        if w <= BANDED_MAX_WIDTH:
-            lo, hi = _extreme_eigenvalues(Y, w)
-            margin = found["guard_margin"] = _guard_margin(lo, hi, w)
-            if margin is not None and margin >= 0:
-                if lo > rank_cutoff(hi, tol, squared=True):
-                    return FrameSpectrum(
-                        dim, count, hi, lo if count >= dim else 0.0,
-                        min(dim, count), lo, "banded" if w else "diagonal", w, margin,
-                    )
+    X = spec.materialize_sparse(dim, count)
+    Y = X if count >= dim else X.conj().T.tocsc()
+    w = found["bandwidth"] = _column_spread(Y)
+    if w <= BANDED_MAX_WIDTH:
+        lo, hi = _extreme_eigenvalues(Y, w)
+        margin = found["guard_margin"] = _guard_margin(lo, hi, w)
+        if margin is not None and margin >= 0 and lo > rank_cutoff(hi, tol, True):
+            return FrameSpectrum(
+                dim, count, hi, lo if count >= dim else 0.0,
+                min(dim, count), lo, "banded" if w else "diagonal", w, margin,
+            )
     try:
-        bundle = build_bundle(spec, dim, count)
+        bundle = bundle_from_columns(X)
     except DenseTooLarge as exc:
         raise DenseTooLarge(
             f"{exc} (bandwidth {found.get('bandwidth')}, guard margin "

@@ -209,6 +209,7 @@ def column_prefix_fsums(rows, stops, groups) -> list:
                 pieces[p].append(np.add.reduceat(q, starts - r0, axis=0))
                 segments[p].append(segment)
                 mu = np.abs(x, out=q).max(axis=0)
+        del block, M  # free this block before rows builds the next
     out = []
     for group in groups:
         parts = np.concatenate([a for p in group for a in pieces[p]])

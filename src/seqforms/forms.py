@@ -153,7 +153,7 @@ def zero_closed_from_bundles(
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = bundle_eta.columns_op @ bundle_xi.C_op
+    assoc = bundle_eta.columns @ bundle_xi.C
     s_assoc = svdvals(assoc)
     rank_assoc = _rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim

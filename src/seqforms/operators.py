@@ -11,12 +11,11 @@ subspace is a plain array with orthonormal columns; its rows are the
 ambient space. Verdicts about a sequence (frame bounds, completeness, the
 class) live in classify.
 
-A matrix is sparse exactly when it splits into independent blocks. A
-bundle decides that once, for its columns (columns_op); its C operand, its
-frame matrix and the products of split operands stay sparse. The
-values-only SVD, the inverse and the Cholesky solve factorize a dense matrix
-whole and a sparse one block by block, finding its blocks from its stored
-entries; range bases and the subspace geometry below stay dense.
+A matrix is sparse exactly when it splits into independent blocks, as a
+bundle decides once, at its birth; its C, S and the products of split
+operands stay sparse. The values-only SVD, the inverse and the Cholesky
+solve factorize a dense matrix whole and a sparse one block by block;
+range bases stay dense; dense makes them so, under the cap DENSE_MAX_SIZE.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ __all__ = [
     "svdvals",
     "inv",
     "cho_solve",
+    "dense",
     "build_bundle",
     "bundle_from_columns",
     "range_basis",
@@ -176,22 +176,38 @@ def cho_solve(S, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csr(M: np.ndarray) -> sp.csr_array:
-    live = M != 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-    return sp.csr_array((M[live], np.flatnonzero(live) % M.shape[1], indptr), M.shape)
+# The most entries held dense: all of a truncation's, or those of one block
+# of a bundle that splits (128 MB of float, 256 MB of complex).
+DENSE_MAX_SIZE = 4096 * 4096
+
+
+def _refuse_dense(dim: int, count: int, size: int) -> None:
+    if size > DENSE_MAX_SIZE:
+        raise DenseTooLarge(
+            f"a {dim} x {count} truncation needs a dense factorization of "
+            f"{dim * count} entries, above the cap of {DENSE_MAX_SIZE}",
+            dim=dim, count=count, cap=DENSE_MAX_SIZE)
+
+
+def dense(M, dim: int, count: int) -> np.ndarray:
+    """M of a dim x count truncation as an array, refused above the cap."""
+    if sp.issparse(M):
+        _refuse_dense(dim, count, dim * count)
+        M = M.toarray()
+    return M
 
 
 @dataclass(frozen=True)
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    Only the columns are stored. The other operators and the singular
-    values of C are computed on first use and cached, so a verdict that
-    needs singular values alone never pays for singular vectors.
+    Only the columns are stored: CSR when they split (bundle_from_columns
+    decides), else dense. The other operators and the singular values of C
+    are computed on first use and cached, so a verdict that needs singular
+    values alone never pays for singular vectors.
     """
 
-    columns: np.ndarray  # dim x count, column n is xi_n
+    columns: object  # dim x count, column n is xi_n: CSR or dense
 
     @property
     def dim(self) -> int:
@@ -202,37 +218,18 @@ class OperatorBundle:
         return self.columns.shape[1]
 
     @cached_property
-    def C(self) -> np.ndarray:
+    def C(self):
         return self.columns.conj().T
 
     @cached_property
-    def columns_op(self):
-        """The columns as a product operand: one CSR copy when two or more
-        of their blocks hold entries, else the dense columns. Columns below
-        BANDED_MIN_SIZE entries, or with no zero entry, stay dense unseen."""
-        X = self.columns
-        if X.size < BANDED_MIN_SIZE or np.count_nonzero(X) == X.size:
-            return X
-        op = _csr(X)
-        held = sum(len(rows) for (r, c), (rows, _) in blocks_of(op).items() if r and c)
-        return op if held >= 2 else X
-
-    @cached_property
-    def C_op(self):
-        """C as a product operand: columns_op's conjugate transpose when the
-        columns split, so the dense C is never formed, else C."""
-        op = self.columns_op
-        return op.conj().T if sp.issparse(op) else self.C
-
-    @cached_property
     def S(self):
-        """The frame matrix, CSR when the columns split."""
-        return self.columns_op @ self.C_op
+        """The frame matrix, sparse when the columns are."""
+        return self.columns @ self.C
 
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors."""
-        return svdvals(self.C_op)
+        return svdvals(self.C)
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return _rank(self.singular_values, tol)
@@ -242,33 +239,36 @@ class OperatorBundle:
         full column rank, the leading left singular vectors of a thin SVD
         only when C is rank-deficient."""
         r = self.rank(tol)
+        C = dense(self.C, self.dim, self.count)
         if r == self.dim:
-            return np.linalg.qr(self.C)[0]
-        return np.linalg.svd(self.C, full_matrices=False)[0][:, :r]
+            return np.linalg.qr(C)[0]
+        return np.linalg.svd(C, full_matrices=False)[0][:, :r]
 
 
-def bundle_from_columns(X: np.ndarray) -> OperatorBundle:
-    """The bundle of the columns X, complex when X is, else float."""
-    X = np.atleast_2d(np.asarray(X))
-    dtype = complex if np.iscomplexobj(X) else float
-    return OperatorBundle(X.astype(dtype, copy=False))
-
-
-# The largest count * dim that is materialized and factorized densely
-# (128 MB of float, 256 MB of complex).
-DENSE_MAX_SIZE = 4096 * 4096
+def bundle_from_columns(X) -> OperatorBundle:
+    """The bundle of the dim x count columns X, dense or sparse, complex
+    when X is, else float: CSR exactly when X has BANDED_MIN_SIZE entries or
+    more and two or more blocks hold entries, else dense. DenseTooLarge when
+    a held block, or the dense columns of a sparse X, are above the cap."""
+    X = X if sp.issparse(X) else np.atleast_2d(X)
+    X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
+    dim, count = X.shape
+    live = X.count_nonzero() if sp.issparse(X) else np.count_nonzero(X)
+    if BANDED_MIN_SIZE <= dim * count and live < dim * count:  # else one block
+        Y = sp.csr_array(X)
+        held = [(len(b), r * c) for (r, c), (b, _) in blocks_of(Y).items() if r * c]
+        if sum(k for k, _ in held) >= 2:
+            _refuse_dense(dim, count, max(size for _, size in held))
+            return OperatorBundle(Y)
+    return OperatorBundle(dense(X, dim, count))
 
 
 def build_bundle(spec: SequenceSpec, dim: int, count: int) -> OperatorBundle:
-    """The bundle of spec at dim x count; DenseTooLarge, before anything is
-    materialized, when dim * count is above DENSE_MAX_SIZE."""
-    if dim * count > DENSE_MAX_SIZE:
-        raise DenseTooLarge(
-            f"a {dim} x {count} truncation needs a dense factorization of "
-            f"{dim * count} entries, above the cap of {DENSE_MAX_SIZE}",
-            dim=dim, count=count, cap=DENSE_MAX_SIZE,
-        )
-    return bundle_from_columns(spec.materialize(dim, count))
+    """The bundle of spec at dim x count, from its sparse entries from
+    BANDED_MIN_SIZE on."""
+    small = dim * count < BANDED_MIN_SIZE
+    X = spec.materialize(dim, count) if small else spec.materialize_sparse(dim, count)
+    return bundle_from_columns(X)
 
 
 # No report reads the four subspace helpers range_basis, complement_basis,

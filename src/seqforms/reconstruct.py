@@ -24,7 +24,7 @@ from .core import DEFAULT_TOL, Tolerances, json_pairs
 from .errors import DenseTooLarge, DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
 from .classify import classify_finite
 from .forms import FormAssessment
-from .operators import DENSE_MAX_SIZE, OperatorBundle, cho_solve, inv, svdvals
+from .operators import DENSE_MAX_SIZE, OperatorBundle, cho_solve, dense, inv, svdvals
 
 __all__ = [
     "DualSystem",
@@ -42,10 +42,8 @@ class DualSystem:
 
     The dual columns are solve(primal.columns): S^-1 X_xi for the canonical
     dual, T^-H X_xi for the left dual and T^-1 X_eta for the right one.
-    reconstruct_with computes sum_n <f, partner_n> dual_n =
-    solve(X (analysis f)). analysis is the partner bundle's cached C
-    operand (C_op, sparse when its columns split): the primal family's own
-    for the canonical dual, C_eta for the left dual and C_xi for the right.
+    reconstruct_with computes sum_n <f, partner_n> dual_n = solve(X (analysis
+    f)), analysis being the partner's C: the primal family's own, C_eta or C_xi.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]  # dim x k block -> dim x k
@@ -56,8 +54,8 @@ class DualSystem:
 
     @property
     def dual(self) -> np.ndarray:
-        """The dim x count dual columns, formed on each read."""
-        return self.solve(self.primal.columns)
+        """The dim x count dual columns, formed dense on each read."""
+        return self.solve(dense(self.primal.columns, *self.primal.columns.shape))
 
     def to_dict(self, include_columns: bool = True) -> dict:
         d = {
@@ -86,7 +84,7 @@ def canonical_dual(
             "frame matrix is singular at this truncation (A = 0)"
         )
     solve = partial(cho_solve, bundle.S)
-    return DualSystem(solve, bundle, bundle.C_op, "canonical_lower",
+    return DualSystem(solve, bundle, bundle.C, "canonical_lower",
                       1.0 / spectrum.lower_bound)
 
 
@@ -106,7 +104,7 @@ def reconstruct_with(
             f"vector dim {F.shape[0]} does not match system dim {C.shape[1]}"
         )
     coeffs = C @ F.reshape(F.shape[0], -1)  # <f, partner_n>
-    recon = dual_system.solve(primal.columns_op @ coeffs).reshape(F.shape)
+    recon = dual_system.solve(primal.columns @ coeffs).reshape(F.shape)
     return recon, np.linalg.norm(recon - F, axis=0)
 
 
@@ -165,11 +163,11 @@ def reproducing_pair_duals(
         bound_right = 1.0 / assessment.lower_bound_xi
     else:
         bound_left, bound_right = (
-            float(svdvals(solve(bundle.columns_op))[0]) ** 2
+            float(svdvals(solve(bundle.columns))[0]) ** 2
             for solve, bundle in ((solve_left, bundle_xi), (solve_right, bundle_eta)))
     return (
-        DualSystem(solve_left, bundle_xi, bundle_eta.C_op, "reproducing_left",
+        DualSystem(solve_left, bundle_xi, bundle_eta.C, "reproducing_left",
                    bound_left),
-        DualSystem(solve_right, bundle_eta, bundle_xi.C_op, "reproducing_right",
+        DualSystem(solve_right, bundle_eta, bundle_xi.C, "reproducing_right",
                    bound_right),
     )

@@ -1,7 +1,7 @@
 """Block-by-block factorization against the whole-matrix numpy and scipy
 calls: property tests of operators.svdvals, inv and cho_solve on sparse
 copies of block-diagonal matrices under random row and column
-permutations, of the bundle's choice of a sparse operand, and the
+permutations, of the representation a bundle is born with, and the
 {n e_n}/{e_n/n} form, pair reconstruction and canonical dual of {n e_n}
 at dims 256 and 300 against the one-block path."""
 
@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import seqforms.cli as cli
 import seqforms.operators as operators
 from seqforms.cli import main
+from seqforms.sequences import SequenceSpec
 from seqforms.operators import blocks_of, bundle_from_columns, cho_solve, inv, svdvals
 
 # gaussian blocks are r x c; a square one is made diagonally dominant, so
@@ -74,9 +75,13 @@ def _every_entry_stored(M):
 @given(block_matrices())
 def test_blockwise_singular_values_match_the_dense_svd(drawn):
     M, blocks = drawn
+    # dense, CSR or CSC columns: one representation, one spectrum
     with _splitting():
-        split = sp.issparse(bundle_from_columns(M).columns_op)
-    assert split == (_holds_entries(blocks) >= 2)
+        bundles = [bundle_from_columns(X)
+                   for X in (M, sp.csr_array(M), sp.csc_matrix(M))]
+    for bundle in bundles:
+        assert sp.issparse(bundle.columns) == (_holds_entries(blocks) >= 2)
+        assert np.array_equal(bundle.singular_values, bundles[0].singular_values)
     dense = np.linalg.svd(M, compute_uv=False)
     top = dense[0] if dense.size else 0.0
     # stored zeros are no entries: they neither join blocks nor fill them
@@ -212,16 +217,16 @@ def test_weight_inverse_pair_reports_match_the_one_block_path(
     assert shapes and all(shape[-2:] == (1, 1) for shape in shapes)
 
 
-@pytest.mark.parametrize("command, dim, conversions", [
-    # one CSR copy of each bundle's columns; T^-1 is assembled sparse and
-    # the probes' products reuse the copies
-    ("reconstruct", 256, 2),
-    ("canonical", 384, 1),
-    ("form-assess", 256, 2),
+@pytest.mark.parametrize("command, dim", [
+    ("reconstruct", 256),
+    ("canonical", 384),
+    ("form-assess", 256),
 ])
-def test_each_split_operand_is_converted_to_csr_once(
-    tmp_path, capsys, monkeypatch, command, dim, conversions
+def test_no_split_rule_is_materialized_dense(
+    tmp_path, capsys, monkeypatch, command, dim
 ):
+    """At and above 256^2 entries a bundle is born from the rule's sparse
+    entries: a family that splits never has a dense dim x count array."""
     left, right = tmp_path / "n.json", tmp_path / "inv.json"
     left.write_text(json.dumps(W_N))
     right.write_text(json.dumps(W_INV))
@@ -229,23 +234,17 @@ def test_each_split_operand_is_converted_to_csr_once(
         argv = ["reconstruct", "--spec", str(left), "--dim", str(dim)]
     else:
         argv = [command, "--left", str(left), "--right", str(right), "--dim", str(dim)]
-    shapes = []
 
-    def spy(M, _csr=operators._csr):
-        shapes.append(M.shape)
-        return _csr(M)
+    def refuse(self, dim, count):
+        raise AssertionError(f"materialized a dense {dim} x {count} matrix")
 
-    monkeypatch.setattr(operators, "_csr", spy)
+    monkeypatch.setattr(SequenceSpec, "materialize", refuse)
     _report(capsys, argv)
-    assert shapes == [(dim, dim)] * conversions
 
 
-def test_a_split_pair_keeps_S_and_T_sparse_and_never_forms_C(
-    tmp_path, capsys, monkeypatch
-):
+def test_a_split_pair_keeps_C_S_and_T_sparse(tmp_path, capsys, monkeypatch):
     """After a pair reconstruct of {n e_n}/{e_n/n}, the associated matrix
-    and both frame matrices are sparse, and neither bundle holds the dense
-    conjugate copy C of its columns."""
+    and both bundles' columns, C and frame matrices are sparse."""
     left, right = tmp_path / "n.json", tmp_path / "inv.json"
     left.write_text(json.dumps(W_N))
     right.write_text(json.dumps(W_INV))
@@ -261,5 +260,4 @@ def test_a_split_pair_keeps_S_and_T_sparse_and_never_forms_C(
     [(fa, bundles)] = calls
     assert sp.issparse(fa.associated_operator)
     for b in bundles:
-        assert sp.issparse(b.S)
-        assert "C" not in vars(b)
+        assert sp.issparse(b.columns) and sp.issparse(b.C) and sp.issparse(b.S)

@@ -387,6 +387,10 @@ def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules,
     assert [str(w.message) for w in caught] == []
 
 
+SCALED_FD = {"rule": "scaled", "params": {"base": {"rule": "finite_difference"},
+                                           "factor": {"kind": "1/n"}}}
+
+
 @pytest.mark.parametrize("dim", [4097, 100000])
 @pytest.mark.parametrize("command,flags", [
     ("form-assess", ["--left", "--right"]),
@@ -396,11 +400,22 @@ def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules,
 def test_dense_cap_is_a_domain_error_before_materializing(
     spec_file, capsys, monkeypatch, command, flags, dim
 ):
+    """{n^-1 xi_n} of the finite differences is one chain of entries, so its
+    bundle would be dense: above the cap it is refused before any dense
+    dim x count array is allocated."""
     def refuse(self, dim, count):
         raise AssertionError(f"materialized a dense {dim} x {count} matrix")
 
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape) >= dim * dim:
+            raise MemoryError(f"allocated a {shape} array")
+        return zeros(shape, *args, **kwargs)
+
     monkeypatch.setattr(SequenceSpec, "materialize", refuse)
-    path = spec_file("onb.json", ONB)
+    monkeypatch.setattr(np, "zeros", guarded)
+    path = spec_file("scaled_fd.json", SCALED_FD)
     argv = [command, "--dim", str(dim)]
     for flag in flags:
         argv += [flag, path]
@@ -410,6 +425,34 @@ def test_dense_cap_is_a_domain_error_before_materializing(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
     assert error["details"] == {"dim": dim, "count": dim, "cap": DENSE_MAX_SIZE}
+
+
+def test_a_held_block_above_the_cap_is_refused_at_birth(
+    spec_file, capsys, monkeypatch
+):
+    """With factor 0 at n = 2, {t_n xi_n} of the finite differences splits
+    into e_1 and one 255 x 254 block at dim 256. Under a cap of 10^4 that
+    block is refused when the bundle is born, before any factorization,
+    while the diagonal {n e_n}, whose blocks are 1 x 1, is assessed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized a block")
+
+    monkeypatch.setattr("seqforms.operators.DENSE_MAX_SIZE", 10**4)
+    cut = {"rule": "scaled", "params": {
+        "base": {"rule": "finite_difference"},
+        "factor": {"kind": "table", "values": [1.0, 0.0] + [1.0] * 254}}}
+    cut, wn = spec_file("cut.json", cut), spec_file("wn.json", W_N)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", refuse)
+        code = main(["form-assess", "--left", cut, "--right", cut, "--dim", "256"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DenseTooLarge"
+    assert error["details"] == {"dim": 256, "count": 256, "cap": 10**4}
+    code, payload = run_json(
+        capsys, ["form-assess", "--left", wn, "--right", wn, "--dim", "256"])
+    assert code == 0 and payload["report"]["zero_closed"] is True
 
 
 @pytest.mark.parametrize("ladder", ["1,2,3", "2,3,4", "3,4,5", "1,3,6"])

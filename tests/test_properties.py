@@ -6,6 +6,7 @@ arithmetic on real rules, and of the exact column sums against math.fsum."""
 
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -442,3 +443,23 @@ def test_column_prefix_fsums_are_fsum_bit_for_bit(case):
             for s in stops
         ]
         assert out.tobytes() == np.array(expected).tobytes()
+
+
+def test_column_prefix_fsums_frees_each_block_before_asking_for_the_next():
+    """Only one block of rows is alive at a time: the arrays rows returned
+    last are dead when it is called again, and the sums stay fsum's."""
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((10, 3)) for _ in range(2)]
+    last = []
+
+    def rows(r0, r1):
+        assert all(ref() is None for ref in last)
+        block = tuple(m[r0:r1].copy() for m in mats)
+        last[:] = [weakref.ref(a) for a in block]
+        return block
+
+    with mock.patch.object(core, "FSUM_BLOCK_ROWS", 3):
+        [got] = core.column_prefix_fsums(rows, [4, 10], [(0, 1)])
+    expected = [[math.fsum(np.concatenate([m[:s, j] for m in mats]).tolist())
+                 for j in range(3)] for s in (4, 10)]
+    assert got.tobytes() == np.array(expected).tobytes()

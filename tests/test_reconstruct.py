@@ -39,7 +39,7 @@ def test_onb_is_self_dual():
     bundle = build_bundle(ONB, 5, 5)
     ds = canonical_dual(bundle)
     assert np.allclose(ds.dual, bundle.columns)
-    assert ds.analysis is bundle.C_op  # the bundle's cached C operand, not a copy
+    assert ds.analysis is bundle.C  # the bundle's cached C, not a copy
     assert ds.bessel_bound_of_dual == pytest.approx(1.0)
 
 
@@ -154,7 +154,7 @@ def test_reproducing_dual_bounds_match_the_analysis_products(pair):
     b_xi, b_eta = map(bundle_from_columns, pair(np.random.default_rng(15)))
     fa = zero_closed_from_bundles(b_xi, b_eta)
     left, right = reproducing_pair_duals(fa, b_xi, b_eta)
-    assert left.analysis is b_eta.C_op and right.analysis is b_xi.C_op
+    assert left.analysis is b_eta.C and right.analysis is b_xi.C
     T = fa.associated_operator
     T_inv = np.linalg.inv(T.toarray() if sp.issparse(T) else T)
     want_left = np.linalg.norm(b_xi.C @ T_inv, 2) ** 2
@@ -162,7 +162,7 @@ def test_reproducing_dual_bounds_match_the_analysis_products(pair):
     assert left.bessel_bound_of_dual == pytest.approx(want_left, rel=1e-12)
     assert right.bessel_bound_of_dual == pytest.approx(want_right, rel=1e-12)
     if b_xi.dim == 256:
-        assert sp.issparse(b_xi.columns_op)  # the blockwise path
+        assert sp.issparse(b_xi.columns)  # the blockwise path
         assert (want_left, want_right) == pytest.approx((256.0**2, 1.0), rel=1e-12)
 
 
@@ -275,7 +275,7 @@ def test_square_pair_bounds_are_one_over_the_partners_lower_bound(pair):
     assert [s.bessel_bound_of_dual for s in swapped] == [
         right.bessel_bound_of_dual, left.bessel_bound_of_dual]
     if b_xi.dim == 256:
-        assert sp.issparse(b_xi.columns_op) and sp.issparse(b_eta.columns_op)
+        assert sp.issparse(b_xi.columns) and sp.issparse(b_eta.columns)
         assert sp.issparse(fa.associated_operator)
 
 
@@ -308,7 +308,7 @@ def test_solves_on_the_probe_block_match_the_formed_duals(pair, k):
     rng = np.random.default_rng(17)
     X_xi, X_eta = (np.asarray(X, dtype=complex) for X in PAIRS[pair](rng))
     b_xi, b_eta = bundle_from_columns(X_xi), bundle_from_columns(X_eta)
-    assert sp.issparse(b_xi.columns_op) == pair.startswith("blocked")
+    assert sp.issparse(b_xi.columns) == pair.startswith("blocked")
     fa = zero_closed_from_bundles(b_xi, b_eta)
     systems = [canonical_dual(b_xi), *reproducing_pair_duals(fa, b_xi, b_eta)]
     formed = _formed_duals(X_xi, X_eta)

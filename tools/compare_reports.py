@@ -57,15 +57,27 @@ def _split_calls(work: str) -> dict:
     form-assess against itself and reconstruct --spec of a 256 x 256
     diagonal with one zero row and column and of the identity with one
     singular 2 x 2 block; and the weight-inverse-pair scenario on
-    128,256,512. The rule files are written into work."""
+    128,256,512. Above the dense cap of 4096^2 entries: form-assess, pair
+    reconstruct and reconstruct --spec of {n e_n}/{e_n/n} at dims 4097 and
+    10^5, which split into 1 x 1 blocks, and at dim 5000 of {n^-1 xi_n}
+    with xi the finite differences (scaled-fd, one chain of entries) and of
+    {t_n xi_n} with t_2 = 0 and t_n = 1 otherwise (cut, which splits off
+    e_1 from one 4999 x 4998 block), each paired with itself. The rule files
+    are written into work."""
     tiled = np.tile(np.eye(64), 16)
     zero_row = np.diag(np.arange(1.0, 257))
     zero_row[7, 7] = 0
     singular_block = np.eye(256)
     singular_block[8:10, 8:10] = 1
+    fd = {"rule": "finite_difference"}
+    cut = [1.0, 0.0] + [1.0] * 4998
     rules = {
         "n": {"rule": "diagonal", "params": {"weight": {"kind": "n"}}},
         "inv": {"rule": "diagonal", "params": {"weight": {"kind": "1/n"}}},
+        "scaled-fd": {"rule": "scaled", "params": {
+            "base": fd, "factor": {"kind": "1/n"}}},
+        "cut": {"rule": "scaled", "params": {
+            "base": fd, "factor": {"kind": "table", "values": cut}}},
         **{name: {"rule": "explicit", "params": {"matrix": X.tolist()}}
            for name, X in [("tiled", tiled),
                            ("tiled-weighted", tiled * np.arange(1.0, 1025)),
@@ -81,6 +93,13 @@ def _split_calls(work: str) -> dict:
         calls[f"{left}/form-assess"] = ["form-assess", *pair]
         calls[f"{left}/reconstruct"] = ["reconstruct", *pair]
         calls[f"{left}/reconstruct-spec"] = ["reconstruct", "--spec", path[left], *size]
+    for left, right, dim in [("n", "inv", 4097), ("n", "inv", 100000),
+                             ("scaled-fd", "scaled-fd", 5000), ("cut", "cut", 5000)]:
+        pair = ["--left", path[left], "--right", path[right], "--dim", str(dim)]
+        calls[f"{left}/{dim}/form-assess"] = ["form-assess", *pair]
+        calls[f"{left}/{dim}/reconstruct"] = ["reconstruct", *pair]
+        calls[f"{left}/{dim}/reconstruct-spec"] = [
+            "reconstruct", "--spec", path[left], "--dim", str(dim)]
     for name in ("zero-row", "singular-block"):
         size = ["--dim", "256"]
         calls[f"{name}/classify"] = ["classify", "--spec", path[name], *size]
