@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
 from .core import TruncationLadder, json_scalar, partial_sum_trend
 from .errors import DenseTooLarge
-from .operators import BANDED_MIN_SIZE, OperatorBundle, _rank, build_bundle, rank_cutoff
+from .operators import BANDED_MIN_SIZE, OperatorBundle, build_bundle, rank
 from .operators import bundle_from_columns
 from .sequences import SequenceSpec
 
@@ -52,8 +52,8 @@ class FrameSpectrum:
 
     bessel_bound is B = sigma_max^2, lower_bound is A = sigma_dim^2 (0 when
     count < dim), riesz_fischer_bound is the smallest squared singular value
-    above the rank cutoff. backend is "dense" (SVD of C), "diagonal" or
-    "banded" (extreme eigenvalues of S, or of G when count < dim).
+    above the rank cutoff. backend is "dense" or "blockwise" (SVD of C, whole
+    or block by block), "diagonal" or "banded" (extremes of S or G).
     bandwidth is the bound w read off the supports and guard_margin is
     log10(lambda_min / (GUARD_FACTOR (w + 1) eps lambda_max)); both are None
     where they were not computed, the margin also when lambda_min <= 0.
@@ -118,13 +118,14 @@ def classify_finite(
 ) -> FrameSpectrum:
     """Exact classification at the truncation from the descending singular
     values s of C: B = s[0]^2, A = s[dim - 1]^2 (0 when count < dim) and the
-    rank and Riesz-Fischer bound against the cutoff rank_tol * s[0]."""
+    rank and Riesz-Fischer bound against the rank cutoff."""
     s, dim, count = bundle.singular_values, bundle.dim, bundle.count
     smax = float(s[0]) if s.size else 0.0
     sigma_dim = float(s[dim - 1]) if count >= dim else 0.0
-    rank = _rank(s, tol)
-    rf_bound = float(s[rank - 1] ** 2) if rank else 0.0
-    return FrameSpectrum(dim, count, smax**2, sigma_dim**2, rank, rf_bound)
+    r = rank(s, tol)
+    rf_bound = float(s[r - 1] ** 2) if r else 0.0
+    backend = "blockwise" if sp.issparse(bundle.columns) else "dense"
+    return FrameSpectrum(dim, count, smax**2, sigma_dim**2, r, rf_bound, backend)
 
 
 def frame_spectrum(
@@ -139,9 +140,9 @@ def frame_spectrum(
     of rows within a column. When w <= BANDED_MAX_WIDTH the extremes of M
     come from its diagonal (w = 0) or from LAPACK ?sbevx (?hbevx when M is
     complex) in band storage, and stand when lambda_min clears the accuracy
-    guard and the rank cutoff (then rank = min(dim, count)). Anything else
-    is classify_finite of the bundle of the same sparse matrix, which raises
-    DenseTooLarge when it needs a dense array above the cap.
+    guard and sqrt(lambda_min) the rank cutoff (then rank = min(dim, count)).
+    Anything else is classify_finite of the bundle of the same sparse
+    matrix, which raises DenseTooLarge above the dense cap.
     """
     if dim * count < BANDED_MIN_SIZE:
         return classify_finite(build_bundle(spec, dim, count), tol)
@@ -152,7 +153,7 @@ def frame_spectrum(
     if w <= BANDED_MAX_WIDTH:
         lo, hi = _extreme_eigenvalues(Y, w)
         margin = found["guard_margin"] = _guard_margin(lo, hi, w)
-        if margin is not None and margin >= 0 and lo > rank_cutoff(hi, tol, True):
+        if margin is not None and margin >= 0 and rank(np.sqrt([hi, lo]), tol) == 2:
             return FrameSpectrum(
                 dim, count, hi, lo if count >= dim else 0.0,
                 min(dim, count), lo, "banded" if w else "diagonal", w, margin,

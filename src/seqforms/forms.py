@@ -23,11 +23,10 @@ from .core import DEFAULT_TOL, Tolerances, json_pairs, json_scalar
 from .errors import DimensionMismatch
 from .operators import (
     OperatorBundle,
-    _direct_sum_verdict,
-    _rank,
     build_bundle,
     cosines_and_angles,
-    rank_cutoff,
+    direct_sum_verdict,
+    rank,
     svdvals,
 )
 from .sequences import SequenceSpec
@@ -68,7 +67,7 @@ def infsup_constants(
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
-    r_xi, r_eta = bundle_xi.rank(tol), bundle_eta.rank(tol)
+    r_xi, r_eta = (rank(b.singular_values, tol) for b in (bundle_xi, bundle_eta))
     if r_xi == 0 or r_eta == 0:
         return InfSupConstants(0.0, 0.0, np.empty(0))
     if bundle_xi.count in (r_xi, r_eta):
@@ -149,13 +148,13 @@ def zero_closed_from_bundles(
     # largest one between R(C_xi) and R(C_eta), whose cosine is c1.
     c = isc.c1
     half_tan = c / (1.0 + math.sqrt(max(0.0, 1.0 - c * c))) if 0 < r_xi < count else 1.0
-    ds = _direct_sum_verdict(r_xi - r_eta, half_tan, tol)
+    ds = direct_sum_verdict(r_xi - r_eta, half_tan, tol)
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
     # route (a'): invertibility of the associated matrix C_eta^H C_xi
     assoc = bundle_eta.columns @ bundle_xi.C
     s_assoc = svdvals(assoc)
-    rank_assoc = _rank(s_assoc, tol)
+    rank_assoc = rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
     assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
 
@@ -223,7 +222,7 @@ def lambda_region_weighted(
                 lam=lam,
                 distance=dist,
                 lambda_closed=dist > tol.eq_tol,
-                resolvent_invertible=_rank(s, tol) == alpha.size,
+                resolvent_invertible=rank(s, tol) == alpha.size,
                 sigma_min=float(s[-1]),
             )
         )
@@ -247,12 +246,11 @@ def solvability_shift(
     alpha = np.asarray(alpha, dtype=complex).ravel()
     sigma = np.where(np.abs(alpha) <= 1.0, 1.0 - alpha, 0.0 + 0j)
     shifted = alpha + sigma
-    moduli = np.abs(shifted)
     # the singular values of diag(alpha + sigma) are its moduli
-    min_mod = float(np.min(moduli))
+    moduli = np.sort(np.abs(shifted))[::-1]
     return ShiftResult(
         sigma=sigma,
         shifted=shifted,
-        min_shifted_modulus=min_mod,
-        shifted_zero_closed=min_mod > rank_cutoff(float(np.max(moduli)), tol),
+        min_shifted_modulus=float(np.min(moduli)),
+        shifted_zero_closed=rank(moduli, tol) == moduli.size,
     )

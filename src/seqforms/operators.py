@@ -5,11 +5,11 @@ C = X^H, so (C f)_n = <f, xi_n> including the complex conjugation; the
 synthesis matrix is C^H = X, the columns themselves, and the frame matrix is
 S = X C. The columns are float64 when the sequence's entries are all real
 (see sequences) and complex128 otherwise, and every operator, basis and
-factorization below inherits that dtype. Rank decisions use a
-singular-value cutoff relative to the largest singular value. A basis of a
-subspace is a plain array with orthonormal columns; its rows are the
-ambient space. Verdicts about a sequence (frame bounds, completeness, the
-class) live in classify.
+factorization below inherits that dtype. Every rank and invertibility
+verdict, here and in classify and forms, is rank, the one place the cutoff
+is spelled. A basis of a subspace is a plain array with orthonormal
+columns; its rows are the ambient space. Verdicts about a sequence (frame
+bounds, completeness, the class) live in classify.
 
 A matrix is sparse exactly when it splits into independent blocks, as a
 bundle decides once, at its birth; its C, S and the products of split
@@ -34,7 +34,7 @@ from .sequences import SequenceSpec
 
 __all__ = [
     "OperatorBundle",
-    "rank_cutoff",
+    "rank",
     "blocks_of",
     "svdvals",
     "inv",
@@ -46,23 +46,16 @@ __all__ = [
     "complement_basis",
     "cosines_and_angles",
     "principal_angles",
+    "direct_sum_verdict",
     "direct_sum_check",
 ]
 
 
-def rank_cutoff(
-    top: float, tol: Tolerances = DEFAULT_TOL, squared: bool = False
-) -> float:
-    """The value at or below which a singular value counts as zero, for the
-    largest singular value top; squared, the same cutoff on eigenvalues of
-    S or G, whose top is sigma_max^2."""
-    return (tol.rank_tol**2 if squared else tol.rank_tol) * top
-
-
-def _rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of the descending singular values s above rank_tol * s[0]."""
+def rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of the descending singular values s above rank_tol * s[0]: one
+    at or below that cutoff counts as zero."""
     smax = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > rank_cutoff(smax, tol))) if smax > 0 else 0
+    return int(np.count_nonzero(s > tol.rank_tol * smax)) if smax > 0 else 0
 
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
@@ -185,7 +178,7 @@ def _refuse_dense(dim: int, count: int, size: int) -> None:
     if size > DENSE_MAX_SIZE:
         raise DenseTooLarge(
             f"a {dim} x {count} truncation needs a dense factorization of "
-            f"{dim * count} entries, above the cap of {DENSE_MAX_SIZE}",
+            f"{size} entries, above the cap of {DENSE_MAX_SIZE}",
             dim=dim, count=count, cap=DENSE_MAX_SIZE)
 
 
@@ -231,14 +224,11 @@ class OperatorBundle:
         """Singular values of C, descending, without singular vectors."""
         return svdvals(self.C)
 
-    def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        return _rank(self.singular_values, tol)
-
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
         full column rank, the leading left singular vectors of a thin SVD
         only when C is rank-deficient."""
-        r = self.rank(tol)
+        r = rank(self.singular_values, tol)
         C = dense(self.C, self.dim, self.count)
         if r == self.dim:
             return np.linalg.qr(C)[0]
@@ -281,7 +271,7 @@ def range_basis(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of M, by SVD with relative cutoff."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return U[:, : _rank(s, tol)]
+    return U[:, : rank(s, tol)]
 
 
 def complement_basis(
@@ -290,7 +280,7 @@ def complement_basis(
     """Orthonormal basis of the orthogonal complement of the column space."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     U, s, _ = np.linalg.svd(M, full_matrices=True)
-    return U[:, _rank(s, tol) :]
+    return U[:, rank(s, tol) :]
 
 
 def _check_ambient(U: np.ndarray, W: np.ndarray) -> None:
@@ -334,7 +324,7 @@ def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return cosines_and_angles(U, W)[1]
 
 
-def _direct_sum_verdict(excess: int, half_tan: float, tol: Tolerances) -> str:
+def direct_sum_verdict(excess: int, half_tan: float, tol: Tolerances) -> str:
     """Direct-sum verdict on U (+) W from excess = dim U + dim W - ambient dim
     and, when excess is 0, half_tan = tan(phi/2) of the smallest principal
     angle phi between U and W (1 when one is trivial). That is sigma_min /
@@ -342,6 +332,7 @@ def _direct_sum_verdict(excess: int, half_tan: float, tol: Tolerances) -> str:
     sqrt(1 +- cos phi_i) and 1 (Bjorck & Golub, Math. Comp. 1973)."""
     if excess < 0:
         return "fails_span"
+    # half_tan is already the ratio that rank compares with rank_tol
     if excess == 0 and half_tan > tol.rank_tol:
         return "holds"
     # overfull, or the pieces meet at an angle below the cutoff
@@ -352,7 +343,7 @@ def direct_sum_check(
     U: np.ndarray, W: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> str:
     """Whether U and W decompose the ambient space as a direct sum, from
-    their smallest principal angle (see _direct_sum_verdict).
+    their smallest principal angle (see direct_sum_verdict).
 
     Returns "holds", "fails_intersection" or "fails_span".
     """
@@ -361,4 +352,4 @@ def direct_sum_check(
     half_tan = 1.0
     if excess == 0 and U.shape[1] and W.shape[1]:
         half_tan = float(np.tan(principal_angles(U, W)[0] / 2))
-    return _direct_sum_verdict(excess, half_tan, tol)
+    return direct_sum_verdict(excess, half_tan, tol)

@@ -11,7 +11,7 @@ else in complex128, and every operator built from it keeps that dtype.
 
 from __future__ import annotations
 
-import itertools
+import array
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -335,20 +335,26 @@ def _matrix_from_json(rows: Sequence[Sequence]) -> np.ndarray:
 def _uniform_matrix(rows: Sequence[Sequence]) -> Optional[np.ndarray]:
     """The matrix of nonempty rows of one length, every entry an [re, im]
     pair (when the first is) or every entry a real number; None otherwise.
-    The shape is checked first, so np.fromiter can read the flat entries."""
+    The shape is checked first, so the entries can be read list by list."""
     try:
         widths = set(map(len, rows))
         if len(widths) != 1 or 0 in widths:
             return None
         shape = (len(rows), widths.pop())
-        entries = itertools.chain.from_iterable(rows)
         if not isinstance(rows[0][0], (list, tuple)):
-            flat = np.fromiter(entries, float, count=shape[0] * shape[1])
-            return flat.reshape(shape).astype(complex)
+            return _floats(rows).reshape(shape).astype(complex)
+        entries = []
+        any(map(entries.extend, rows))
         if set(map(len, entries)) != {2}:
             return None
-        parts = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
-        flat = np.fromiter(parts, float, count=2 * shape[0] * shape[1])
-        return flat.view(complex).reshape(shape)
+        return _floats(entries).view(complex).reshape(shape)
     except (TypeError, ValueError):
         return None
+
+
+def _floats(lists: Sequence[list]) -> np.ndarray:
+    """The numbers in lists as float64; TypeError for a string, unlike
+    np.fromiter, which parses a numeric one."""
+    flat = array.array("d")
+    any(map(flat.fromlist, lists))
+    return np.frombuffer(flat)

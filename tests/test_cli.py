@@ -450,6 +450,8 @@ def test_a_held_block_above_the_cap_is_refused_at_birth(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
     assert error["details"] == {"dim": 256, "count": 256, "cap": 10**4}
+    # the message states the refused block, 255 x 254, not the truncation
+    assert "dense factorization of 64770 entries" in error["message"]
     code, payload = run_json(
         capsys, ["form-assess", "--left", wn, "--right", wn, "--dim", "256"])
     assert code == 0 and payload["report"]["zero_closed"] is True

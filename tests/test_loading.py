@@ -91,3 +91,16 @@ def test_loading_restores_the_callers_gc_setting(tmp_path, capsys, caller_enable
         assert gc.isenabled() == caller_enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("matrix", [
+    [["2", 0.0], [0.0, 1.0]],
+    [[["2", "1"], [0, 0]], [[0, 0], [1, 0]]],
+], ids=["real", "pairs"])
+def test_a_numeric_string_in_a_uniform_matrix_is_a_usage_error(
+    tmp_path, capsys, matrix
+):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"rule": "explicit", "params": {"matrix": matrix}}))
+    code = main(["classify", "--spec", str(path), "--dim", "2"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: cannot load")

@@ -5,21 +5,28 @@ import pytest
 import scipy.linalg
 
 from seqforms import (
+    DEFAULT_TOL,
     DiagonalWeights,
     ExplicitColumns,
     ScalarRule,
+    Tolerances,
     TriplePattern,
     build_bundle,
     bundle_from_columns,
     classify_finite,
     complement_basis,
     direct_sum_check,
+    frame_spectrum,
+    lambda_region_weighted,
     principal_angles,
     range_basis,
+    solvability_shift,
     zero_closed_check,
+    zero_closed_from_bundles,
 )
 from seqforms.cli import main
 from seqforms.errors import DimensionMismatch
+from seqforms.operators import rank
 
 
 def random_columns(dim, count, seed):
@@ -43,7 +50,7 @@ def test_bundle_conventions():
 def test_build_bundle_from_rule():
     b = build_bundle(DiagonalWeights(ScalarRule("n")), 4, 4)
     assert np.allclose(b.S, np.diag([1.0, 4.0, 9.0, 16.0]))
-    assert b.rank() == 4
+    assert rank(b.singular_values) == 4
 
 
 def test_range_and_complement_bases():
@@ -212,3 +219,34 @@ def test_bundle_bases_match_standalone_bases(dim, count, rank):
     assert np.max(np.abs(projector(R) - projector(range_basis(b.C)))) < 1e-12
     # the bundle's range and the standalone complement split the whole space
     assert np.max(np.abs(projector(R) + projector(N) - np.eye(count))) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [Tolerances(rank_tol=0.5), DEFAULT_TOL],
+                         ids=["rank_tol=0.5", "default"])
+@pytest.mark.parametrize("above", [False, True], ids=["at", "one-ulp-above"])
+def test_a_singular_value_at_the_cutoff_counts_as_zero(tol, above):
+    """diag(big, ..., big, small) at 256 x 256 with small at rank_tol * big,
+    or one ulp above it: every verdict that reads the rank cutoff agrees.
+    At rank_tol 0.5 the diagonal backend of frame_spectrum decides from
+    sqrt(lambda_min) and accepts one ulp above; at the default its guard
+    fails and the 1 x 1 blocks decide."""
+    big = 4 / tol.rank_tol
+    cut = tol.rank_tol * big
+    small = float(np.nextafter(cut, np.inf)) if above else cut
+    weights = [big] * 255 + [small]
+    xi = DiagonalWeights(ScalarRule("table", values=tuple(weights)))
+    r = 256 if above else 255
+    b_xi = build_bundle(xi, 256, 256)
+    assert rank(b_xi.singular_values, tol) == classify_finite(b_xi, tol).rank == r
+    spectrum = frame_spectrum(xi, 256, 256, tol)
+    banded = above and tol.rank_tol == 0.5
+    assert spectrum.rank == r
+    assert spectrum.backend == ("diagonal" if banded else "blockwise")
+    # route (a'): C_eta^H C_xi with eta the identity is diag(weights)
+    b_eta = build_bundle(DiagonalWeights(ScalarRule("constant")), 256, 256)
+    fa = zero_closed_from_bundles(b_xi, b_eta, tol)
+    assert fa.assoc_invertible == above and fa.null_dim_left == 256 - r
+    probe, = lambda_region_weighted(weights, fa.associated_operator, [0.0], tol)
+    assert probe.resolvent_invertible == above
+    # every weight has modulus above 1, so the shift leaves them as they are
+    assert solvability_shift(weights, tol).shifted_zero_closed == above

@@ -186,3 +186,23 @@ def test_cli_meta_names_the_backend_of_every_rung(tmp_path, capsys):
     assert margin == pytest.approx(-np.log10(1e10 * EPS))
     assert "spectral" not in payload["report"]
     assert payload["report"]["asymptotic"]["upper_bounds"] == [256.0, 65536.0, 1e6]
+
+
+def test_a_split_fallback_is_named_blockwise(tmp_path, capsys):
+    # lambda_min / lambda_max = 1e-14 fails the guard at w = 0, so the rung
+    # falls back to the 256 1 x 1 blocks of its bundle
+    weights = [1.0] * 255 + [1e-7]
+    rule = {"rule": "diagonal",
+            "params": {"weight": {"kind": "table", "values": weights}}}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(rule))
+    code = main(["classify", "--spec", str(path), "--dim", "256"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    spectral = payload["meta"]["spectral"]["truncation"]
+    assert spectral["backend"] == "blockwise" and spectral["bandwidth"] == 0
+    assert spectral["guard_margin"] < 0
+    spec = spec_from_json(rule)
+    whole = classify_finite(operators.OperatorBundle(spec.materialize(256, 256)))
+    assert whole.backend == "dense"
+    assert payload["report"] == json.loads(json.dumps(whole.to_dict()))

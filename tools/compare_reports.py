@@ -56,8 +56,11 @@ def _split_calls(work: str) -> dict:
     dim 64, count 1024, whose matrix and dual columns are printed; classify,
     form-assess against itself and reconstruct --spec of a 256 x 256
     diagonal with one zero row and column and of the identity with one
-    singular 2 x 2 block; and the weight-inverse-pair scenario on
-    128,256,512. Above the dense cap of 4096^2 entries: form-assess, pair
+    singular 2 x 2 block; classify of the 256 x 256 diagonals diag(8, ...,
+    8, 4) and diag(8, ..., 8, 4 + ulp), whose sigma_min sits at and one ulp
+    above the cutoff 0.5 sigma_max of --tol-rank 0.5, where the diagonal
+    backend accepts the second alone; and the weight-inverse-pair scenario
+    on 128,256,512. Above the dense cap of 4096^2 entries: form-assess, pair
     reconstruct and reconstruct --spec of {n e_n}/{e_n/n} at dims 4097 and
     10^5, which split into 1 x 1 blocks, and at dim 5000 of {n^-1 xi_n}
     with xi the finite differences (scaled-fd, one chain of entries) and of
@@ -71,6 +74,8 @@ def _split_calls(work: str) -> dict:
     singular_block[8:10, 8:10] = 1
     fd = {"rule": "finite_difference"}
     cut = [1.0, 0.0] + [1.0] * 4998
+    at_cutoff = [8.0] * 255 + [4.0]
+    above_cutoff = at_cutoff[:-1] + [float(np.nextafter(4.0, np.inf))]
     rules = {
         "n": {"rule": "diagonal", "params": {"weight": {"kind": "n"}}},
         "inv": {"rule": "diagonal", "params": {"weight": {"kind": "1/n"}}},
@@ -78,6 +83,10 @@ def _split_calls(work: str) -> dict:
             "base": fd, "factor": {"kind": "1/n"}}},
         "cut": {"rule": "scaled", "params": {
             "base": fd, "factor": {"kind": "table", "values": cut}}},
+        **{name: {"rule": "diagonal", "params": {
+            "weight": {"kind": "table", "values": values}}}
+           for name, values in [("at-cutoff", at_cutoff),
+                                ("above-cutoff", above_cutoff)]},
         **{name: {"rule": "explicit", "params": {"matrix": X.tolist()}}
            for name, X in [("tiled", tiled),
                            ("tiled-weighted", tiled * np.arange(1.0, 1025)),
@@ -107,6 +116,8 @@ def _split_calls(work: str) -> dict:
             "form-assess", "--left", path[name], "--right", path[name], *size]
         calls[f"{name}/reconstruct-spec"] = [
             "reconstruct", "--spec", path[name], *size]
+    for name in ("at-cutoff", "above-cutoff"):
+        calls[f"{name}/classify"] = ["classify", "--spec", path[name], "--dim", "256"]
     calls["scenario/weight-inverse-pair"] = [
         "scenario", "--id", "weight-inverse-pair", "--ladder", "128,256,512"]
     return calls
