@@ -6,7 +6,9 @@ values of the analysis matrix. classify_finite is the one place that turns
 those singular values into a FrameSpectrum; frame_spectrum calls it, or
 takes the extremes from the diagonal or a banded eigensolver of S when S is
 banded and large. The infinite-dimensional class can only be diagnosed, by
-tracking how the bounds move along a truncation ladder.
+tracking how the bounds move along a truncation ladder. Only that banded
+eigensolver (w >= 1) imports SciPy's linalg, on first use: about 50 ms and
+8 MB at start-up that the other backends do not need.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
 from .core import TruncationLadder, json_scalar, partial_sum_trend
-from .errors import DenseTooLarge
+from .errors import DenseTooLarge, ScaleOutOfRange
 from .operators import BANDED_MIN_SIZE, OperatorBundle, build_bundle, rank
 from .operators import bundle_from_columns
 from .sequences import SequenceSpec
@@ -118,12 +119,16 @@ def classify_finite(
 ) -> FrameSpectrum:
     """Exact classification at the truncation from the descending singular
     values s of C: B = s[0]^2, A = s[dim - 1]^2 (0 when count < dim) and the
-    rank and Riesz-Fischer bound against the rank cutoff."""
+    rank and Riesz-Fischer bound against the rank cutoff. ScaleOutOfRange
+    when a singular value above the cutoff squares to 0."""
     s, dim, count = bundle.singular_values, bundle.dim, bundle.count
     smax = float(s[0]) if s.size else 0.0
     sigma_dim = float(s[dim - 1]) if count >= dim else 0.0
     r = rank(s, tol)
     rf_bound = float(s[r - 1] ** 2) if r else 0.0
+    if r and rf_bound == 0:
+        raise ScaleOutOfRange(f"singular value {s[r - 1]:.6g} is above the rank "
+                              "cutoff, but its square underflowed to 0")
     backend = "blockwise" if sp.issparse(bundle.columns) else "dense"
     return FrameSpectrum(dim, count, smax**2, sigma_dim**2, r, rf_bound, backend)
 
@@ -184,6 +189,7 @@ def _extreme_eigenvalues(Y: sp.csc_matrix, w: int) -> Tuple[float, float]:
     if w == 0:
         d = np.bincount(Y.indices, Y.data.real**2 + Y.data.imag**2, minlength=n)
         return float(d.min()), float(d.max())
+    import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
     M = (Y @ Y.conj().T).tocsr()
     ab = np.zeros((w + 1, n), dtype=M.dtype)  # real M: ?sbevx, else ?hbevx
     for k in range(w + 1):

@@ -16,6 +16,8 @@ bundle decides once, at its birth; its C, S and the products of split
 operands stay sparse. The values-only SVD, the inverse and the Cholesky
 solve factorize a dense matrix whole and a sparse one block by block;
 range bases stay dense; dense makes them so, under the cap DENSE_MAX_SIZE.
+Only cho_solve of a dense S (a canonical dual that does not split) imports
+SciPy's linalg, on first use: about 50 ms and 8 MB that no other call needs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import cached_property
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .core import DEFAULT_TOL, Tolerances
@@ -157,6 +158,7 @@ def cho_solve(S, B: np.ndarray) -> np.ndarray:
     dense, scipy's cho_factor and cho_solve; sparse, per block S = L L^H and
     X = L^-H L^-1 B. LinAlgError when S is not positive definite."""
     if not sp.issparse(S):
+        import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
     blocks = blocks_of(S)
     # a Hermitian positive definite S has its blocks on the diagonal

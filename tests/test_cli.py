@@ -387,6 +387,53 @@ def test_scale_beyond_doubles_is_domain_error(spec_file, capsys, command, rules,
     assert [str(w.message) for w in caught] == []
 
 
+SCALE_CALLS = {
+    "form-assess": ["form-assess", "--left", "{rule}", "--right", "{rule}"],
+    "classify": ["classify", "--spec", "{rule}"],
+    "reconstruct-spec": ["reconstruct", "--spec", "{rule}"],
+    "reconstruct-pair": ["reconstruct", "--left", "{rule}", "--right", "{rule}"],
+}
+
+
+@pytest.mark.parametrize("call", SCALE_CALLS)
+def test_an_underflowed_bound_is_a_domain_error(spec_file, capsys, call):
+    """At weight 1e-170 every singular value, 1e-170, is above the rank
+    cutoff, but A = 1e-340 underflows to 0: each command says so, rather than
+    reporting a lower bound of 0 or failing in 1/A."""
+    rule = spec_file("tiny.json", _diagonal(1e-170))
+    argv = [a.format(rule=rule) for a in SCALE_CALLS[call]] + ["--dim", "3"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ScaleOutOfRange",
+        "message": "singular value 1e-170 is above the rank cutoff, but its "
+                   "square underflowed to 0"}
+
+
+@pytest.mark.parametrize("call", SCALE_CALLS)
+def test_a_bound_just_inside_the_doubles_is_reported(spec_file, capsys, call):
+    """At weight 1e-150, A = B = 1e-300 is a normal double: every call
+    reports it, and its reciprocal where the body has one."""
+    rule = spec_file("small.json", _diagonal(1e-150))
+    argv = [a.format(rule=rule) for a in SCALE_CALLS[call]] + ["--dim", "3"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    report = payload["report"]
+    if call == "classify":
+        assert report["lower_bound"] == report["bessel_bound"] == 1e-300
+        assert report["riesz_basis"] is True
+        assert report["notes"] == ["frame_inverse_norm_bound=1/A=1e+300"]
+    elif call == "form-assess":
+        assert report["lower_bound_xi"] == report["lower_bound_eta"] == 1e-300
+        assert report["zero_closed"] is report["assoc_invertible"] is True
+        assert report["assoc_inverse_norm"] == 1.0000000000000002e+300
+    else:
+        bounds = [system["bessel_bound_of_dual"] for system in report["systems"]]
+        assert bounds == [9.999999999999999e+299] * (1 if call.endswith("spec") else 2)
+        assert report["max_residual"] < 1e-15
+
+
 SCALED_FD = {"rule": "scaled", "params": {"base": {"rule": "finite_difference"},
                                            "factor": {"kind": "1/n"}}}
 
@@ -558,3 +605,60 @@ def test_one_parser_serves_a_run_of_calls_like_fresh_processes(spec_file, capsys
         fresh.append((run.returncode, body(run.stdout), run.stderr))
     assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
     assert in_process == fresh
+
+
+_FRESH = """
+import contextlib, io, json, sys
+if {preload}:
+    import scipy.linalg
+import seqforms.cli
+runs = [(None, None, "scipy.linalg" in sys.modules)]
+for argv in {calls}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = seqforms.cli.main(argv)
+    body = json.loads(out.getvalue())["report"] if code == 0 else None
+    runs.append((code, body, "scipy.linalg" in sys.modules))
+print(json.dumps(runs))
+"""
+
+
+def _fresh_process(calls, preload=False):
+    """[(exit, body, scipy.linalg loaded)] in one fresh interpreter: after
+    `import seqforms.cli` (exit and body None), then after each call."""
+    src = os.path.dirname(os.path.dirname(seqforms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH.format(preload=preload, calls=calls)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    return [tuple(r) for r in json.loads(run.stdout)]
+
+
+def test_the_cli_and_its_common_calls_leave_scipy_linalg_unloaded(spec_file):
+    """scipy.linalg costs about 50 ms and 8 MB to import, and only a dense
+    Cholesky solve and a banded eigensolve use it: importing the CLI, a
+    scenario and a diagonal pair's form-assess never load it."""
+    wn, winv = spec_file("wn.json", W_N), spec_file("winv.json", W_INV)
+    runs = _fresh_process([
+        ["scenario", "--id", "dc-vs-s", "--ladder", "10,20,40"],
+        ["form-assess", "--left", wn, "--right", winv, "--dim", "8"],
+    ])
+    assert [(code, loaded) for code, _, loaded in runs] == [
+        (None, False), (0, False), (0, False)]
+
+
+def test_the_calls_that_need_scipy_linalg_load_it_on_first_use(spec_file):
+    """classify of a w = 1 band at 256 x 256, whose first import of
+    scipy.linalg runs under the CLI's np.errstate, and reconstruct --spec of
+    a dense matrix each load scipy.linalg, and report the bodies of a
+    process that imported it up front."""
+    dense = _explicit((2 * np.eye(8) + 0.25 * np.tri(8, k=-1)).tolist())
+    calls = [
+        ["classify", "--spec", spec_file("scaled_fd.json", SCALED_FD), "--dim", "256"],
+        ["reconstruct", "--spec", spec_file("dense.json", dense), "--dim", "8"],
+    ]
+    lazy = [_fresh_process([argv])[1] for argv in calls]
+    eager = _fresh_process(calls, preload=True)[1:]
+    assert [(code, loaded) for code, _, loaded in lazy] == [(0, True), (0, True)]
+    assert [body for _, body, _ in lazy] == [body for _, body, _ in eager]

@@ -10,13 +10,15 @@ default ladder, interleaved-lower once more on 1023,1025,100000 (rungs on
 either side of the edge of a 1024-row block of its exact sums and a top at
 its cap; only at the default tolerances, which reach no rung above 600), a
 fixed list of calls whose matrices split into blocks (see
-_split_calls) and one of calls on either side of the real/complex boundary
-(see _dtype_calls), with rule files the tool writes itself. Every
-dense-pair, class-ladder, scenario, split and dtype call runs a second time at
---tol-rank 0.5, where some forms are no longer 0-closed and some sequences
-no longer lower semi-frames, so the error paths are compared too; every
-scenario runs a third time at --tol-eq 0.6, where the lambda
-probes at distance 0.5 flip and weighted-riesz/lambda-region fails.
+_split_calls), one of calls on either side of the real/complex boundary
+(see _dtype_calls) and one of calls on either side of the underflow of a
+squared singular value (see _scale_calls), with rule files the tool writes
+itself. Every dense-pair, class-ladder, scenario, split, dtype and scale call
+runs a second time at --tol-rank 0.5, where some forms are no longer
+0-closed and some sequences no longer lower semi-frames, so the error paths
+are compared too; every scenario runs a third time at --tol-eq 0.6, where
+the lambda probes at distance 0.5 flip and weighted-riesz/lambda-region
+fails.
 Each call records its exit code, its report body (``meta`` dropped) on exit
 0 and its error object (type, message, details) on exit 1. It then prints
 every float that differs between the two checkouts, every other difference,
@@ -41,9 +43,9 @@ import tempfile
 import numpy as np
 
 
-# The dense-pair, class-ladder, scenario, split and dtype calls run once more
-# with this rank cutoff, and the scenarios once more with this equality
-# tolerance.
+# The dense-pair, class-ladder, scenario, split, dtype and scale calls run
+# once more with this rank cutoff, and the scenarios once more with this
+# equality tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
 LOOSE_EQ = ["--tol-eq", "0.6"]
 
@@ -156,6 +158,27 @@ def _dtype_calls(work: str) -> dict:
     return calls
 
 
+def _scale_calls(work: str) -> dict:
+    """{call id: argv} of form-assess, classify, reconstruct --spec and pair
+    reconstruct of the constant diagonal at weights 1e-170, whose squared
+    singular values underflow to 0 although they are above the rank cutoff,
+    and 1e-150, whose squares 1e-300 are normal doubles, at dim 3. The rule
+    files are written into work."""
+    path = _write_rules(work, "scale", {
+        weight: {"rule": "diagonal", "params": {
+            "weight": {"kind": "constant", "value": float(weight)}}}
+        for weight in ("1e-170", "1e-150")})
+    calls, size = {}, ["--dim", "3"]
+    for weight, rule in path.items():
+        calls[f"{weight}/form-assess"] = [
+            "form-assess", "--left", rule, "--right", rule, *size]
+        calls[f"{weight}/classify"] = ["classify", "--spec", rule, *size]
+        calls[f"{weight}/reconstruct-spec"] = ["reconstruct", "--spec", rule, *size]
+        calls[f"{weight}/reconstruct"] = [
+            "reconstruct", "--left", rule, "--right", rule, *size]
+    return calls
+
+
 def _write_rules(work: str, prefix: str, rules: dict) -> dict:
     """Writes each rule to work/prefix-name.json; {name: path}."""
     path = {}
@@ -210,7 +233,8 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
         call("scenario/interleaved-lower/1023,1025,100000",
              ["scenario", "--id", "interleaved-lower", "--ladder",
               "1023,1025,100000", "--out", report])
-        fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work))]
+        fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work)),
+                 ("scale", _scale_calls(work))]
         for prefix, calls in fixed:
             for key, argv in calls.items():
                 argv = argv + ["--out", report]
