@@ -6,9 +6,7 @@ values of the analysis matrix. classify_finite is the one place that turns
 those singular values into a FrameSpectrum; frame_spectrum calls it, or
 takes the extremes from the diagonal or a banded eigensolver of S when S is
 banded and large. The infinite-dimensional class can only be diagnosed, by
-tracking how the bounds move along a truncation ladder. Only that banded
-eigensolver (w >= 1) imports SciPy's linalg, on first use: about 50 ms and
-8 MB at start-up that the other backends do not need.
+tracking how the bounds move along a truncation ladder.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ import scipy.sparse as sp
 from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
 from .core import TruncationLadder, json_scalar, partial_sum_trend
 from .errors import DenseTooLarge, ScaleOutOfRange
-from .operators import BANDED_MIN_SIZE, OperatorBundle, build_bundle, rank
-from .operators import bundle_from_columns
+from .operators import BANDED_MIN_SIZE, GUARD_FACTOR, OperatorBundle, build_bundle
+from .operators import bundle_from_columns, rank
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -37,14 +35,9 @@ __all__ = [
 ]
 
 
-# Backends of frame_spectrum. The banded extremes take about 0.5 ms, against
-# 5.2 ms for a dense real SVD and 9.8 ms for a complex one at 256 x 256, so
-# the banded path starts at count * dim = BANDED_MIN_SIZE = 256^2 (one BLAS
-# thread).
+# The widest band of S whose extremes frame_spectrum takes from the banded
+# eigensolver (about 0.5 ms at 256 x 256), from BANDED_MIN_SIZE on.
 BANDED_MAX_WIDTH = 8
-# S squares the condition number of C, so a banded verdict stands only when
-# lambda_min >= GUARD_FACTOR * (w + 1) * eps * lambda_max.
-GUARD_FACTOR = 1e4
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,9 @@ def _load_sequence(path: str):
 
 
 def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if getattr(args, "tol_eq", None) is not None:
-        kwargs["eq_tol"] = args.tol_eq
-    if getattr(args, "tol_rank", None) is not None:
-        kwargs["rank_tol"] = args.tol_rank
+    names = {"eq_tol": "tol_eq", "rank_tol": "tol_rank"}
+    kwargs = {field: getattr(args, arg) for field, arg in names.items()
+              if getattr(args, arg, None) is not None}
     try:
         return dataclasses.replace(DEFAULT_TOL, **kwargs)
     except ValueError as exc:
@@ -163,8 +161,7 @@ def _report_classify(args, tol):
 
 
 def _report_form_assess(args, tol):
-    left = _load_sequence(args.left)
-    right = _load_sequence(args.right)
+    left, right = (_load_sequence(path) for path in (args.left, args.right))
     fa = zero_closed_check(left, right, args.dim, args.count, tol)
     return fa.to_dict(include_matrix=args.dim <= 64), {}
 
@@ -176,8 +173,7 @@ def _report_reconstruct(args, tol):
         bundle = build_bundle(spec, args.dim, args.count)
         systems = [canonical_dual(bundle, tol)]
     elif args.spec is None and None not in pair:
-        left = _load_sequence(args.left)
-        right = _load_sequence(args.right)
+        left, right = (_load_sequence(path) for path in pair)
         b_left = build_bundle(left, args.dim, args.count)
         b_right = build_bundle(right, args.dim, args.count)
         fa = zero_closed_from_bundles(b_left, b_right, tol)
@@ -232,10 +228,7 @@ def _render(payload, args) -> str:
         row["schema"] = payload["schema"]
         row["command"] = payload["command"]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        keys = list(row)
-        writer.writerow(keys)
-        writer.writerow([row[k] for k in keys])
+        csv.writer(buf, lineterminator="\n").writerows([list(row), row.values()])
         return buf.getvalue()
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -26,6 +26,7 @@ from .operators import (
     build_bundle,
     cosines_and_angles,
     direct_sum_verdict,
+    factor_cosines,
     rank,
     svdvals,
 )
@@ -63,7 +64,7 @@ def infsup_constants(
     singular value of Q_eta^H Q_xi (the cosine of the largest principal
     angle when the ranges have equal dimension); c2 is symmetric. When
     either range is all of l2 (rank = count), every cosine of the other is
-    exactly 1 and no basis is taken.
+    exactly 1 and no basis is taken; else factor_cosines, or QR or SVD bases.
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
@@ -73,9 +74,9 @@ def infsup_constants(
     if bundle_xi.count in (r_xi, r_eta):
         cos_min, angles = 1.0, np.zeros(min(r_xi, r_eta))
     else:
-        s, angles = cosines_and_angles(
-            bundle_xi.range_basis(tol), bundle_eta.range_basis(tol)
-        )
+        complete = r_xi == r_eta == bundle_xi.dim == bundle_eta.dim
+        s, angles = complete and factor_cosines(bundle_xi, bundle_eta) or (
+            cosines_and_angles(bundle_xi.range_basis(tol), bundle_eta.range_basis(tol)))
         cos_min = float(s[-1])
     # min cosine over the smaller range is c1 or c2
     c1 = cos_min if r_xi <= r_eta else 0.0

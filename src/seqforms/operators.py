@@ -14,10 +14,9 @@ bounds, completeness, the class) live in classify.
 A matrix is sparse exactly when it splits into independent blocks, as a
 bundle decides once, at its birth; its C, S and the products of split
 operands stay sparse. The values-only SVD, the inverse and the Cholesky
-solve factorize a dense matrix whole and a sparse one block by block;
-range bases stay dense; dense makes them so, under the cap DENSE_MAX_SIZE.
-Only cho_solve of a dense S (a canonical dual that does not split) imports
-SciPy's linalg, on first use: about 50 ms and 8 MB that no other call needs.
+solve take one numpy or scipy call on a dense matrix and one batched call
+per block shape on a sparse one. Range bases and Cholesky factors are dense:
+dense makes them so, under the cap DENSE_MAX_SIZE.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ __all__ = [
     "range_basis",
     "complement_basis",
     "cosines_and_angles",
+    "factor_cosines",
     "principal_angles",
     "direct_sum_verdict",
     "direct_sum_check",
@@ -65,6 +65,9 @@ def rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 # 0.03 ms real and 0.05 ms complex for a 64 x 64 diagonal, whose blocks take
 # 0.15 ms to find (one BLAS thread).
 BANDED_MIN_SIZE = 256 * 256
+# S = C^H C squares kappa(C), so a verdict read off S (a banded eigensolve, a
+# Cholesky factor) stands only when GUARD_FACTOR * n * eps * kappa(C)^2 < 1.
+GUARD_FACTOR = 1e4
 
 
 def blocks_of(M) -> dict:
@@ -121,10 +124,6 @@ def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     out = np.zeros((k, r, c), dtype=M.dtype)
     out[i // r, i % r, j % c] = sub.data[live]
     return out
-
-
-# Each factorization below is the plain numpy or scipy call on a dense M,
-# and one batched call per block shape on a sparse one.
 
 
 def svdvals(M) -> np.ndarray:
@@ -187,7 +186,7 @@ def _refuse_dense(dim: int, count: int, size: int) -> None:
 def dense(M, dim: int, count: int) -> np.ndarray:
     """M of a dim x count truncation as an array, refused above the cap."""
     if sp.issparse(M):
-        _refuse_dense(dim, count, dim * count)
+        _refuse_dense(dim, count, M.shape[0] * M.shape[1])
         M = M.toarray()
     return M
 
@@ -225,6 +224,15 @@ class OperatorBundle:
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors."""
         return svdvals(self.C)
+
+    @cached_property
+    def cholesky(self):
+        """L of S = L L^H, so that C = (C L^-H) L^H is a QR of C (CholeskyQR);
+        None when count < dim or GUARD_FACTOR dim eps kappa(C)^2 >= 1."""
+        s, dim, eps = self.singular_values, self.dim, np.finfo(float).eps
+        if self.count >= dim and s[-1] > np.sqrt(GUARD_FACTOR * dim * eps) * s[0]:
+            return np.linalg.cholesky(dense(self.S, dim, self.count))
+        return None
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
@@ -319,6 +327,24 @@ def cosines_and_angles(
     from_sin = np.arcsin(np.minimum(sin, 1.0))
     angles = np.where(cos**2 >= 0.5, from_sin, np.arccos(np.clip(cos, 0.0, 1.0)))
     return cos, np.sort(angles)
+
+
+def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle):
+    """Cosines and angles of the ranges of two injective C, by CholeskyQR:
+    the singular values of L_xi^-1 X_xi X_eta^H L_eta^-H. None unless 2 dim
+    <= count, both bundles have factors and every cosine clears 0 and 1/sqrt
+    2 (from which cosines_and_angles reads sines) by the factors' error
+    GUARD_FACTOR dim eps (kappa_xi^2 + kappa_eta^2)."""
+    pair, (dim, count) = (bundle_xi, bundle_eta), bundle_xi.columns.shape
+    if 2 * dim > count or any(b.cholesky is None for b in pair):
+        return None
+    W = np.linalg.solve(bundle_xi.cholesky,  # L_xi^-1 X_xi X_eta^H
+                        dense(bundle_xi.columns @ bundle_eta.C, dim, count))
+    # L_eta^-1 W^H = (Q_xi^H Q_eta)^H, with the same singular values
+    cos = svdvals(np.linalg.solve(bundle_eta.cholesky, W.conj().T))
+    err = GUARD_FACTOR * dim * np.finfo(float).eps * sum(
+        (b.singular_values[0] / b.singular_values[-1]) ** 2 for b in pair)
+    return (cos, np.arccos(cos)) if err < min(cos[-1], 0.5**0.5 - cos[0]) else None
 
 
 def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -3,12 +3,8 @@
 A canonical dual of a truncated lower semi-frame is {S^{-1} xi_n}; for a
 0-closed two-sequence form with associated matrix T the left/right duals
 {(T^{-1})^H xi_n} and {T^{-1} eta_n} reconstruct the identity against eta
-and xi respectively.
-
-A DualSystem holds the inverse that forms its dual, not the dual's columns:
-a reconstruction applies it once to the dim x k block X (analysis F), and
-the columns are formed only when a report prints them or a bound needs them.
-S, T and T^-1 are sparse when the families split (see operators).
+and xi respectively. S, T and T^-1 are sparse when the families split (see
+operators).
 """
 
 from __future__ import annotations
@@ -19,6 +15,7 @@ from functools import partial
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import DEFAULT_TOL, Tolerances, json_pairs
 from .errors import DenseTooLarge, DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
@@ -145,13 +142,12 @@ def reproducing_pair_duals(
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
     {T^{-1} eta_n} paired against xi, with T the associated matrix.
 
-    Their solves are products with T^-H and T^-1, sparse when T is. Each
-    dual's Bessel bound is sigma_max of its own columns, squared: the
-    analysis matrices C_xi T^{-1} and C_eta T^{-H} of the two duals are the
-    conjugate transposes of those columns. When count = dim both families
-    are frames of square invertible X (route (b) holds), so T = X_eta X_xi^H
-    gives the left dual X_eta^-H and the right dual X_xi^-H: the bounds are
-    1/A_eta and 1/A_xi, read off the assessment with no columns formed.
+    Their solves are products with T^-H and T^-1, sparse when T is. A dual's
+    analysis matrix is the conjugate transpose of its columns, so its Bessel
+    bound is sigma_max(T^-H X_xi)^2, resp. sigma_max(T^-1 X_eta)^2: 1/A_eta
+    and 1/A_xi when count = dim (X square and invertible, route (b) holds),
+    else that of the dim x dim T^-H L_xi (T^-1 L_eta), X X^H = L L^H, for a
+    dense X with that factor; else of the dual columns, blockwise if X splits.
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
@@ -162,9 +158,10 @@ def reproducing_pair_duals(
         bound_left = 1.0 / assessment.lower_bound_eta
         bound_right = 1.0 / assessment.lower_bound_xi
     else:
-        bound_left, bound_right = (
-            float(svdvals(solve(bundle.columns))[0]) ** 2
-            for solve, bundle in ((solve_left, bundle_xi), (solve_right, bundle_eta)))
+        pairs = ((solve_left, bundle_xi), (solve_right, bundle_eta))
+        bound_left, bound_right = (float(svdvals(solve(
+            b.columns if sp.issparse(b.columns) or b.cholesky is None else b.cholesky
+        ))[0]) ** 2 for solve, b in pairs)
     return (
         DualSystem(solve_left, bundle_xi, bundle_eta.C, "reproducing_left",
                    bound_left),

@@ -9,10 +9,13 @@ import pytest
 
 import seqforms
 from seqforms.cli import _load_sequence, build_parser, main
-from seqforms.operators import DENSE_MAX_SIZE
+from seqforms import operators
+from seqforms.operators import DENSE_MAX_SIZE, dense
 from seqforms.sequences import SequenceSpec
 
 ONB = {"rule": "diagonal", "params": {"weight": {"kind": "constant", "value": 1.0}}}
+TRIPLE_XI = {"rule": "triple", "params": {"kind": "xi"}}
+TRIPLE_ETA = {"rule": "triple", "params": {"kind": "eta"}}
 W_N = {"rule": "diagonal", "params": {"weight": {"kind": "n"}}}
 W_INV = {"rule": "diagonal", "params": {"weight": {"kind": "1/n"}}}
 
@@ -638,14 +641,42 @@ def _fresh_process(calls, preload=False):
 def test_the_cli_and_its_common_calls_leave_scipy_linalg_unloaded(spec_file):
     """scipy.linalg costs about 50 ms and 8 MB to import, and only a dense
     Cholesky solve and a banded eigensolve use it: importing the CLI, a
-    scenario and a diagonal pair's form-assess never load it."""
+    scenario, a diagonal pair's form-assess, and form-assess and pair
+    reconstruct of the triple pair, whose inf-sup cosines and dual bounds
+    come from numpy's Cholesky factors, never load it."""
     wn, winv = spec_file("wn.json", W_N), spec_file("winv.json", W_INV)
+    triple = ["--left", spec_file("xi.json", TRIPLE_XI),
+              "--right", spec_file("eta.json", TRIPLE_ETA), "--dim", "128",
+              "--count", "384"]
     runs = _fresh_process([
         ["scenario", "--id", "dc-vs-s", "--ladder", "10,20,40"],
         ["form-assess", "--left", wn, "--right", winv, "--dim", "8"],
+        ["form-assess", *triple],
+        ["reconstruct", *triple],
     ])
     assert [(code, loaded) for code, _, loaded in runs] == [
-        (None, False), (0, False), (0, False)]
+        (None, False), (0, False), (0, False), (0, False), (0, False)]
+
+
+def test_triple_pair_form_assess_densifies_only_dim_x_dim_matrices(
+    spec_file, tmp_path, monkeypatch
+):
+    """At dim 160, count 480 both bundles of the triple pair are CSR. Route
+    (b) reads the Cholesky factors of the two frame matrices, so the only
+    arrays made dense are dim x dim: S_xi, S_eta and X_xi X_eta^H, never a
+    count x dim analysis matrix for a range basis."""
+    shapes = []
+
+    def recorded(M, dim, count):
+        shapes.append((M.shape, type(M).__name__))
+        return dense(M, dim, count)
+
+    monkeypatch.setattr(operators, "dense", recorded)
+    argv = ["form-assess", "--left", spec_file("xi.json", TRIPLE_XI),
+            "--right", spec_file("eta.json", TRIPLE_ETA), "--dim", "160",
+            "--count", "480", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert shapes == [((160, 160), "csr_array")] * 3
 
 
 def test_the_calls_that_need_scipy_linalg_load_it_on_first_use(spec_file):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from seqforms import (
     DiagonalWeights,
     ExplicitColumns,
     ScalarRule,
+    TriplePattern,
     build_bundle,
     bundle_from_columns,
     infsup_constants,
@@ -15,6 +17,8 @@ from seqforms import (
     zero_closed_check,
     zero_closed_from_bundles,
 )
+from seqforms.errors import DenseTooLarge
+from seqforms.operators import cosines_and_angles, dense, factor_cosines
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
 
@@ -81,6 +85,42 @@ def test_infsup_small_angle_from_sines():
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.angles[-1] - theta) <= 1e-15 * theta
     assert isc.c1 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [8, 32, 128, 512])
+def test_cholesky_cosines_match_range_bases_on_the_triple_pair(dim):
+    """The triple pair takes the Cholesky path at every dim (its cosines lie
+    in [0.018, 0.578]); its bundles are dense up to dim 128 and CSR at 512.
+    The cosines, angles, c1 and c2 match those of thin-SVD range bases of
+    the dense C to 1e-13."""
+    b_xi, b_eta = (build_bundle(TriplePattern(kind), dim, 3 * dim)
+                   for kind in ("xi", "eta"))
+    assert sp.issparse(b_xi.columns) == sp.issparse(b_eta.columns) == (dim == 512)
+    cos, angles = cosines_and_angles(
+        *(range_basis(dense(b.C, dim, 3 * dim)) for b in (b_xi, b_eta)))
+    got = factor_cosines(b_xi, b_eta)
+    assert got is not None
+    assert np.max(np.abs(got[0] - cos)) < 1e-13
+    assert np.max(np.abs(got[1] - angles)) < 1e-13
+    isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.c1 - cos[-1]) < 1e-13 and abs(isc.c2 - cos[-1]) < 1e-13
+    assert np.array_equal(isc.angles, got[1])
+
+
+def test_split_pair_above_the_cap_in_count_x_dim_takes_the_factors():
+    """X_xi = [I ... I] (17 copies of I_1000) and X_eta the same copies
+    weighted +1, -1, ..., +1 split into 1 x 17 blocks. Their count x dim
+    range bases would need 1.7e7 entries, above the dense cap, but the
+    factors of S need only dim^2 = 1e6: every cosine is 1/17."""
+    dim, k = 1000, 17
+    X_xi = sp.hstack([sp.eye_array(dim)] * k, format="csr")
+    X_eta = X_xi @ sp.diags_array(np.repeat((-1.0) ** np.arange(k), dim))
+    b_xi, b_eta = bundle_from_columns(X_xi), bundle_from_columns(X_eta)
+    with pytest.raises(DenseTooLarge):
+        b_xi.range_basis()
+    isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.c1 - 1 / k) < 1e-13 and abs(isc.c2 - 1 / k) < 1e-13
+    assert np.allclose(isc.angles, np.arccos(1 / k), rtol=0, atol=1e-13)
 
 
 def test_zero_closed_weight_inverse_pair():

@@ -8,6 +8,7 @@ from seqforms import (
     DEFAULT_TOL,
     DiagonalWeights,
     ExplicitColumns,
+    PairedDouble,
     ScalarRule,
     Tolerances,
     TriplePattern,
@@ -157,14 +158,65 @@ def test_one_factorization_per_operator(monkeypatch):
 
 
 def test_real_pair_factorizes_in_real_arithmetic(monkeypatch):
-    """The triple pair's entries are all real, so every SVD and QR of its
-    zero_closed_check runs on float64: those of both bundles, of the
-    associated matrix, of the inf-sup cosines and of the range bases."""
+    """The triple pair's entries are all real, so every factorization of its
+    zero_closed_check runs on float64: the values-only SVDs of both bundles,
+    of the associated matrix and of the inf-sup cosines, and the Cholesky
+    factors of both frame matrices, which replace the range bases' QRs."""
     calls = _count_svds(monkeypatch)
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(
+        ("numpy.cholesky", False, a.shape, a.dtype)) or cholesky(a))
     fa = zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), 6, 18)
     assert fa.zero_closed
-    assert sorted(name for name, *_ in calls) == ["numpy.qr"] * 2 + ["numpy.svd"] * 4
+    assert sorted(calls, key=str) == (
+        [("numpy.cholesky", False, (6, 6), np.dtype(float))] * 2
+        + [("numpy.svd", False, (18, 6), np.dtype(float))] * 2
+        + [("numpy.svd", False, (6, 6), np.dtype(float))] * 2)
     assert {dtype for *_, dtype in calls} == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("d_min,factored", [(1e-5, True), (1e-6, False)])
+def test_cholesky_factor_stands_only_under_the_guard(d_min, factored):
+    """X = D Q^H with orthonormal Q has kappa(C) = 1 / d_min: the guard
+    GUARD_FACTOR dim eps kappa^2 is 0.09 at 1e-5, where L L^H = S with L
+    lower triangular, and 8.9 at 1e-6, where there is no factor. A bundle
+    with count < dim has none either."""
+    Q = np.linalg.qr(random_columns(9, 4, 21))[0]
+    X = np.diag([1.0, 0.5, 0.25, d_min]) @ Q.conj().T
+    L = bundle_from_columns(X).cholesky
+    assert (L is not None) == factored
+    if factored:
+        assert np.array_equal(L, np.tril(L))
+        assert np.allclose(L @ L.conj().T, X @ X.conj().T, rtol=0, atol=1e-15)
+    assert bundle_from_columns(X[:, :3]).cholesky is None
+
+
+def _planted_pair(dim, count, angles, seed):
+    """Columns of xi and eta whose analysis ranges are orthonormal bases U
+    and V = U cos(angles) + W sin(angles), W orthonormal and orthogonal to U:
+    complete pairs, kappa = 1, with the given principal angles."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((count, count)))[0]
+    U, W = Q[:, :dim], Q[:, dim : 2 * dim]
+    return U.T, (U * np.cos(angles) + W * np.sin(angles)).T
+
+
+@pytest.mark.parametrize("pair,cos_min", [
+    # cosines 1/sqrt(1 + k^2): the largest is 1/sqrt 2 exactly
+    ((PairedDouble("xi"), PairedDouble("eta")), 1 / np.sqrt(37)),
+    # c1 = 1e-11, below the factors' error bound 1e4 * 6 * eps * 2 = 2.7e-11
+    (tuple(map(ExplicitColumns, _planted_pair(
+        6, 12, [0.9, 1.0, 1.1, 1.2, 1.3, np.pi / 2 - 1e-11], 12))), 1e-11),
+], ids=["paired", "planted-1e-11"])
+def test_pairs_at_the_cholesky_gate_keep_their_two_qrs(monkeypatch, pair, cos_min):
+    """Both pairs are complete with count = 2 dim, so both frame matrices have
+    Cholesky factors; but one cosine is within the factors' error bound of
+    1/sqrt 2 or of 0, so route (b) takes today's two QR range bases."""
+    assert all(build_bundle(spec, 6, 12).cholesky is not None for spec in pair)
+    calls = _count_svds(monkeypatch)
+    fa = zero_closed_check(*pair, 6, 12)
+    qrs = [c for c in calls if c[0] == "numpy.qr"]
+    assert qrs == [("numpy.qr", True, (12, 6), np.dtype(float))] * 2
+    assert fa.c1 == pytest.approx(cos_min, rel=1e-6)
 
 
 def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):

@@ -28,7 +28,7 @@ from seqforms import (
 )
 from seqforms.errors import SupportOverflow
 from seqforms.forms import infsup_constants, zero_closed_from_bundles
-from seqforms.operators import cosines_and_angles
+from seqforms.operators import cosines_and_angles, factor_cosines
 
 small = st.integers(-3, 3).map(float)
 scalar_value = st.one_of(small, st.tuples(small, small).map(list))
@@ -249,12 +249,13 @@ def test_direct_sum_matches_stacked_basis_svd(pair):
 
 
 @st.composite
-def shaped_pairs(draw):
-    """Columns (dim x count) of xi and eta, both square with full rank, both
-    of full column rank with count > dim, or each of any rank up to
-    min(dim, count), so mostly rank-deficient. The nonzero singular values
-    lie in [0.1, 1], so every rank is far from the cutoff."""
-    shape = draw(st.sampled_from(["square", "tall", "any rank"]))
+def shaped_pairs(draw, shapes=("square", "tall", "any rank")):
+    """Columns (dim x count) of xi and eta, of one of shapes: both square with
+    full rank ("square"), both of full column rank with count > dim ("tall"),
+    or each of any rank up to min(dim, count), so mostly rank-deficient. The
+    nonzero singular values lie in [0.1, 1], so every rank is far from the
+    cutoff."""
+    shape = draw(st.sampled_from(shapes))
     dim = draw(st.integers(1, 8))
     counts = {"square": st.just(dim), "tall": st.integers(dim + 1, 12)}
     count = draw(counts.get(shape, st.integers(1, 12)))
@@ -290,6 +291,28 @@ def thin_svd_reference(b_xi, b_eta, tol=DEFAULT_TOL):
         s = np.linalg.svd(b.C, full_matrices=False)[1]
         lower.append(b.count >= b.dim and s[b.dim - 1] > tol.rank_tol * s[0])
     return c1, c2, angles, verdict, ratio, all(lower) and verdict == "holds"
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_pairs(shapes=("tall",)))
+def test_cholesky_cosines_match_thin_svd_bases(pair):
+    """On complete complex pairs with count > dim, factor_cosines declines
+    when 2 dim > count, and otherwise only when a cosine is within 1e-8 of
+    0 or above 1/sqrt 2 - 1e-8: its error bound is at most 4e-9 here (kappa
+    <= 10). Where it gives the cosines, they, their angles and c1, c2 match
+    thin-SVD range bases to 1e-13."""
+    b_xi, b_eta = (bundle_from_columns(X) for X in pair)
+    cos, angles = cosines_and_angles(range_basis(b_xi.C), range_basis(b_eta.C))
+    got = factor_cosines(b_xi, b_eta)
+    if 2 * b_xi.dim > b_xi.count or got is None:
+        assert 2 * b_xi.dim > b_xi.count or (
+            cos[-1] < 1e-8 or cos[0] > 0.5**0.5 - 1e-8)
+        return
+    assert np.max(np.abs(got[0] - cos)) < 1e-13
+    assert np.max(np.abs(got[1] - angles)) < 1e-13
+    isc = infsup_constants(b_xi, b_eta)
+    assert abs(isc.c1 - cos[-1]) < 1e-13 and abs(isc.c2 - cos[-1]) < 1e-13
+    assert np.array_equal(isc.angles, got[1])
 
 
 @settings(max_examples=300, deadline=None)

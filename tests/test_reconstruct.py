@@ -25,6 +25,7 @@ from seqforms import (
 )
 from seqforms.cli import main
 from seqforms.errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
+from seqforms.operators import svdvals
 from seqforms.reconstruct import _probe_draws
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
@@ -164,6 +165,37 @@ def test_reproducing_dual_bounds_match_the_analysis_products(pair):
     if b_xi.dim == 256:
         assert sp.issparse(b_xi.columns)  # the blockwise path
         assert (want_left, want_right) == pytest.approx((256.0**2, 1.0), rel=1e-12)
+
+
+def _triple_pair(dim):
+    return [build_bundle(TriplePattern(kind), dim, 3 * dim) for kind in ("xi", "eta")]
+
+
+def _random_pair(dim, count):
+    rng = np.random.default_rng(dim * count)
+    return [bundle_from_columns(rng.standard_normal((dim, count))
+                                + 1j * rng.standard_normal((dim, count)))
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("pair", [
+    *(pytest.param(lambda dim=dim: _triple_pair(dim), id=f"triple-{dim}")
+      for dim in (8, 32, 128, 512)),
+    pytest.param(lambda: _random_pair(5, 9), id="complex-5x9"),
+    pytest.param(lambda: _random_pair(6, 20), id="complex-6x20"),
+])
+def test_count_above_dim_bounds_match_the_formed_dual_columns(pair):
+    """Above count = dim a dense bundle's dual bound comes from the dim x dim
+    product with its Cholesky factor, a split one's (the triple pair at 512)
+    from its columns; each is sigma_max of the formed dual columns, squared,
+    to 1e-12 relative."""
+    b_xi, b_eta = pair()
+    assert sp.issparse(b_xi.columns) == (b_xi.dim == 512)
+    assert b_xi.cholesky is not None and b_eta.cholesky is not None
+    fa = zero_closed_from_bundles(b_xi, b_eta)
+    for system in reproducing_pair_duals(fa, b_xi, b_eta):
+        want = float(svdvals(system.solve(system.primal.columns))[0]) ** 2
+        assert system.bessel_bound_of_dual == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("X", [

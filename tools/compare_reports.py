@@ -11,14 +11,15 @@ either side of the edge of a 1024-row block of its exact sums and a top at
 its cap; only at the default tolerances, which reach no rung above 600), a
 fixed list of calls whose matrices split into blocks (see
 _split_calls), one of calls on either side of the real/complex boundary
-(see _dtype_calls) and one of calls on either side of the underflow of a
-squared singular value (see _scale_calls), with rule files the tool writes
-itself. Every dense-pair, class-ladder, scenario, split, dtype and scale call
-runs a second time at --tol-rank 0.5, where some forms are no longer
-0-closed and some sequences no longer lower semi-frames, so the error paths
-are compared too; every scenario runs a third time at --tol-eq 0.6, where
-the lambda probes at distance 0.5 flip and weighted-riesz/lambda-region
-fails.
+(see _dtype_calls), one of calls on either side of the underflow of a
+squared singular value (see _scale_calls) and one of calls on either side
+of the gate of the Cholesky inf-sup cosines (see _cholesky_calls), with rule
+files the tool writes itself. Every dense-pair, class-ladder, scenario,
+split, dtype, scale and cholesky call runs a second time at --tol-rank 0.5,
+where some forms are no longer 0-closed and some sequences no longer lower
+semi-frames, so the error paths are compared too; every scenario runs a
+third time at --tol-eq 0.6, where the lambda probes at distance 0.5 flip and
+weighted-riesz/lambda-region fails.
 Each call records its exit code, its report body (``meta`` dropped) on exit
 0 and its error object (type, message, details) on exit 1. It then prints
 every float that differs between the two checkouts, every other difference,
@@ -43,9 +44,9 @@ import tempfile
 import numpy as np
 
 
-# The dense-pair, class-ladder, scenario, split, dtype and scale calls run
-# once more with this rank cutoff, and the scenarios once more with this
-# equality tolerance.
+# The dense-pair, class-ladder, scenario, split, dtype, scale and cholesky
+# calls run once more with this rank cutoff, and the scenarios once more
+# with this equality tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
 LOOSE_EQ = ["--tol-eq", "0.6"]
 
@@ -179,6 +180,25 @@ def _scale_calls(work: str) -> dict:
     return calls
 
 
+def _cholesky_calls(work: str) -> dict:
+    """{call id: argv} of form-assess and pair reconstruct of the triple pair
+    at dim 1024, count 3072, whose inf-sup cosines come from the Cholesky
+    factors of its frame matrices, and of the paired pair at dim 256, count
+    512, whose largest cosine is exactly 1/sqrt 2, where route (b) falls back
+    to range bases. Both pairs split into blocks. The rule files are written
+    into work."""
+    path = _write_rules(work, "cholesky", {
+        f"{rule}-{kind}": {"rule": rule, "params": {"kind": kind}}
+        for rule in ("triple", "paired_double") for kind in ("xi", "eta")})
+    calls = {}
+    for rule, dim, count in [("triple", 1024, 3072), ("paired_double", 256, 512)]:
+        pair = ["--left", path[f"{rule}-xi"], "--right", path[f"{rule}-eta"],
+                "--dim", str(dim), "--count", str(count)]
+        calls[f"{rule}/form-assess"] = ["form-assess", *pair]
+        calls[f"{rule}/reconstruct"] = ["reconstruct", *pair]
+    return calls
+
+
 def _write_rules(work: str, prefix: str, rules: dict) -> dict:
     """Writes each rule to work/prefix-name.json; {name: path}."""
     path = {}
@@ -234,7 +254,7 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
              ["scenario", "--id", "interleaved-lower", "--ladder",
               "1023,1025,100000", "--out", report])
         fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work)),
-                 ("scale", _scale_calls(work))]
+                 ("scale", _scale_calls(work)), ("cholesky", _cholesky_calls(work))]
         for prefix, calls in fixed:
             for key, argv in calls.items():
                 argv = argv + ["--out", report]
