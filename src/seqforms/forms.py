@@ -49,7 +49,7 @@ __all__ = [
 class InfSupConstants:
     c1: float
     c2: float
-    angles: np.ndarray
+    max_angle: float  # the largest principal angle
 
 
 def infsup_constants(
@@ -70,18 +70,18 @@ def infsup_constants(
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
     r_xi, r_eta = (rank(b.singular_values, tol) for b in (bundle_xi, bundle_eta))
     if r_xi == 0 or r_eta == 0:
-        return InfSupConstants(0.0, 0.0, np.empty(0))
-    if bundle_xi.count in (r_xi, r_eta):
-        cos_min, angles = 1.0, np.zeros(min(r_xi, r_eta))
-    else:
+        return InfSupConstants(0.0, 0.0, 0.0)
+    cos, angles = [1.0], [0.0]
+    if bundle_xi.count not in (r_xi, r_eta):
         complete = r_xi == r_eta == bundle_xi.dim == bundle_eta.dim
-        s, angles = complete and factor_cosines(bundle_xi, bundle_eta) or (
+        cos = factor_cosines(bundle_xi, bundle_eta) if complete else None
+        # the arccos of the smallest cosine alone: a larger one may round above 1
+        cos, angles = (cos, np.arccos(cos[-1:])) if cos is not None else (
             cosines_and_angles(bundle_xi.range_basis(tol), bundle_eta.range_basis(tol)))
-        cos_min = float(s[-1])
     # min cosine over the smaller range is c1 or c2
-    c1 = cos_min if r_xi <= r_eta else 0.0
-    c2 = cos_min if r_eta <= r_xi else 0.0
-    return InfSupConstants(c1, c2, angles)
+    c1 = float(cos[-1]) if r_xi <= r_eta else 0.0
+    c2 = float(cos[-1]) if r_eta <= r_xi else 0.0
+    return InfSupConstants(c1, c2, float(angles[-1]))
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,8 @@ def zero_closed_check(
     count: int,
     tol: Tolerances = DEFAULT_TOL,
 ) -> FormAssessment:
-    bundle_xi = build_bundle(spec_xi, dim, count)
-    bundle_eta = build_bundle(spec_eta, dim, count)
-    return zero_closed_from_bundles(bundle_xi, bundle_eta, tol)
+    bundles = (build_bundle(spec, dim, count) for spec in (spec_xi, spec_eta))
+    return zero_closed_from_bundles(*bundles, tol)
 
 
 def zero_closed_from_bundles(
@@ -142,8 +141,6 @@ def zero_closed_from_bundles(
     r_xi, r_eta = spectrum_xi.rank, spectrum_eta.rank
 
     isc = infsup_constants(bundle_xi, bundle_eta, tol)
-    max_angle = float(np.max(isc.angles)) if isc.angles.size else 0.0
-
     # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2. With
     # equal ranks the smallest angle between the summands is pi/2 minus the
     # largest one between R(C_xi) and R(C_eta), whose cosine is c1.
@@ -163,7 +160,7 @@ def zero_closed_from_bundles(
         null_dim_left=dim - rank_assoc,
         c1=isc.c1,
         c2=isc.c2,
-        max_principal_angle=max_angle,
+        max_principal_angle=isc.max_angle,
         direct_sum=ds,
         zero_closed=route_b,
         associated_operator=assoc,

@@ -12,11 +12,11 @@ columns; its rows are the ambient space. Verdicts about a sequence (frame
 bounds, completeness, the class) live in classify.
 
 A matrix is sparse exactly when it splits into independent blocks, as a
-bundle decides once, at its birth; its C, S and the products of split
-operands stay sparse. The values-only SVD, the inverse and the Cholesky
-solve take one numpy or scipy call on a dense matrix and one batched call
-per block shape on a sparse one. Range bases and Cholesky factors are dense:
-dense makes them so, under the cap DENSE_MAX_SIZE.
+bundle decides once, at its birth; its C, S, Cholesky factor and the
+products of split operands stay sparse. The values-only SVD, the inverse,
+the Cholesky factor and solve take one numpy or scipy call on a dense
+matrix and one batched call per block shape on a sparse one. Range bases
+are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
 """
 
 from __future__ import annotations
@@ -136,38 +136,40 @@ def svdvals(M) -> np.ndarray:
     return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
 
 
-def inv(M):
-    """The inverse of M, a CSR matrix assembled from the block inverses when
-    M is sparse; LinAlgError when M is singular."""
+def _blockwise(M, fn):
+    """fn(M) of a dense M; of a sparse one, fn of each k x r x r stack of its
+    square blocks, as CSR with block k at rows cols[k] and columns rows[k],
+    as an inverse has it. LinAlgError when a block is not square."""
     if not sp.issparse(M):
-        return np.linalg.inv(M)
+        return fn(M)
     blocks = blocks_of(M)
     if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
-    # block k of M^-1 sits at rows cols[k] and columns rows[k]
-    parts = [(np.linalg.inv(_stack(M, rows, cols)),
+    parts = [(fn(_stack(M, rows, cols)),
               *np.broadcast_arrays(cols[:, :, None], rows[:, None, :]))
              for rows, cols in blocks.values()]
     vals, i, j = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts))
     return sp.csr_array((vals, (i, j)), M.shape)
 
 
+def inv(M):
+    """The inverse of M: for a sparse M, CSR from the block inverses, with
+    reciprocals for a stack of 1 x 1 blocks; LinAlgError when M is singular."""
+    return _blockwise(M, lambda A: 1 / A if A.shape[1:] == (1, 1) else np.linalg.inv(A))
+
+
 def cho_solve(S, B: np.ndarray) -> np.ndarray:
-    """X with S X = B for a Hermitian positive definite S, by Cholesky:
-    dense, scipy's cho_factor and cho_solve; sparse, per block S = L L^H and
-    X = L^-H L^-1 B. LinAlgError when S is not positive definite."""
+    """X with S X = B for a Hermitian positive definite S: dense, scipy's
+    cho_factor and cho_solve; sparse, L^-H L^-1 B with L^-1 assembled from
+    the blocks' factors. LinAlgError when S is not positive definite."""
     if not sp.issparse(S):
         import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
-    blocks = blocks_of(S)
-    # a Hermitian positive definite S has its blocks on the diagonal
-    if not all(np.array_equal(rows, cols) for rows, cols in blocks.values()):
+    # a positive diagonal puts every block of S on it: rows[k] = cols[k]
+    if not np.all(S.diagonal().real > 0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    out = np.zeros(B.shape, dtype=np.result_type(S, B, 1.0))
-    for rows, cols in blocks.values():
-        L_inv = np.linalg.inv(np.linalg.cholesky(_stack(S, rows, cols)))
-        out[rows] = L_inv.conj().transpose(0, 2, 1) @ (L_inv @ B[rows])
-    return out
+    L_inv = _blockwise(S, lambda A: inv(np.linalg.cholesky(A)))
+    return L_inv.conj().T @ (L_inv @ B)
 
 
 # The most entries held dense: all of a truncation's, or those of one block
@@ -226,13 +228,24 @@ class OperatorBundle:
         return svdvals(self.C)
 
     @cached_property
+    def factor_error(self) -> float:
+        """Error bound of the CholeskyQR basis C L^-H: GUARD_FACTOR eps for a
+        sparse diagonal S, else GUARD_FACTOR dim eps kappa(C)^2, which bounds
+        GUARD_FACTOR b eps kappa(S_k) of every b x b block S_k of S; inf when
+        count < dim or sigma_dim = 0."""
+        s, S, eps = self.singular_values, self.S, float(np.finfo(float).eps)
+        if self.count < self.dim or s[-1] == 0:
+            return np.inf
+        if sp.issparse(S) and S.count_nonzero() == np.count_nonzero(S.diagonal()):
+            return GUARD_FACTOR * eps
+        kappa = float(s[0]) / float(s[-1])  # Python floats: inf, not an error
+        return GUARD_FACTOR * self.dim * eps * kappa * kappa
+
+    @cached_property
     def cholesky(self):
-        """L of S = L L^H, so that C = (C L^-H) L^H is a QR of C (CholeskyQR);
-        None when count < dim or GUARD_FACTOR dim eps kappa(C)^2 >= 1."""
-        s, dim, eps = self.singular_values, self.dim, np.finfo(float).eps
-        if self.count >= dim and s[-1] > np.sqrt(GUARD_FACTOR * dim * eps) * s[0]:
-            return np.linalg.cholesky(dense(self.S, dim, self.count))
-        return None
+        """L of S = L L^H, sparse when S is, so that C = (C L^-H) L^H is a QR
+        of C (CholeskyQR); None when factor_error >= 1."""
+        return _blockwise(self.S, np.linalg.cholesky) if self.factor_error < 1 else None
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
@@ -330,21 +343,16 @@ def cosines_and_angles(
 
 
 def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle):
-    """Cosines and angles of the ranges of two injective C, by CholeskyQR:
-    the singular values of L_xi^-1 X_xi X_eta^H L_eta^-H. None unless 2 dim
-    <= count, both bundles have factors and every cosine clears 0 and 1/sqrt
-    2 (from which cosines_and_angles reads sines) by the factors' error
-    GUARD_FACTOR dim eps (kappa_xi^2 + kappa_eta^2)."""
-    pair, (dim, count) = (bundle_xi, bundle_eta), bundle_xi.columns.shape
-    if 2 * dim > count or any(b.cholesky is None for b in pair):
+    """Cosines of the ranges of two injective C, descending, by CholeskyQR:
+    the singular values of L_eta^-1 (X_eta X_xi^H) L_xi^-H = Q_eta^H Q_xi.
+    None unless 2 dim <= count and the smallest cosine clears 0 and 1/sqrt 2
+    (where cosines_and_angles turns to sines) by the factors' summed error."""
+    err = bundle_xi.factor_error + bundle_eta.factor_error
+    if 2 * bundle_xi.dim > bundle_xi.count or err >= 1:
         return None
-    W = np.linalg.solve(bundle_xi.cholesky,  # L_xi^-1 X_xi X_eta^H
-                        dense(bundle_xi.columns @ bundle_eta.C, dim, count))
-    # L_eta^-1 W^H = (Q_xi^H Q_eta)^H, with the same singular values
-    cos = svdvals(np.linalg.solve(bundle_eta.cholesky, W.conj().T))
-    err = GUARD_FACTOR * dim * np.finfo(float).eps * sum(
-        (b.singular_values[0] / b.singular_values[-1]) ** 2 for b in pair)
-    return (cos, np.arccos(cos)) if err < min(cos[-1], 0.5**0.5 - cos[0]) else None
+    L_xi, L_eta = inv(bundle_xi.cholesky), inv(bundle_eta.cholesky)
+    cos = svdvals(L_eta @ (bundle_eta.columns @ bundle_xi.C) @ L_xi.conj().T)
+    return cos if err < min(cos[-1], 0.5**0.5 - cos[-1]) else None
 
 
 def principal_angles(U: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from functools import partial
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import DEFAULT_TOL, Tolerances, json_pairs
 from .errors import DenseTooLarge, DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
@@ -140,14 +139,11 @@ def reproducing_pair_duals(
     bundle_eta: OperatorBundle,
 ) -> Tuple[DualSystem, DualSystem]:
     """Left dual {(T^{-1})^H xi_n} paired against eta, and right dual
-    {T^{-1} eta_n} paired against xi, with T the associated matrix.
-
-    Their solves are products with T^-H and T^-1, sparse when T is. A dual's
-    analysis matrix is the conjugate transpose of its columns, so its Bessel
-    bound is sigma_max(T^-H X_xi)^2, resp. sigma_max(T^-1 X_eta)^2: 1/A_eta
-    and 1/A_xi when count = dim (X square and invertible, route (b) holds),
-    else that of the dim x dim T^-H L_xi (T^-1 L_eta), X X^H = L L^H, for a
-    dense X with that factor; else of the dual columns, blockwise if X splits.
+    {T^{-1} eta_n} paired against xi, T the associated matrix: products with
+    T^-H and T^-1, sparse when T is. A dual's Bessel bound is sigma_max(T^-H
+    X_xi)^2, resp. sigma_max(T^-1 X_eta)^2: 1/A_eta and 1/A_xi when count =
+    dim (X square and invertible), else that of T^-H L_xi (T^-1 L_eta) with
+    X X^H = L L^H, or of the dual columns when X has no factor.
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
@@ -158,10 +154,9 @@ def reproducing_pair_duals(
         bound_left = 1.0 / assessment.lower_bound_eta
         bound_right = 1.0 / assessment.lower_bound_xi
     else:
-        pairs = ((solve_left, bundle_xi), (solve_right, bundle_eta))
         bound_left, bound_right = (float(svdvals(solve(
-            b.columns if sp.issparse(b.columns) or b.cholesky is None else b.cholesky
-        ))[0]) ** 2 for solve, b in pairs)
+            b.columns if b.cholesky is None else b.cholesky))[0]) ** 2
+            for solve, b in ((solve_left, bundle_xi), (solve_right, bundle_eta)))
     return (
         DualSystem(solve_left, bundle_xi, bundle_eta.C, "reproducing_left",
                    bound_left),

@@ -658,13 +658,11 @@ def test_the_cli_and_its_common_calls_leave_scipy_linalg_unloaded(spec_file):
         (None, False), (0, False), (0, False), (0, False), (0, False)]
 
 
-def test_triple_pair_form_assess_densifies_only_dim_x_dim_matrices(
-    spec_file, tmp_path, monkeypatch
-):
+def test_triple_pair_form_assess_densifies_nothing(spec_file, tmp_path, monkeypatch):
     """At dim 160, count 480 both bundles of the triple pair are CSR. Route
-    (b) reads the Cholesky factors of the two frame matrices, so the only
-    arrays made dense are dim x dim: S_xi, S_eta and X_xi X_eta^H, never a
-    count x dim analysis matrix for a range basis."""
+    (b) reads the CSR Cholesky factors of the two frame matrices, so no
+    matrix is made dense: no S, no X_xi X_eta^H and no count x dim analysis
+    matrix for a range basis."""
     shapes = []
 
     def recorded(M, dim, count):
@@ -676,7 +674,32 @@ def test_triple_pair_form_assess_densifies_only_dim_x_dim_matrices(
             "--right", spec_file("eta.json", TRIPLE_ETA), "--dim", "160",
             "--count", "480", "--out", str(tmp_path / "out.json")]
     assert main(argv) == 0
-    assert shapes == [((160, 160), "csr_array")] * 3
+    assert shapes == []
+
+
+def test_a_cosine_that_rounds_above_one_leaves_form_assess_standing(
+    spec_file, capsys
+):
+    """Rows 1 and 2 of X_xi add up to row 1 of X_eta, so the ranges meet and
+    one cosine is 1; from the factors it rounds to 1 + 2^-52. The gate and
+    the reported angle read only c_min = 0.369, so form-assess, which runs
+    under np.errstate(invalid="raise"), exits 0 where the arccos of every
+    cosine would raise."""
+    rng = np.random.default_rng(5)
+    A, B = rng.standard_normal((3, 8)), rng.standard_normal((3, 8))
+    B[0] = A[0] + A[1]
+    cos = operators.factor_cosines(*map(operators.bundle_from_columns, (A, B)))
+    assert cos[0] > 1 and cos[-1] < 0.5**0.5
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        np.arccos(cos)
+    left, right = (spec_file(f"{name}.json", {"rule": "explicit", "params": {
+        "matrix": X.tolist()}}) for name, X in (("a", A), ("b", B)))
+    code, payload = run_json(capsys, ["form-assess", "--left", left, "--right",
+                                      right, "--dim", "3", "--count", "8"])
+    assert code == 0
+    report = payload["report"]
+    assert report["c1"] == cos[-1] and report["zero_closed"] is True
+    assert report["max_principal_angle"] == np.arccos(cos[-1])
 
 
 def test_the_calls_that_need_scipy_linalg_load_it_on_first_use(spec_file):

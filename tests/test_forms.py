@@ -5,6 +5,8 @@ import scipy.sparse as sp
 from seqforms import (
     DiagonalWeights,
     ExplicitColumns,
+    OperatorBundle,
+    PairedDouble,
     ScalarRule,
     TriplePattern,
     build_bundle,
@@ -39,7 +41,7 @@ def test_infsup_known_plane_angle():
     b2 = build_bundle(ExplicitColumns(X2.T), 1, 2)
     isc = infsup_constants(b1, b2)
     assert isc.c1 == pytest.approx(np.cos(theta), abs=1e-12)
-    assert isc.angles[-1] == pytest.approx(theta, abs=1e-12)
+    assert isc.max_angle == pytest.approx(theta, abs=1e-12)
 
 
 @pytest.mark.parametrize("rank_xi,rank_eta", [(4, 4), (3, 4), (4, 2)])
@@ -63,7 +65,7 @@ def test_infsup_one_svd_matches_three_svd_formula(rank_xi, rank_eta):
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - min_projection(Qxi, Qeta)) < 1e-14
     assert abs(isc.c2 - min_projection(Qeta, Qxi)) < 1e-14
-    assert np.max(np.abs(isc.angles - principal_angles(Qxi, Qeta))) < 1e-14
+    assert abs(isc.max_angle - principal_angles(Qxi, Qeta)[-1]) < 1e-14
 
 
 def test_full_range_pair_has_no_principal_angle():
@@ -83,7 +85,7 @@ def test_infsup_small_angle_from_sines():
         ExplicitColumns(np.array([[np.cos(theta), np.sin(theta)]])), 1, 2
     )
     isc = infsup_constants(b_xi, b_eta)
-    assert abs(isc.angles[-1] - theta) <= 1e-15 * theta
+    assert abs(isc.max_angle - theta) <= 1e-15 * theta
     assert isc.c1 == pytest.approx(1.0)
 
 
@@ -91,8 +93,8 @@ def test_infsup_small_angle_from_sines():
 def test_cholesky_cosines_match_range_bases_on_the_triple_pair(dim):
     """The triple pair takes the Cholesky path at every dim (its cosines lie
     in [0.018, 0.578]); its bundles are dense up to dim 128 and CSR at 512.
-    The cosines, angles, c1 and c2 match those of thin-SVD range bases of
-    the dense C to 1e-13."""
+    The cosines, the largest angle, c1 and c2 match those of thin-SVD range
+    bases of the dense C to 1e-13."""
     b_xi, b_eta = (build_bundle(TriplePattern(kind), dim, 3 * dim)
                    for kind in ("xi", "eta"))
     assert sp.issparse(b_xi.columns) == sp.issparse(b_eta.columns) == (dim == 512)
@@ -100,11 +102,11 @@ def test_cholesky_cosines_match_range_bases_on_the_triple_pair(dim):
         *(range_basis(dense(b.C, dim, 3 * dim)) for b in (b_xi, b_eta)))
     got = factor_cosines(b_xi, b_eta)
     assert got is not None
-    assert np.max(np.abs(got[0] - cos)) < 1e-13
-    assert np.max(np.abs(got[1] - angles)) < 1e-13
+    assert np.max(np.abs(got - cos)) < 1e-13
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - cos[-1]) < 1e-13 and abs(isc.c2 - cos[-1]) < 1e-13
-    assert np.array_equal(isc.angles, got[1])
+    assert isc.max_angle == np.arccos(got[-1])
+    assert abs(isc.max_angle - angles[-1]) < 1e-13
 
 
 def test_split_pair_above_the_cap_in_count_x_dim_takes_the_factors():
@@ -120,7 +122,28 @@ def test_split_pair_above_the_cap_in_count_x_dim_takes_the_factors():
         b_xi.range_basis()
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - 1 / k) < 1e-13 and abs(isc.c2 - 1 / k) < 1e-13
-    assert np.allclose(isc.angles, np.arccos(1 / k), rtol=0, atol=1e-13)
+    assert abs(isc.max_angle - np.arccos(1 / k)) < 1e-13
+
+
+@pytest.mark.parametrize("spec,arity,c1", [
+    (TriplePattern, 3, lambda N: 1 / np.sqrt(3 * (2 * N + 1))),
+    (PairedDouble, 2, lambda N: 1 / np.sqrt(1 + N**2)),
+], ids=["triple", "paired"])
+def test_paper_pairs_at_ten_thousand_read_c1_off_the_blockwise_factors(
+    monkeypatch, spec, arity, c1
+):
+    """At N = 10^4 the triple and paired pairs split and their frame matrices
+    are diagonal: route (b) takes no range basis, and c1 = c2 is the closed
+    form to 1e-15 relative, with the largest angle its arccos."""
+    def refuse(self, tol=None):
+        raise AssertionError("took a range basis")
+
+    monkeypatch.setattr(OperatorBundle, "range_basis", refuse)
+    N = 10**4
+    fa = zero_closed_check(spec("xi"), spec("eta"), N, arity * N)
+    assert fa.zero_closed and fa.assoc_invertible
+    assert abs(fa.c1 - c1(N)) <= 1e-15 * c1(N) and fa.c2 == fa.c1
+    assert fa.max_principal_angle == np.arccos(fa.c1)
 
 
 def test_zero_closed_weight_inverse_pair():

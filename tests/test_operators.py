@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from seqforms import (
     DEFAULT_TOL,
@@ -27,7 +28,7 @@ from seqforms import (
 )
 from seqforms.cli import main
 from seqforms.errors import DimensionMismatch
-from seqforms.operators import rank
+from seqforms.operators import GUARD_FACTOR, rank
 
 
 def random_columns(dim, count, seed):
@@ -201,22 +202,74 @@ def _planted_pair(dim, count, angles, seed):
 
 
 @pytest.mark.parametrize("pair,cos_min", [
-    # cosines 1/sqrt(1 + k^2): the largest is 1/sqrt 2 exactly
-    ((PairedDouble("xi"), PairedDouble("eta")), 1 / np.sqrt(37)),
     # c1 = 1e-11, below the factors' error bound 1e4 * 6 * eps * 2 = 2.7e-11
     (tuple(map(ExplicitColumns, _planted_pair(
         6, 12, [0.9, 1.0, 1.1, 1.2, 1.3, np.pi / 2 - 1e-11], 12))), 1e-11),
-], ids=["paired", "planted-1e-11"])
+], ids=["planted-1e-11"])
 def test_pairs_at_the_cholesky_gate_keep_their_two_qrs(monkeypatch, pair, cos_min):
-    """Both pairs are complete with count = 2 dim, so both frame matrices have
-    Cholesky factors; but one cosine is within the factors' error bound of
-    1/sqrt 2 or of 0, so route (b) takes today's two QR range bases."""
+    """The pair is complete with count = 2 dim, so both frame matrices have
+    Cholesky factors; but its smallest cosine is within the factors' error
+    bound of 0, so route (b) takes today's two QR range bases."""
     assert all(build_bundle(spec, 6, 12).cholesky is not None for spec in pair)
     calls = _count_svds(monkeypatch)
     fa = zero_closed_check(*pair, 6, 12)
     qrs = [c for c in calls if c[0] == "numpy.qr"]
     assert qrs == [("numpy.qr", True, (12, 6), np.dtype(float))] * 2
     assert fa.c1 == pytest.approx(cos_min, rel=1e-6)
+
+
+def test_the_paired_pair_takes_the_factors_though_its_largest_cosine_is_1_over_sqrt_2(
+    monkeypatch
+):
+    """The paired pair's cosines are 1/sqrt(1 + k^2), the largest exactly
+    1/sqrt 2; the gate reads only the smallest, 1/sqrt 37 at dim 6, so route
+    (b) takes no QR and its largest angle is the arccos of c1."""
+    calls = _count_svds(monkeypatch)
+    fa = zero_closed_check(PairedDouble("xi"), PairedDouble("eta"), 6, 12)
+    assert not [c for c in calls if c[0] == "numpy.qr"]
+    assert fa.c1 == pytest.approx(1 / np.sqrt(37), rel=1e-14)
+    assert fa.max_principal_angle == np.arccos(fa.c1)
+
+
+def _diagonal_columns(weights, count):
+    """dim x count CSR columns: row i holds weights[i] at column i and 1 at
+    column i + dim."""
+    dim = len(weights)
+    return sp.hstack([sp.diags_array(np.asarray(weights, dtype=float)),
+                      sp.eye_array(dim, count - dim)], format="csr")
+
+
+def test_factor_error_of_a_diagonal_frame_matrix_is_guard_eps():
+    """S = diag(w_i^2 + 1) splits into 1 x 1 blocks, each with kappa 1."""
+    b = bundle_from_columns(_diagonal_columns(np.arange(1.0, 301), 600))
+    assert sp.issparse(b.S)
+    assert b.factor_error == GUARD_FACTOR * np.finfo(float).eps
+    assert sp.issparse(b.cholesky)
+    assert np.allclose(b.cholesky.toarray() ** 2, b.S.toarray(), rtol=1e-15, atol=0)
+
+
+def test_factor_error_of_a_split_frame_matrix_with_a_2x2_block_is_the_whole_bound():
+    """One 2 x 2 block in S: the whole-matrix bound GUARD_FACTOR dim eps
+    kappa(C)^2, and the CSR factor holds that block's lower triangle."""
+    X = _diagonal_columns(np.arange(1.0, 301), 600).tolil()
+    X[0, 1] = 0.5
+    b = bundle_from_columns(X.tocsr())
+    assert sp.issparse(b.S)
+    s = b.singular_values
+    want = GUARD_FACTOR * 300 * np.finfo(float).eps * (s[0] / s[-1]) ** 2
+    assert b.factor_error == pytest.approx(want, rel=1e-15)
+    L = b.cholesky.toarray()
+    assert np.array_equal(L, np.tril(L)) and L[1, 0] != 0
+    assert np.allclose(L @ L.T, b.S.toarray(), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("X", [
+    _diagonal_columns(np.arange(1.0, 301), 600)[:, :299],  # count < dim
+    _diagonal_columns([1.0] * 299 + [0.0], 600)[:, :300],  # a zero row
+], ids=["count-below-dim", "zero-row"])
+def test_factor_error_is_inf_without_a_factor(X):
+    b = bundle_from_columns(X)
+    assert b.factor_error == np.inf and b.cholesky is None
 
 
 def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):

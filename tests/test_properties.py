@@ -297,22 +297,22 @@ def thin_svd_reference(b_xi, b_eta, tol=DEFAULT_TOL):
 @given(shaped_pairs(shapes=("tall",)))
 def test_cholesky_cosines_match_thin_svd_bases(pair):
     """On complete complex pairs with count > dim, factor_cosines declines
-    when 2 dim > count, and otherwise only when a cosine is within 1e-8 of
-    0 or above 1/sqrt 2 - 1e-8: its error bound is at most 4e-9 here (kappa
-    <= 10). Where it gives the cosines, they, their angles and c1, c2 match
-    thin-SVD range bases to 1e-13."""
+    when 2 dim > count, and otherwise only when the smallest cosine is within
+    1e-8 of 0 or above 1/sqrt 2 - 1e-8: its error bound is at most 4e-9 here
+    (kappa <= 10). Where it gives the cosines, they, the largest angle and
+    c1, c2 match thin-SVD range bases to 1e-13."""
     b_xi, b_eta = (bundle_from_columns(X) for X in pair)
     cos, angles = cosines_and_angles(range_basis(b_xi.C), range_basis(b_eta.C))
     got = factor_cosines(b_xi, b_eta)
     if 2 * b_xi.dim > b_xi.count or got is None:
         assert 2 * b_xi.dim > b_xi.count or (
-            cos[-1] < 1e-8 or cos[0] > 0.5**0.5 - 1e-8)
+            cos[-1] < 1e-8 or cos[-1] > 0.5**0.5 - 1e-8)
         return
-    assert np.max(np.abs(got[0] - cos)) < 1e-13
-    assert np.max(np.abs(got[1] - angles)) < 1e-13
+    assert np.max(np.abs(got - cos)) < 1e-13
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - cos[-1]) < 1e-13 and abs(isc.c2 - cos[-1]) < 1e-13
-    assert np.array_equal(isc.angles, got[1])
+    assert isc.max_angle == np.arccos(got[-1])
+    assert abs(isc.max_angle - angles[-1]) < 1e-13
 
 
 @settings(max_examples=300, deadline=None)
@@ -322,8 +322,7 @@ def test_range_bases_match_thin_svd_bases(pair):
     c1, c2, angles, verdict, ratio, zero_closed = thin_svd_reference(b_xi, b_eta)
     isc = infsup_constants(b_xi, b_eta)
     assert abs(isc.c1 - c1) < 1e-12 and abs(isc.c2 - c2) < 1e-12
-    assert isc.angles.shape == angles.shape
-    assert np.all(np.abs(isc.angles - angles) < 1e-12)
+    assert abs(isc.max_angle - (angles[-1] if angles.size else 0.0)) < 1e-12
     if not near_cutoff(ratio):
         fa = zero_closed_from_bundles(b_xi, b_eta)
         assert fa.direct_sum == verdict

@@ -185,10 +185,9 @@ def _random_pair(dim, count):
     pytest.param(lambda: _random_pair(6, 20), id="complex-6x20"),
 ])
 def test_count_above_dim_bounds_match_the_formed_dual_columns(pair):
-    """Above count = dim a dense bundle's dual bound comes from the dim x dim
-    product with its Cholesky factor, a split one's (the triple pair at 512)
-    from its columns; each is sigma_max of the formed dual columns, squared,
-    to 1e-12 relative."""
+    """Above count = dim a dual bound comes from the dim x dim product with
+    the Cholesky factor, CSR for a split bundle (the triple pair at 512); each
+    is sigma_max of the formed dual columns, squared, to 1e-12 relative."""
     b_xi, b_eta = pair()
     assert sp.issparse(b_xi.columns) == (b_xi.dim == 512)
     assert b_xi.cholesky is not None and b_eta.cholesky is not None
@@ -196,6 +195,18 @@ def test_count_above_dim_bounds_match_the_formed_dual_columns(pair):
     for system in reproducing_pair_duals(fa, b_xi, b_eta):
         want = float(svdvals(system.solve(system.primal.columns))[0]) ** 2
         assert system.bessel_bound_of_dual == pytest.approx(want, rel=1e-12)
+
+
+def test_triple_pair_dual_bounds_are_2n_plus_1_and_3():
+    """At N = 10^4 the triple pair's bounds are read off its CSR factors:
+    2N + 1 for the left dual and 3 for the right one."""
+    N = 10**4
+    b_xi, b_eta = _triple_pair(N)
+    assert sp.issparse(b_xi.cholesky) and sp.issparse(b_eta.cholesky)
+    left, right = reproducing_pair_duals(
+        zero_closed_from_bundles(b_xi, b_eta), b_xi, b_eta)
+    assert left.bessel_bound_of_dual == pytest.approx(2 * N + 1, rel=1e-14)
+    assert right.bessel_bound_of_dual == pytest.approx(3, rel=1e-14)
 
 
 @pytest.mark.parametrize("X", [

@@ -12,8 +12,8 @@ its cap; only at the default tolerances, which reach no rung above 600), a
 fixed list of calls whose matrices split into blocks (see
 _split_calls), one of calls on either side of the real/complex boundary
 (see _dtype_calls), one of calls on either side of the underflow of a
-squared singular value (see _scale_calls) and one of calls on either side
-of the gate of the Cholesky inf-sup cosines (see _cholesky_calls), with rule
+squared singular value (see _scale_calls) and one of calls whose inf-sup
+cosines come from Cholesky factors (see _cholesky_calls), with rule
 files the tool writes itself. Every dense-pair, class-ladder, scenario,
 split, dtype, scale and cholesky call runs a second time at --tol-rank 0.5,
 where some forms are no longer 0-closed and some sequences no longer lower
@@ -182,20 +182,26 @@ def _scale_calls(work: str) -> dict:
 
 def _cholesky_calls(work: str) -> dict:
     """{call id: argv} of form-assess and pair reconstruct of the triple pair
-    at dim 1024, count 3072, whose inf-sup cosines come from the Cholesky
-    factors of its frame matrices, and of the paired pair at dim 256, count
-    512, whose largest cosine is exactly 1/sqrt 2, where route (b) falls back
-    to range bases. Both pairs split into blocks. The rule files are written
-    into work."""
+    at dim 1024, count 3072, and of the paired pair at dim 256, count 512,
+    whose largest cosine is exactly 1/sqrt 2 and whose smallest clears the
+    gate; and of both pairs at dims 10^4 and 10^5, with count 3 dim and 2
+    dim, above the dense cap. Both pairs split into blocks with diagonal
+    frame matrices, so their inf-sup cosines come from blockwise Cholesky
+    factors. The rule files are written into work."""
     path = _write_rules(work, "cholesky", {
         f"{rule}-{kind}": {"rule": rule, "params": {"kind": kind}}
         for rule in ("triple", "paired_double") for kind in ("xi", "eta")})
     calls = {}
-    for rule, dim, count in [("triple", 1024, 3072), ("paired_double", 256, 512)]:
+    for rule, dim, count, tag in [
+        ("triple", 1024, 3072, ""), ("paired_double", 256, 512, ""),
+        *((rule, dim, arity * dim, f"/{dim}")
+          for dim in (10**4, 10**5)
+          for rule, arity in (("triple", 3), ("paired_double", 2))),
+    ]:
         pair = ["--left", path[f"{rule}-xi"], "--right", path[f"{rule}-eta"],
                 "--dim", str(dim), "--count", str(count)]
-        calls[f"{rule}/form-assess"] = ["form-assess", *pair]
-        calls[f"{rule}/reconstruct"] = ["reconstruct", *pair]
+        calls[f"{rule}{tag}/form-assess"] = ["form-assess", *pair]
+        calls[f"{rule}{tag}/reconstruct"] = ["reconstruct", *pair]
     return calls
 
 
