@@ -114,10 +114,11 @@ def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
 
 
 def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The blocks M[rows[k]][:, cols[k]] of a sparse M as one k x r x c
-    array: entry (i, j) of M[rows.ravel()][:, cols.ravel()] is in block
-    i // r, and only a zero one lies outside the blocks."""
+    """The blocks M[rows[k]][:, cols[k]] of a sparse M as one k x r x c array
+    (entry (i, j) of M[rows.ravel()][:, cols.ravel()] is in block i // r, and
+    only zeros lie outside); DenseTooLarge, naming M, when a block is above the cap."""
     (k, r), c = rows.shape, cols.shape[1]
+    _refuse_dense(*M.shape, r * c)
     sub = M[rows.ravel()][:, cols.ravel()].tocoo()
     live = sub.data != 0
     i, j = sub.row[live], sub.col[live]
@@ -153,9 +154,8 @@ def _blockwise(M, fn):
 
 
 def inv(M):
-    """The inverse of M: for a sparse M, CSR from the block inverses, with
-    reciprocals for a stack of 1 x 1 blocks; LinAlgError when M is singular."""
-    return _blockwise(M, lambda A: 1 / A if A.shape[1:] == (1, 1) else np.linalg.inv(A))
+    """The inverse of M, CSR of block inverses if sparse; LinAlgError if singular."""
+    return _blockwise(M, np.linalg.inv)
 
 
 def cho_solve(S, B: np.ndarray) -> np.ndarray:
@@ -229,15 +229,15 @@ class OperatorBundle:
 
     @cached_property
     def factor_error(self) -> float:
-        """Error bound of the CholeskyQR basis C L^-H: GUARD_FACTOR eps for a
-        sparse diagonal S, else GUARD_FACTOR dim eps kappa(C)^2, which bounds
-        GUARD_FACTOR b eps kappa(S_k) of every b x b block S_k of S; inf when
-        count < dim or sigma_dim = 0."""
+        """Error bound of the CholeskyQR basis C L^-H: GUARD_FACTOR w eps for
+        a sparse diagonal S, w the most entries in a row of X (the rounding of
+        the inner products that form S grows with it), else GUARD_FACTOR dim
+        eps kappa(C)^2; inf when count < dim or sigma_dim = 0."""
         s, S, eps = self.singular_values, self.S, float(np.finfo(float).eps)
         if self.count < self.dim or s[-1] == 0:
             return np.inf
         if sp.issparse(S) and S.count_nonzero() == np.count_nonzero(S.diagonal()):
-            return GUARD_FACTOR * eps
+            return GUARD_FACTOR * eps * float(self.columns.count_nonzero(axis=1).max())
         kappa = float(s[0]) / float(s[-1])  # Python floats: inf, not an error
         return GUARD_FACTOR * self.dim * eps * kappa * kappa
 

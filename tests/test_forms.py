@@ -20,7 +20,12 @@ from seqforms import (
     zero_closed_from_bundles,
 )
 from seqforms.errors import DenseTooLarge
-from seqforms.operators import cosines_and_angles, dense, factor_cosines
+from seqforms.operators import (
+    DENSE_MAX_SIZE,
+    cosines_and_angles,
+    dense,
+    factor_cosines,
+)
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
 
@@ -144,6 +149,24 @@ def test_paper_pairs_at_ten_thousand_read_c1_off_the_blockwise_factors(
     assert fa.zero_closed and fa.assoc_invertible
     assert abs(fa.c1 - c1(N)) <= 1e-15 * c1(N) and fa.c2 == fa.c1
     assert fa.max_principal_angle == np.arccos(fa.c1)
+
+
+def test_split_pair_with_a_connected_cosine_matrix_above_the_cap_is_refused():
+    """Row i of X_xi holds ones at columns 2i and 2i + 1, row i of X_eta at
+    2i + 1 and 2i + 2: both frame matrices are diagonal, but X_eta X_xi^H
+    is bidiagonal, so the matrix whose singular values are route (b)'s
+    cosines is one dim x dim block. At dim 4097 that block is above the
+    dense cap, and it is refused before it is allocated."""
+    dim = 4097
+    rows = np.repeat(np.arange(dim), 2)
+    cols = 2 * rows + np.tile([0, 1], dim)
+    b_xi, b_eta = (bundle_from_columns(sp.csr_array(
+        (np.ones(2 * dim), (rows, cols + shift)), shape=(dim, 2 * dim + 1)))
+        for shift in (0, 1))
+    assert b_xi.factor_error < 1 and b_eta.factor_error < 1
+    with pytest.raises(DenseTooLarge) as err:
+        zero_closed_from_bundles(b_xi, b_eta)
+    assert err.value.details == {"dim": dim, "count": dim, "cap": DENSE_MAX_SIZE}
 
 
 def test_zero_closed_weight_inverse_pair():

@@ -239,11 +239,12 @@ def _diagonal_columns(weights, count):
                       sp.eye_array(dim, count - dim)], format="csr")
 
 
-def test_factor_error_of_a_diagonal_frame_matrix_is_guard_eps():
-    """S = diag(w_i^2 + 1) splits into 1 x 1 blocks, each with kappa 1."""
+def test_factor_error_of_a_diagonal_frame_matrix_is_guard_eps_per_row_entry():
+    """S = diag(w_i^2 + 1) splits into 1 x 1 blocks, each with kappa 1; the
+    bound grows with the longest row of X, 2 entries here."""
     b = bundle_from_columns(_diagonal_columns(np.arange(1.0, 301), 600))
     assert sp.issparse(b.S)
-    assert b.factor_error == GUARD_FACTOR * np.finfo(float).eps
+    assert b.factor_error == GUARD_FACTOR * 2 * np.finfo(float).eps
     assert sp.issparse(b.cholesky)
     assert np.allclose(b.cholesky.toarray() ** 2, b.S.toarray(), rtol=1e-15, atol=0)
 
