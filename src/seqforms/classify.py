@@ -4,9 +4,9 @@ diagnostics of the infinite-dimensional class.
 At a fixed truncation the frame bounds are the extreme squared singular
 values of the analysis matrix. classify_finite is the one place that turns
 those singular values into a FrameSpectrum; frame_spectrum calls it, or
-takes the extremes from the diagonal or a banded eigensolver of S when S is
-banded and large. The infinite-dimensional class can only be diagnosed, by
-tracking how the bounds move along a truncation ladder.
+takes the extremes from a banded eigensolver of S when S is banded and
+large. The infinite-dimensional class can only be diagnosed, by tracking
+how the bounds move along a truncation ladder.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class FrameSpectrum:
     bessel_bound is B = sigma_max^2, lower_bound is A = sigma_dim^2 (0 when
     count < dim), riesz_fischer_bound is the smallest squared singular value
     above the rank cutoff. backend is "dense" or "blockwise" (SVD of C, whole
-    or block by block), "diagonal" or "banded" (extremes of S or G).
+    or block by block, 1 x k blocks by their norms) or "banded" (extremes of
+    S or G).
     bandwidth is the bound w read off the supports and guard_margin is
     log10(lambda_min / (GUARD_FACTOR (w + 1) eps lambda_max)); both are None
     where they were not computed, the margin also when lambda_min <= 0.
@@ -131,31 +132,32 @@ def frame_spectrum(
 ) -> FrameSpectrum:
     """B, A, rank and Riesz-Fischer bound of spec at dim x count.
 
-    Below count * dim = BANDED_MIN_SIZE this is classify_finite. Above
-    it, M = S (G = X^H X when count < dim, which holds the same nonzero
-    eigenvalues) has (M)_ij != 0 only where one column of X (of X^H) has
-    entries at both i and j, so its bandwidth w is at most the largest spread
-    of rows within a column. When w <= BANDED_MAX_WIDTH the extremes of M
-    come from its diagonal (w = 0) or from LAPACK ?sbevx (?hbevx when M is
-    complex) in band storage, and stand when lambda_min clears the accuracy
-    guard and sqrt(lambda_min) the rank cutoff (then rank = min(dim, count)).
-    Anything else is classify_finite of the bundle of the same sparse
-    matrix, which raises DenseTooLarge above the dense cap.
+    Below count * dim = BANDED_MIN_SIZE, or when no entry is zero, this is
+    classify_finite. Above it, M = S (G = X^H X when count < dim, which
+    holds the same nonzero eigenvalues) has (M)_ij != 0 only where one
+    column of X (of X^H) has entries at both i and j, so its bandwidth w is
+    at most the largest spread of rows within a column. When w <=
+    BANDED_MAX_WIDTH and some column of X has two entries (else its rows are
+    its blocks, and their norms its singular values), the extremes of M come
+    from LAPACK ?sbevx (?hbevx when M is complex) in band storage, and stand
+    when lambda_min clears the accuracy guard and sqrt(lambda_min) the rank
+    cutoff (then rank = min(dim, count)). Anything else is classify_finite
+    of the bundle of the same sparse matrix, which raises DenseTooLarge
+    above the dense cap.
     """
-    if dim * count < BANDED_MIN_SIZE:
+    if dim * count < BANDED_MIN_SIZE or spec.full(dim, count):
         return classify_finite(build_bundle(spec, dim, count), tol)
     found = {}
-    X = spec.materialize_sparse(dim, count)
-    Y = X if count >= dim else X.conj().T.tocsc()
-    w = found["bandwidth"] = _column_spread(Y)
-    if w <= BANDED_MAX_WIDTH:
-        lo, hi = _extreme_eigenvalues(Y, w)
-        margin = found["guard_margin"] = _guard_margin(lo, hi, w)
-        if margin is not None and margin >= 0 and rank(np.sqrt([hi, lo]), tol) == 2:
-            return FrameSpectrum(
-                dim, count, hi, lo if count >= dim else 0.0,
-                min(dim, count), lo, "banded" if w else "diagonal", w, margin,
-            )
+    X = spec.materialize_sparse(dim, count)  # CSC of the nonzero entries
+    if np.diff(X.indptr).max() > 1:
+        Y = X if count >= dim else X.conj().T.tocsc()
+        w = found["bandwidth"] = _column_spread(Y)
+        if w <= BANDED_MAX_WIDTH:
+            lo, hi = _extreme_eigenvalues(Y, w)
+            margin = found["guard_margin"] = _guard_margin(lo, hi, w)
+            if margin is not None and margin >= 0 and rank(np.sqrt([hi, lo]), tol) == 2:
+                return FrameSpectrum(dim, count, hi, lo if count >= dim else 0.0,
+                                     min(dim, count), lo, "banded", w, margin)
     try:
         bundle = bundle_from_columns(X)
     except DenseTooLarge as exc:
@@ -163,7 +165,8 @@ def frame_spectrum(
             f"{exc} (bandwidth {found.get('bandwidth')}, guard margin "
             f"{found.get('guard_margin')})", **exc.details, **found,
         ) from None
-    return dataclasses.replace(classify_finite(bundle, tol), **found)
+    spectrum = classify_finite(bundle, tol)
+    return dataclasses.replace(spectrum, **found) if found else spectrum
 
 
 def _column_spread(Y: sp.csc_matrix) -> int:
@@ -179,9 +182,6 @@ def _column_spread(Y: sp.csc_matrix) -> int:
 def _extreme_eigenvalues(Y: sp.csc_matrix, w: int) -> Tuple[float, float]:
     """(lambda_min, lambda_max) of M = Y Y^H, whose bandwidth is at most w."""
     n = Y.shape[0]
-    if w == 0:
-        d = np.bincount(Y.indices, Y.data.real**2 + Y.data.imag**2, minlength=n)
-        return float(d.min()), float(d.max())
     import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
     M = (Y @ Y.conj().T).tocsr()
     ab = np.zeros((w + 1, n), dtype=M.dtype)  # real M: ?sbevx, else ?hbevx

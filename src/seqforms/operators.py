@@ -12,18 +12,21 @@ columns; its rows are the ambient space. Verdicts about a sequence (frame
 bounds, completeness, the class) live in classify.
 
 A matrix is sparse exactly when it splits into independent blocks, as a
-bundle decides once, at its birth; its C, S, Cholesky factor and the
-products of split operands stay sparse. The values-only SVD, the inverse,
-the Cholesky factor and solve take one numpy or scipy call on a dense
-matrix and one batched call per block shape on a sparse one. Range bases
-are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
+bundle decides once, at its birth, where it also finds its blocks; its C,
+S, Cholesky factor and the products of split operands stay sparse, and S
+and the factor take their blocks from the columns'. The values-only SVD,
+the inverse, the Cholesky factor and solve take one numpy or scipy call on
+a dense matrix and one batched call per block shape on a sparse one, but
+none for a 1 x k or k x 1 block, whose singular value is its norm, or a
+1 x 1 one, whose inverse and factor are a reciprocal and a square root.
+Range bases are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,9 +64,9 @@ def rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
 # for structure (a bundle's blocks, a band in classify.frame_spectrum): a
-# values-only SVD takes 5.2 ms real and 9.8 ms complex at 256 x 256, and
-# 0.03 ms real and 0.05 ms complex for a 64 x 64 diagonal, whose blocks take
-# 0.15 ms to find (one BLAS thread).
+# values-only SVD takes 5.2 ms real and 9.8 ms complex at 256 x 256 (one
+# BLAS thread). A family whose members hold one nonzero coordinate each is
+# the exception: its blocks are its rows, read off at every size.
 BANDED_MIN_SIZE = 256 * 256
 # S = C^H C squares kappa(C), so a verdict read off S (a banded eigensolve, a
 # Cholesky factor) stands only when GUARD_FACTOR * n * eps * kappa(C)^2 < 1.
@@ -127,48 +130,79 @@ def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def svdvals(M) -> np.ndarray:
-    """The singular values of M, descending."""
+def _row_norms(M) -> np.ndarray:
+    """The 2-norm of each row of a sparse M, from the squares of its entries,
+    or, where one could under- or overflow, of their ratios to the row's
+    largest modulus."""
+    m = M.shape[0]
+    if M.format == "csc":  # the row of each entry is stored, as in M.T of a CSR M
+        row = M.indices
+    else:
+        M = sp.csr_array(M)
+        row = np.repeat(np.arange(m), np.diff(M.indptr))
+    a, f = np.abs(M.data), np.finfo(float)
+    if not a.size or np.sqrt(f.tiny) <= a.min() <= a.max() <= np.sqrt(f.max / a.size):
+        return np.sqrt(np.bincount(row, a * a, m))
+    top = np.zeros(m)
+    np.maximum.at(top, row, a)
+    scale = np.where(top > 0, top, 1.0)
+    return top * np.sqrt(np.bincount(row, (a / scale[row]) ** 2, m))
+
+
+def svdvals(M, blocks: Optional[dict] = None) -> np.ndarray:
+    """The singular values of M, descending; of a sparse M, block by block
+    (its blocks_of unless given), a 1 x c or r x 1 block's being the norm of
+    its row or column, with no LAPACK call."""
     if not sp.issparse(M):
         return np.linalg.svd(M, compute_uv=False)
-    vals = [np.linalg.svd(_stack(M, rows, cols), compute_uv=False).ravel()
-            for (r, c), (rows, cols) in blocks_of(M).items() if r and c]
+    groups = (blocks_of(M) if blocks is None else blocks).items()
+    rows = [b[0][:, 0] for (r, c), b in groups if r == 1 and c]
+    cols = [b[1][:, 0] for (r, c), b in groups if r > 1 and c == 1]
+    vals = [_row_norms(A)[np.concatenate(i)] for A, i in ((M, rows), (M.T, cols)) if i]
+    vals += [np.linalg.svd(_stack(M, *b), compute_uv=False).ravel()
+             for (r, c), b in groups if r > 1 and c > 1]
     vals = np.concatenate([np.zeros(0), *vals])
     return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
 
 
-def _blockwise(M, fn):
+def _blockwise(M, fn, one, blocks: Optional[dict] = None):
     """fn(M) of a dense M; of a sparse one, fn of each k x r x r stack of its
-    square blocks, as CSR with block k at rows cols[k] and columns rows[k],
-    as an inverse has it. LinAlgError when a block is not square."""
+    square blocks (its blocks_of unless given), and one of the entries of 1 x
+    1 blocks, with no LAPACK call: CSR with block k at rows cols[k] and
+    columns rows[k], as an inverse has it. LinAlgError when a block is not
+    square."""
     if not sp.issparse(M):
         return fn(M)
-    blocks = blocks_of(M)
+    blocks = blocks_of(M) if blocks is None else blocks
     if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
-    parts = [(fn(_stack(M, rows, cols)),
+    parts = [(one(np.asarray(M[rows[:, 0], cols[:, 0]])) if rows.shape[1] == 1
+              else fn(_stack(M, rows, cols)),
               *np.broadcast_arrays(cols[:, :, None], rows[:, None, :]))
              for rows, cols in blocks.values()]
     vals, i, j = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts))
     return sp.csr_array((vals, (i, j)), M.shape)
 
 
-def inv(M):
-    """The inverse of M, CSR of block inverses if sparse; LinAlgError if singular."""
-    return _blockwise(M, np.linalg.inv)
+def inv(M, blocks: Optional[dict] = None):
+    """The inverse of M, CSR of block inverses if sparse (its blocks_of
+    unless given); LinAlgError if singular."""
+    return _blockwise(M, np.linalg.inv, np.reciprocal, blocks)
 
 
-def cho_solve(S, B: np.ndarray) -> np.ndarray:
+def cho_solve(S, B: np.ndarray, blocks: Optional[dict] = None) -> np.ndarray:
     """X with S X = B for a Hermitian positive definite S: dense, scipy's
     cho_factor and cho_solve; sparse, L^-H L^-1 B with L^-1 assembled from
-    the blocks' factors. LinAlgError when S is not positive definite."""
+    the factors of the blocks (its blocks_of unless given). LinAlgError when
+    S is not positive definite."""
     if not sp.issparse(S):
         import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
     # a positive diagonal puts every block of S on it: rows[k] = cols[k]
     if not np.all(S.diagonal().real > 0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    L_inv = _blockwise(S, lambda A: inv(np.linalg.cholesky(A)))
+    L_inv = _blockwise(S, lambda A: inv(np.linalg.cholesky(A)),
+                       lambda a: 1 / np.sqrt(a), blocks)
     return L_inv.conj().T @ (L_inv @ B)
 
 
@@ -197,13 +231,20 @@ def dense(M, dim: int, count: int) -> np.ndarray:
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    Only the columns are stored: CSR when they split (bundle_from_columns
-    decides), else dense. The other operators and the singular values of C
-    are computed on first use and cached, so a verdict that needs singular
-    values alone never pays for singular vectors.
+    Only the columns are stored, sparse when they split and dense
+    otherwise, with their blocks: bundle_from_columns finds them once. The
+    other operators and the singular values of C are computed on first use
+    and cached, so a verdict that needs singular values alone never pays for
+    singular vectors.
     """
 
-    columns: object  # dim x count, column n is xi_n: CSR or dense
+    columns: object  # dim x count, column n is xi_n: sparse or dense
+    blocks: Optional[dict] = None  # of split columns; None when rows are theirs
+
+    def __post_init__(self):
+        X = self.columns  # sparse columns given no blocks: are the rows theirs?
+        if self.blocks is None and sp.issparse(X) and X.count_nonzero(axis=0).max() > 1:
+            object.__setattr__(self, "blocks", blocks_of(X))
 
     @property
     def dim(self) -> int:
@@ -223,9 +264,23 @@ class OperatorBundle:
         return self.columns @ self.C
 
     @cached_property
+    def S_blocks(self) -> Optional[dict]:
+        """The blocks of S and of its Cholesky factor, the row sides of the
+        columns' (each row, when the rows are theirs); None when dense."""
+        if not sp.issparse(self.columns):
+            return None
+        sides = {} if self.blocks else {(1, 1): [np.arange(self.dim)[:, None]]}
+        for (r, _), (rows, _) in (self.blocks or {}).items():
+            sides.setdefault((r, r), []).append(rows)
+        return {k: (np.vstack(v),) * 2 for k, v in sides.items() if k[0]}
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of C, descending, without singular vectors."""
-        return svdvals(self.C)
+        """Singular values of C, descending, without singular vectors: those
+        of split columns block by block, or the norms of their rows."""
+        if self.blocks is None and sp.issparse(self.columns):
+            return np.sort(_row_norms(self.columns))[::-1][: min(self.dim, self.count)]
+        return svdvals(self.columns, self.blocks) if self.blocks else svdvals(self.C)
 
     @cached_property
     def factor_error(self) -> float:
@@ -245,7 +300,9 @@ class OperatorBundle:
     def cholesky(self):
         """L of S = L L^H, sparse when S is, so that C = (C L^-H) L^H is a QR
         of C (CholeskyQR); None when factor_error >= 1."""
-        return _blockwise(self.S, np.linalg.cholesky) if self.factor_error < 1 else None
+        if self.factor_error >= 1:
+            return None
+        return _blockwise(self.S, np.linalg.cholesky, np.sqrt, self.S_blocks)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
@@ -260,26 +317,41 @@ class OperatorBundle:
 
 def bundle_from_columns(X) -> OperatorBundle:
     """The bundle of the dim x count columns X, dense or sparse, complex
-    when X is, else float: CSR exactly when X has BANDED_MIN_SIZE entries or
-    more and two or more blocks hold entries, else dense. DenseTooLarge when
-    a held block, or the dense columns of a sparse X, are above the cap."""
+    when X is, else float; sparse exactly when two or more blocks hold
+    entries and either each column holds one nonzero entry at most (CSC, its
+    rows the blocks, at any size) or X has BANDED_MIN_SIZE entries or more
+    and a zero one (CSR, blocks_of), else dense. DenseTooLarge when a held
+    block, or the dense columns of a sparse X, are above the cap."""
     X = X if sp.issparse(X) else np.atleast_2d(X)
     X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
     dim, count = X.shape
-    live = X.count_nonzero() if sp.issparse(X) else np.count_nonzero(X)
-    if BANDED_MIN_SIZE <= dim * count and live < dim * count:  # else one block
+    nz = None if sp.issparse(X) else X != 0
+    live = X.count_nonzero(axis=0) if nz is None else nz.sum(axis=0)
+    if live.max(initial=0) <= 1 < live.sum():  # the rows are the blocks
+        if nz is None:
+            Y = sp.csc_array(X)
+            rows = Y.indices[Y.data != 0]
+        else:  # CSC of the one entry of each nonzero column
+            rows, cols = nz.argmax(axis=0)[live > 0], np.flatnonzero(live)
+            indptr = np.concatenate([[0], np.cumsum(live)])
+            Y = sp.csc_array((X[rows, cols], rows, indptr), X.shape)
+        if rows.min() < rows.max():  # two of them hold entries
+            return OperatorBundle(Y)
+    elif BANDED_MIN_SIZE <= dim * count and live.sum() < dim * count:
         Y = sp.csr_array(X)
-        held = [(len(b), r * c) for (r, c), (b, _) in blocks_of(Y).items() if r * c]
+        blocks = blocks_of(Y)
+        held = [(len(b), r * c) for (r, c), (b, _) in blocks.items() if r * c]
         if sum(k for k, _ in held) >= 2:
             _refuse_dense(dim, count, max(size for _, size in held))
-            return OperatorBundle(Y)
+            return OperatorBundle(Y, blocks)
     return OperatorBundle(dense(X, dim, count))
 
 
 def build_bundle(spec: SequenceSpec, dim: int, count: int) -> OperatorBundle:
-    """The bundle of spec at dim x count, from its sparse entries from
-    BANDED_MIN_SIZE on."""
-    small = dim * count < BANDED_MIN_SIZE
+    """The bundle of spec at dim x count, materialized once: dense below
+    BANDED_MIN_SIZE entries or when the rule knows none is zero, else from
+    its sparse entries."""
+    small = dim * count < BANDED_MIN_SIZE or spec.full(dim, count)
     X = spec.materialize(dim, count) if small else spec.materialize_sparse(dim, count)
     return bundle_from_columns(X)
 
@@ -342,16 +414,21 @@ def cosines_and_angles(
     return cos, np.sort(angles)
 
 
-def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle):
+def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle, blocks=None):
     """Cosines of the ranges of two injective C, descending, by CholeskyQR:
-    the singular values of L_eta^-1 (X_eta X_xi^H) L_xi^-H = Q_eta^H Q_xi.
-    None unless 2 dim <= count and the smallest cosine clears 0 and 1/sqrt 2
-    (where cosines_and_angles turns to sines) by the factors' summed error."""
+    the singular values of L_eta^-1 (X_eta X_xi^H) L_xi^-H = Q_eta^H Q_xi,
+    which has the blocks of X_eta X_xi^H (blocks, if known) when both L are
+    diagonal. None unless 2 dim <= count and the smallest cosine clears 0
+    and 1/sqrt 2 (where cosines_and_angles turns to sines) by the factors'
+    summed error."""
     err = bundle_xi.factor_error + bundle_eta.factor_error
     if 2 * bundle_xi.dim > bundle_xi.count or err >= 1:
         return None
-    L_xi, L_eta = inv(bundle_xi.cholesky), inv(bundle_eta.cholesky)
-    cos = svdvals(L_eta @ (bundle_eta.columns @ bundle_xi.C) @ L_xi.conj().T)
+    pair = (bundle_xi, bundle_eta)
+    L_xi, L_eta = (inv(b.cholesky, b.S_blocks) for b in pair)
+    diagonal = all(set(b.S_blocks or ()) == {(1, 1)} for b in pair)
+    cos = svdvals(L_eta @ (bundle_eta.columns @ bundle_xi.C) @ L_xi.conj().T,
+                  blocks if diagonal else None)
     return cos if err < min(cos[-1], 0.5**0.5 - cos[-1]) else None
 
 

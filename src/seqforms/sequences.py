@@ -130,6 +130,11 @@ class SequenceSpec:
             )
         return rows, cols, vals
 
+    def full(self, dim: int, count: int) -> bool:
+        """Whether the rule knows, without materializing them, that the
+        dim x count entries are all nonzero: only an explicit matrix does."""
+        return False
+
     def materialize(self, dim: int, count: int) -> np.ndarray:
         """Dense dim x count matrix whose column n is xi_n: float64 when
         every entry is real, else complex128."""
@@ -163,6 +168,9 @@ class ExplicitColumns(SequenceSpec):
             )
         rows, cols = np.nonzero(self.matrix[:, n - 1])
         return rows, cols, self.matrix[rows, n[cols] - 1]
+
+    def full(self, dim: int, count: int) -> bool:
+        return dim <= self.matrix.shape[0] and bool(self.matrix[:dim, :count].all())
 
     def _stored(self, dim: int, count: int) -> np.ndarray:
         """The first count columns cut to dim rows, -0 parts made +0 and

@@ -170,7 +170,7 @@ def test_criterion_06_reproducing_pair_identity(capsys):
     xi = DiagonalWeights(ScalarRule("n"))
     eta = DiagonalWeights(ScalarRule("1/n"))
     fa = zero_closed_check(xi, eta, 32, 32)
-    exact = np.array_equal(fa.associated_operator, np.eye(32))
+    exact = np.array_equal(fa.associated_operator.toarray(), np.eye(32))
     left, right = reproducing_pair_duals(
         fa, build_bundle(xi, 32, 32), build_bundle(eta, 32, 32)
     )

@@ -6,6 +6,7 @@ permutations, of the representation a bundle is born with, and the
 at dims 256 and 300 against the one-block path."""
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import seqforms.cli as cli
 import seqforms.operators as operators
+from seqforms.classify import classify_finite, frame_spectrum
 from seqforms.cli import main
-from seqforms.sequences import SequenceSpec
+from seqforms.forms import zero_closed_check
+from seqforms.sequences import ExplicitColumns, SequenceSpec
 from seqforms.operators import blocks_of, bundle_from_columns, cho_solve, inv, svdvals
 
 # gaussian blocks are r x c; a square one is made diagonally dominant, so
@@ -187,11 +190,37 @@ def _close(a, b):
     return type(a) is type(b) and a == b
 
 
+def _numpy_report(command, dim):
+    """The body fields of {n e_n}/{e_n/n} at dim that a dense numpy SVD
+    decides, with no seqforms code: both families are bases, T = I."""
+    n = np.arange(1.0, dim + 1)
+    X_xi, X_eta = np.diag(n), np.diag(1 / n)
+    A_xi, A_eta = (np.linalg.svd(X, compute_uv=False)[-1] ** 2 for X in (X_xi, X_eta))
+    s_T = np.linalg.svd(X_eta @ X_xi.T, compute_uv=False)
+    if command == "form-assess":
+        return {"null_dim_left": 0, "null_dim_right": 0, "c1": 1.0, "c2": 1.0,
+                "max_principal_angle": 0.0, "direct_sum": "holds",
+                "zero_closed": True, "assoc_invertible": True,
+                "assoc_inverse_norm": 1 / s_T[-1], "lower_xi": True,
+                "lower_eta": True, "lower_bound_xi": A_xi, "lower_bound_eta": A_eta,
+                "dim": dim, "count": dim, "finite_truncation": True}
+    bounds = [1 / A_eta, 1 / A_xi] if command == "reconstruct" else [1 / A_xi]
+    kinds = (["reproducing_left", "reproducing_right"] if command == "reconstruct"
+             else ["canonical_lower"])
+    return {"systems": [{"kind": kind, "bessel_bound_of_dual": bound, "dim": dim,
+                         "count": dim} for kind, bound in zip(kinds, bounds)],
+            "trials": 50, "dim": dim, "count": dim}
+
+
 @pytest.mark.parametrize("command", ["form-assess", "reconstruct", "canonical"])
 @pytest.mark.parametrize("dim", [256, 300])
 def test_weight_inverse_pair_reports_match_the_one_block_path(
     tmp_path, capsys, monkeypatch, command, dim
 ):
+    """Every member of {n e_n} and {e_n/n} has one nonzero coordinate, so
+    each bundle splits into 1 x 1 blocks at every size and no call reaches
+    LAPACK; the bodies match the one-block answer, numpy's SVDs of the dense
+    matrices, to rounding."""
     left, right = tmp_path / "n.json", tmp_path / "inv.json"
     left.write_text(json.dumps(W_N))
     right.write_text(json.dumps(W_INV))
@@ -199,9 +228,6 @@ def test_weight_inverse_pair_reports_match_the_one_block_path(
         argv = ["reconstruct", "--spec", str(left), "--dim", str(dim)]
     else:
         argv = [command, "--left", str(left), "--right", str(right), "--dim", str(dim)]
-
-    with mock.patch.object(operators, "BANDED_MIN_SIZE", 10**12):
-        whole = _report(capsys, argv)
     shapes = []
     for name in ("svd", "inv", "qr", "cholesky", "solve"):
         fn = getattr(np.linalg, name)
@@ -212,9 +238,10 @@ def test_weight_inverse_pair_reports_match_the_one_block_path(
 
         monkeypatch.setattr(np.linalg, name, spy)
     blockwise = _report(capsys, argv)
-    assert _close(whole, blockwise)
-    # the diagonal pair splits into 1 x 1 blocks: no dense factorization
-    assert shapes and all(shape[-2:] == (1, 1) for shape in shapes)
+    assert shapes == []
+    assert blockwise.pop("max_residual", 0.0) < 1e-12
+    monkeypatch.undo()
+    assert _close(_numpy_report(command, dim), blockwise)
 
 
 @pytest.mark.parametrize("command, dim", [
@@ -261,3 +288,96 @@ def test_a_split_pair_keeps_C_S_and_T_sparse(tmp_path, capsys, monkeypatch):
     assert sp.issparse(fa.associated_operator)
     for b in bundles:
         assert sp.issparse(b.columns) and sp.issparse(b.C) and sp.issparse(b.S)
+
+
+EPS = np.finfo(float).eps
+
+
+def _numpy_rank(s, tol=1e-10):
+    return int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
+@st.composite
+def one_per_column(draw, size=None):
+    """A dim x count matrix whose columns hold one nonzero entry each at
+    most: zero members and zero rows, real or complex entries of modulus
+    2^-3 to 2^3, count below, at or above dim, and dim x count on either side
+    of BANDED_MIN_SIZE = 256^2 (or the given size)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if size is None:
+        near = draw(st.booleans())
+        size = (draw(st.integers(240, 272) if near else st.integers(1, 12)),
+                draw(st.integers(240, 272) if near else st.integers(1, 30)))
+    dim, count = size
+    used = rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False)
+    rows = used[rng.integers(0, used.size, count)]
+    live = rng.random(count) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+    vals = 2.0 ** rng.uniform(-3, 3, count) * rng.choice([-1.0, 1.0], count)
+    if draw(st.booleans()):
+        vals = vals * np.exp(2j * np.pi * rng.random(count))
+    X = np.zeros((dim, count), dtype=vals.dtype)
+    X[rows[live], np.flatnonzero(live)] = vals[live]
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_per_column())
+def test_one_per_column_families_match_the_dense_svd(X):
+    """Such a family's singular values are the norms of its rows: within 4
+    ulps of sigma_max of math.hypot's, row by row. sigma, B, A, the rank and
+    the Riesz-Fischer bound of its bundle and of frame_spectrum match
+    numpy's SVD of the dense matrix within 32 ulps of sigma_max (and B), as
+    that SVD itself errs by up to 17 at these sizes."""
+    dim, count = X.shape
+    s = np.linalg.svd(X, compute_uv=False)
+    r = _numpy_rank(s)
+    rows_held = np.count_nonzero(np.any(X != 0, axis=1))
+    bundle = bundle_from_columns(X)
+    assert sp.issparse(bundle.columns) == (rows_held >= 2)
+    top = s[0] if s[0] > 0 else 1.0
+    norms = sorted((math.hypot(*np.abs(row)) for row in X), reverse=True)
+    assert np.max(np.abs(bundle.singular_values - norms[: s.size])) <= 4 * EPS * top
+    assert np.max(np.abs(bundle.singular_values - s)) <= 32 * EPS * top
+    spec = ExplicitColumns(X)
+    for got in (classify_finite(bundle), frame_spectrum(spec, dim, count)):
+        assert got.rank == r
+        assert got.backend == ("blockwise" if rows_held >= 2 else "dense")
+        want = (s[0] ** 2, s[dim - 1] ** 2 if count >= dim else 0.0,
+                s[r - 1] ** 2 if r else 0.0)
+        for value, ref in zip((got.bessel_bound, got.lower_bound,
+                               got.riesz_fischer_bound), want):
+            assert abs(value - ref) <= 64 * EPS * top**2
+
+
+def _numpy_zero_closed(X_xi, X_eta, tol=1e-10):
+    """Route (b) and route (a') by numpy SVDs of the dense matrices: both
+    families lower semi-frames and R(C_xi) + R(C_eta)^perp direct, with the
+    half tangent of its smallest angle; and the rank of T = C_eta^H C_xi."""
+    dim, count = X_xi.shape
+    bases, lower = [], []
+    for X in (X_xi, X_eta):
+        U, s, _ = np.linalg.svd(X.conj().T, full_matrices=False)
+        bases.append(U[:, :_numpy_rank(s)])
+        lower.append(count >= dim and s[dim - 1] > tol * s[0] > 0)
+    (Q_xi, Q_eta), half_tan = bases, 1.0
+    if 0 < Q_xi.shape[1] < count and Q_eta.shape[1]:
+        c = np.linalg.svd(Q_eta.conj().T @ Q_xi, compute_uv=False)[-1]
+        half_tan = c / (1 + np.sqrt(max(0.0, 1 - c * c)))
+    holds = Q_xi.shape[1] == Q_eta.shape[1] and half_tan > tol
+    rank_T = _numpy_rank(np.linalg.svd(X_eta @ X_xi.conj().T, compute_uv=False))
+    return all(lower) and holds, rank_T, half_tan
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 10), st.integers(1, 24)).flatmap(
+    lambda size: st.tuples(one_per_column(size), one_per_column(size))))
+def test_one_per_column_pairs_match_a_dense_reference(pair):
+    """zero_closed_check of two such families, whose bundles split at every
+    size: both routes' verdicts match numpy's on the dense matrices."""
+    X_xi, X_eta = pair
+    dim, count = X_xi.shape
+    zero_closed, rank_T, half_tan = _numpy_zero_closed(X_xi, X_eta)
+    assume(abs(half_tan / 1e-10 - 1) > 1e-3)
+    fa = zero_closed_check(ExplicitColumns(X_xi), ExplicitColumns(X_eta), dim, count)
+    assert fa.zero_closed == zero_closed
+    assert (fa.null_dim_left, fa.assoc_invertible) == (dim - rank_T, rank_T == dim)

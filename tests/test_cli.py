@@ -430,7 +430,8 @@ def test_a_bound_just_inside_the_doubles_is_reported(spec_file, capsys, call):
     elif call == "form-assess":
         assert report["lower_bound_xi"] == report["lower_bound_eta"] == 1e-300
         assert report["zero_closed"] is report["assoc_invertible"] is True
-        assert report["assoc_inverse_norm"] == 1.0000000000000002e+300
+        # 1 / sigma_min(T), sigma_min read exactly off T's 1 x 1 blocks
+        assert report["assoc_inverse_norm"] == 9.999999999999999e+299
     else:
         bounds = [system["bessel_bound_of_dual"] for system in report["systems"]]
         assert bounds == [9.999999999999999e+299] * (1 if call.endswith("spec") else 2)
@@ -554,7 +555,7 @@ def test_scenario_ladder_cap_is_a_domain_error_before_allocating(
 def test_explicit_matrix_at_a_huge_dim_is_classified_without_a_dense_copy(
     spec_file, capsys, monkeypatch
 ):
-    """A 2 x 2 identity at dim 10^6 takes the diagonal backend from the
+    """A 2 x 2 identity at dim 10^6 splits into 1 x 1 blocks read off the
     stored columns alone: no dim x count array is ever allocated."""
     dim, count = 10**6, 2
     zeros = np.zeros
@@ -571,7 +572,7 @@ def test_explicit_matrix_at_a_huge_dim_is_classified_without_a_dense_copy(
         capsys, ["classify", "--spec", path, "--dim", str(dim), "--count", str(count)]
     )
     assert code == 0
-    assert payload["meta"]["spectral"]["truncation"]["backend"] == "diagonal"
+    assert payload["meta"]["spectral"]["truncation"]["backend"] == "blockwise"
     assert payload["report"]["bessel_bound"] == 1.0
 
 

@@ -5,10 +5,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import seqforms.forms as forms
+import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
     DiagonalWeights,
     ExplicitColumns,
+    FiniteDifference,
+    Interleave,
     PairedDouble,
     ScalarRule,
     Tolerances,
@@ -51,7 +55,7 @@ def test_bundle_conventions():
 
 def test_build_bundle_from_rule():
     b = build_bundle(DiagonalWeights(ScalarRule("n")), 4, 4)
-    assert np.allclose(b.S, np.diag([1.0, 4.0, 9.0, 16.0]))
+    assert np.allclose(b.S.toarray(), np.diag([1.0, 4.0, 9.0, 16.0]))
     assert rank(b.singular_values) == 4
 
 
@@ -138,6 +142,17 @@ def _count_svds(monkeypatch):
     return calls
 
 
+def _count_lapack(monkeypatch):
+    """_count_svds, and ("numpy.cholesky" or "numpy.inv", False, shape, dtype)
+    for every Cholesky factor and inverse taken through numpy."""
+    calls = _count_svds(monkeypatch)
+    for name in ("cholesky", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _n=name, _fn=fn: calls.append(
+            (f"numpy.{_n}", False, a.shape, a.dtype)) or _fn(a))
+    return calls
+
+
 def test_one_factorization_per_operator(monkeypatch):
     calls = _count_svds(monkeypatch)
     xi = ExplicitColumns(random_columns(6, 9, 10))
@@ -159,21 +174,74 @@ def test_one_factorization_per_operator(monkeypatch):
 
 
 def test_real_pair_factorizes_in_real_arithmetic(monkeypatch):
-    """The triple pair's entries are all real, so every factorization of its
-    zero_closed_check runs on float64: the values-only SVDs of both bundles,
-    of the associated matrix and of the inf-sup cosines, and the Cholesky
-    factors of both frame matrices, which replace the range bases' QRs."""
-    calls = _count_svds(monkeypatch)
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(
-        ("numpy.cholesky", False, a.shape, a.dtype)) or cholesky(a))
-    fa = zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), 6, 18)
+    """The interleavings of the onb and the finite differences, each way
+    round, have real entries and do not split, so every factorization of
+    their zero_closed_check is a LAPACK call on float64: the values-only SVDs
+    of both bundles, of the associated matrix and of the inf-sup cosines,
+    and the Cholesky factors of both frame matrices, which replace the range
+    bases' QRs, and their inverses."""
+    calls = _count_lapack(monkeypatch)
+    onb = DiagonalWeights(ScalarRule("constant", 1.0))
+    fa = zero_closed_check(Interleave(onb, FiniteDifference()),
+                           Interleave(FiniteDifference(), onb), 6, 12)
     assert fa.zero_closed
     assert sorted(calls, key=str) == (
         [("numpy.cholesky", False, (6, 6), np.dtype(float))] * 2
-        + [("numpy.svd", False, (18, 6), np.dtype(float))] * 2
+        + [("numpy.inv", False, (6, 6), np.dtype(float))] * 2
+        + [("numpy.svd", False, (12, 6), np.dtype(float))] * 2
         + [("numpy.svd", False, (6, 6), np.dtype(float))] * 2)
     assert {dtype for *_, dtype in calls} == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("dim", [6, 300])
+def test_the_triple_pair_takes_no_lapack_call(monkeypatch, dim):
+    """Each member of the triple pair has one nonzero coordinate, so its C
+    splits into r x 1 blocks, S and L are diagonal and T = I at every dim:
+    their singular values are norms, the factors square roots and the
+    inverses reciprocals, with no SVD, QR, Cholesky or inverse taken."""
+    calls = _count_lapack(monkeypatch)
+    fa = zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), dim, 3 * dim)
+    assert fa.zero_closed and fa.c1 == pytest.approx(1 / np.sqrt(3 * (2 * dim + 1)))
+    assert calls == []
+
+
+def test_a_bundle_made_from_sparse_columns_finds_their_blocks():
+    """Sparse columns given without blocks have their rows for blocks only
+    when each column holds one entry at most; else the bundle finds them."""
+    X = sp.csr_array(np.array([[1.0, 1, 0], [1, -1, 0], [0, 0, 2]]))
+    b = operators.OperatorBundle(X)
+    assert b.blocks is not None
+    assert np.allclose(b.singular_values, np.linalg.svd(X.toarray(), compute_uv=False))
+    rows = operators.OperatorBundle(sp.csc_array(np.array([[3.0, 4, 0], [0, 0, 2]])))
+    assert rows.blocks is None and np.array_equal(rows.singular_values, [5.0, 2.0])
+
+
+def _count_blocks_of(monkeypatch):
+    calls = []
+    blocks_of = operators.blocks_of
+
+    def counted(M):
+        calls.append(M.shape)
+        return blocks_of(M)
+
+    for module in (operators, forms):
+        monkeypatch.setattr(module, "blocks_of", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [8, 300, 10**4])
+def test_blocks_are_found_once_per_bundle_and_once_per_pair(monkeypatch, dim):
+    """A family whose members have one nonzero coordinate reads its blocks
+    off the pattern: building and classifying it take no union-find. A
+    triple-pair form takes one, for T, whose blocks serve route (a')'s SVD
+    and, the factors being diagonal, the cosine matrix."""
+    calls = _count_blocks_of(monkeypatch)
+    for spec in (TriplePattern("xi"), DiagonalWeights(ScalarRule("n"))):
+        classify_finite(build_bundle(spec, dim, spec.arity * dim))
+        frame_spectrum(spec, dim, spec.arity * dim)
+    assert calls == []
+    zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), dim, 3 * dim)
+    assert calls == [(dim, dim)]
 
 
 @pytest.mark.parametrize("d_min,factored", [(1e-5, True), (1e-6, False)])
@@ -333,9 +401,8 @@ def test_bundle_bases_match_standalone_bases(dim, count, rank):
 def test_a_singular_value_at_the_cutoff_counts_as_zero(tol, above):
     """diag(big, ..., big, small) at 256 x 256 with small at rank_tol * big,
     or one ulp above it: every verdict that reads the rank cutoff agrees.
-    At rank_tol 0.5 the diagonal backend of frame_spectrum decides from
-    sqrt(lambda_min) and accepts one ulp above; at the default its guard
-    fails and the 1 x 1 blocks decide."""
+    frame_spectrum reads the singular values off the 1 x 1 blocks as their
+    moduli, exactly, and accepts one ulp above."""
     big = 4 / tol.rank_tol
     cut = tol.rank_tol * big
     small = float(np.nextafter(cut, np.inf)) if above else cut
@@ -345,9 +412,8 @@ def test_a_singular_value_at_the_cutoff_counts_as_zero(tol, above):
     b_xi = build_bundle(xi, 256, 256)
     assert rank(b_xi.singular_values, tol) == classify_finite(b_xi, tol).rank == r
     spectrum = frame_spectrum(xi, 256, 256, tol)
-    banded = above and tol.rank_tol == 0.5
     assert spectrum.rank == r
-    assert spectrum.backend == ("diagonal" if banded else "blockwise")
+    assert spectrum.backend == "blockwise"
     # route (a'): C_eta^H C_xi with eta the identity is diag(weights)
     b_eta = build_bundle(DiagonalWeights(ScalarRule("constant")), 256, 256)
     fa = zero_closed_from_bundles(b_xi, b_eta, tol)

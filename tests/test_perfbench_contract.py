@@ -36,8 +36,9 @@ def test_traced_scenario_records_the_series_layers(tmp_path):
 
 
 def test_traced_classification_records_each_dense_verdict(tmp_path):
-    """classify_finite is the one dense classification: the tracer sees it
-    once per dense rung (and truncation) and once per sequence of a pair."""
+    """classify_finite is the one classification from singular values: the
+    tracer sees it once per dense or blockwise rung (and truncation) and once
+    per sequence of a pair."""
     rule, inverse = tmp_path / "wn.json", tmp_path / "winv.json"
     for path, kind in ((rule, "n"), (inverse, "1/n")):
         path.write_text(json.dumps(
@@ -58,10 +59,12 @@ def test_traced_classification_records_each_dense_verdict(tmp_path):
     spectral = json.loads(out.read_text())["meta"]["spectral"]
     backends = [spectral["truncation"]["backend"]]
     backends += [rung["backend"] for rung in spectral["ladder"]]
-    assert backends == ["dense", "dense", "dense", "diagonal"]
+    # each member of {n e_n} has one nonzero coordinate: 1 x 1 blocks at
+    # every rung, each classified by classify_finite
+    assert backends == ["blockwise"] * 4
 
     def verdicts(spans):
         return sum(span[0] == "classify.classify_finite" for span in spans)
 
-    assert verdicts(tracer.spans[:ladder_spans]) == 3
+    assert verdicts(tracer.spans[:ladder_spans]) == 4
     assert verdicts(tracer.spans[ladder_spans:]) == 2

@@ -25,7 +25,7 @@ from seqforms import (
 )
 from seqforms.cli import main
 from seqforms.errors import DimensionMismatch, NotLowerSemiFrame, NotZeroClosed
-from seqforms.operators import svdvals
+from seqforms.operators import dense, svdvals
 from seqforms.reconstruct import _probe_draws
 
 ONB = DiagonalWeights(ScalarRule("constant", 1.0))
@@ -39,7 +39,7 @@ def random_vec(dim, rng):
 def test_onb_is_self_dual():
     bundle = build_bundle(ONB, 5, 5)
     ds = canonical_dual(bundle)
-    assert np.allclose(ds.dual, bundle.columns)
+    assert np.allclose(ds.dual, dense(bundle.columns, 5, 5))
     assert ds.analysis is bundle.C  # the bundle's cached C, not a copy
     assert ds.bessel_bound_of_dual == pytest.approx(1.0)
 
@@ -114,8 +114,8 @@ def test_reproducing_pair_duals_weight_inverse():
         fa, build_bundle(xi, 8, 8), build_bundle(eta, 8, 8)
     )
     # T = I: duals coincide with the original families
-    assert np.allclose(left.dual, build_bundle(xi, 8, 8).columns)
-    assert np.allclose(right.dual, build_bundle(eta, 8, 8).columns)
+    assert np.allclose(left.dual, xi.materialize(8, 8))
+    assert np.allclose(right.dual, eta.materialize(8, 8))
     rng = np.random.default_rng(13)
     for _ in range(20):
         f = random_vec(8, rng)
@@ -130,7 +130,7 @@ def test_reproducing_pair_duals_small_redundant_pair():
     xi = ExplicitColumns(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     eta = ExplicitColumns(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     fa = zero_closed_check(xi, eta, 2, 3)
-    assert np.allclose(fa.associated_operator, np.eye(2))
+    assert np.allclose(dense(fa.associated_operator, 2, 3), np.eye(2))
     left, _ = reproducing_pair_duals(
         fa, build_bundle(xi, 2, 3), build_bundle(eta, 2, 3)
     )
@@ -186,10 +186,11 @@ def _random_pair(dim, count):
 ])
 def test_count_above_dim_bounds_match_the_formed_dual_columns(pair):
     """Above count = dim a dual bound comes from the dim x dim product with
-    the Cholesky factor, CSR for a split bundle (the triple pair at 512); each
-    is sigma_max of the formed dual columns, squared, to 1e-12 relative."""
+    the Cholesky factor, CSR for a split bundle (the triple pair, whose
+    members have one nonzero coordinate each, at every dim); each is
+    sigma_max of the formed dual columns, squared, to 1e-12 relative."""
     b_xi, b_eta = pair()
-    assert sp.issparse(b_xi.columns) == (b_xi.dim == 512)
+    assert sp.issparse(b_xi.columns) == (b_xi.count == 3 * b_xi.dim)
     assert b_xi.cholesky is not None and b_eta.cholesky is not None
     fa = zero_closed_from_bundles(b_xi, b_eta)
     for system in reproducing_pair_duals(fa, b_xi, b_eta):
@@ -329,7 +330,7 @@ PAIRS = {
     "blocked-weights": lambda rng: [np.diag(np.arange(1.0, 257)),
                                     np.diag(1 / np.arange(1.0, 257))],
     "blocked-2x2": _blocked_pair,
-    "triple": lambda rng: [build_bundle(TriplePattern(kind), 8, 24).columns
+    "triple": lambda rng: [TriplePattern(kind).materialize(8, 24)
                            for kind in ("xi", "eta")],
 }
 
@@ -351,7 +352,7 @@ def test_solves_on_the_probe_block_match_the_formed_duals(pair, k):
     rng = np.random.default_rng(17)
     X_xi, X_eta = (np.asarray(X, dtype=complex) for X in PAIRS[pair](rng))
     b_xi, b_eta = bundle_from_columns(X_xi), bundle_from_columns(X_eta)
-    assert sp.issparse(b_xi.columns) == pair.startswith("blocked")
+    assert sp.issparse(b_xi.columns) == (pair.startswith("blocked") or pair == "triple")
     fa = zero_closed_from_bundles(b_xi, b_eta)
     systems = [canonical_dual(b_xi), *reproducing_pair_duals(fa, b_xi, b_eta)]
     formed = _formed_duals(X_xi, X_eta)
@@ -380,7 +381,7 @@ def test_reconstruct_above_dim_64_never_forms_the_dual_columns(
 
     rhs = []
 
-    def recorded(S, B):
+    def recorded(S, B, blocks=None):
         rhs.append(np.shape(B))
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
 

@@ -1,5 +1,5 @@
-"""The classification backends of classify.frame_spectrum: banded and
-diagonal extremes against the dense SVD, the accuracy guard and rank cutoff
+"""The classification backends of classify.frame_spectrum: banded extremes
+and 1 x k blocks against the dense SVD, the accuracy guard and rank cutoff
 that send a truncation back to dense, the dense size cap, and the backend
 provenance that `classify` writes to meta.spectral."""
 
@@ -16,9 +16,7 @@ import seqforms.classify as classify
 import seqforms.operators as operators
 from seqforms import (
     DenseTooLarge,
-    DiagonalWeights,
     FrameSpectrum,
-    ScalarRule,
     TruncationLadder,
     build_bundle,
     classify_finite,
@@ -44,7 +42,8 @@ RULES = load_rules()
 
 
 def dense(spec, dim, count):
-    return classify_finite(build_bundle(spec, dim, count))
+    """The one-block answer: numpy's SVD of the dense columns."""
+    return classify_finite(operators.OperatorBundle(spec.materialize(dim, count)))
 
 
 @pytest.fixture
@@ -54,8 +53,8 @@ def banded_everywhere(monkeypatch):
 
 
 def assert_agrees(got, ref):
-    assert got.backend in ("diagonal", "banded")
-    assert got.guard_margin >= 0
+    assert got.backend in ("blockwise", "banded")
+    assert got.backend == "blockwise" or got.guard_margin >= 0
     assert abs(got.bessel_bound - ref.bessel_bound) <= 1e-14 * ref.bessel_bound
     # A from S carries an error of about eps * B / A relative
     assert abs(got.lower_bound - ref.lower_bound) <= 4 * EPS * ref.bessel_bound
@@ -84,25 +83,35 @@ def test_gram_path_when_count_below_dim(name, banded_everywhere):
 
 
 def test_default_crossover_keeps_small_truncations_dense():
-    spec = spec_from_json(RULES["diag_n"])
+    """A banded rule is dense below the crossover and banded from it on; a
+    rule whose members have one nonzero coordinate splits on both sides."""
+    spec = spec_from_json(RULES["scaled_fd"])
     small = frame_spectrum(spec, 256, 255)
     assert small.backend == "dense" and small.bandwidth is None
-    assert frame_spectrum(spec, 256, 256).backend == "diagonal"
+    assert frame_spectrum(spec, 256, 256).backend == "banded"
+    spec = spec_from_json(RULES["diag_n"])
+    for count in (255, 256):
+        got = frame_spectrum(spec, 256, count)
+        assert got.backend == "blockwise" and got.bandwidth is None
 
 
 def test_rank_deficient_truncation_falls_back_to_dense(banded_everywhere):
-    # {e_1, 0, e_2, 0, ...} at count = dim spans half the space: lambda_min = 0
-    spec = spec_from_json(RULES["paired_eta"])
+    # the finite differences without xi_2 span a hyperplane: lambda_min ~ 0
+    spec = spec_from_json({"rule": "scaled", "params": {
+        "base": {"rule": "finite_difference"},
+        "factor": {"kind": "table", "values": [1.0, 0.0] + [1.0] * 10}}})
     got = frame_spectrum(spec, 12, 12)
-    assert got.backend == "dense" and got.bandwidth == 0
-    assert got.guard_margin is None
-    assert got == dataclasses.replace(dense(spec, 12, 12), bandwidth=0)
-    assert got.rank == 6 and not got.complete
+    assert got.backend == "dense" and got.bandwidth == 1
+    assert got.guard_margin is None or got.guard_margin < 0
+    assert got == dataclasses.replace(dense(spec, 12, 12), bandwidth=1,
+                                      guard_margin=got.guard_margin)
+    assert got.rank == 11 and not got.complete
 
 
 def test_guard_sends_ill_conditioned_truncation_to_dense(banded_everywhere):
     # lambda_min / lambda_max = 1e-16 is far below 1e4 * eps: S cannot resolve it
-    spec = DiagonalWeights(ScalarRule("table", values=(1.0, 1e-8, 1.0)))
+    spec = spec_from_json({"rule": "explicit", "params": {"matrix": [
+        [1.0, 1.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, 1.0]]}})
     got = frame_spectrum(spec, 3, 3)
     assert got.backend == "dense" and got.guard_margin < 0
     assert got.lower_bound == dense(spec, 3, 3).lower_bound
@@ -110,10 +119,15 @@ def test_guard_sends_ill_conditioned_truncation_to_dense(banded_everywhere):
 
 
 def test_wide_band_stays_dense(banded_everywhere):
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((12, 12)).tolist()
-    rule = {"rule": "explicit", "params": {"matrix": X}}
-    got = frame_spectrum(spec_from_json(rule), 12, 12)
+    """A wide band stays dense; so does a matrix with no zero entry, which is
+    materialized dense at once, with no band looked for."""
+    X = np.random.default_rng(3).standard_normal((12, 12))
+    got = frame_spectrum(spec_from_json(
+        {"rule": "explicit", "params": {"matrix": X.tolist()}}), 12, 12)
+    assert got.backend == "dense" and got.bandwidth is None
+    X[5, 0] = 0.0
+    got = frame_spectrum(spec_from_json(
+        {"rule": "explicit", "params": {"matrix": X.tolist()}}), 12, 12)
     assert got.backend == "dense" and got.bandwidth == 11
     assert got.guard_margin is None
 
@@ -152,20 +166,20 @@ def test_cli_dense_cap_is_a_domain_error(
     monkeypatch, tmp_path, capsys, banded_everywhere
 ):
     monkeypatch.setattr(operators, "DENSE_MAX_SIZE", 5000)
-    # diagonal, so w = 0, but lambda_min / lambda_max = 1e-16 fails the guard
+    # bidiagonal, so w = 1, but lambda_min / lambda_max = 1e-16 fails the guard
     weights = np.ones(80)
     weights[1] = 1e-8
+    X = np.diag(weights)
+    X[0, 1] = 1.0
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(
-        {"rule": "explicit", "params": {"matrix": np.diag(weights).tolist()}}
-    ))
+    path.write_text(json.dumps({"rule": "explicit", "params": {"matrix": X.tolist()}}))
     code = main(["classify", "--spec", str(path), "--dim", "8", "--ladder", "8,16,80"])
     err = json.loads(capsys.readouterr().err)["error"]
     assert code == 1 and err["type"] == "DenseTooLarge"
     assert err["message"].startswith("ladder rung N=80: ")
     details = err["details"]
     assert (details["rung"], details["dim"], details["count"]) == (80, 80, 80)
-    assert details["bandwidth"] == 0 and details["guard_margin"] < 0
+    assert details["bandwidth"] == 1 and details["guard_margin"] < 0
 
 
 def test_cli_meta_names_the_backend_of_every_rung(tmp_path, capsys):
@@ -176,21 +190,20 @@ def test_cli_meta_names_the_backend_of_every_rung(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     spectral = payload["meta"]["spectral"]
-    assert spectral["truncation"] == {"backend": "dense", "bandwidth": None,
-                                      "guard_margin": None}
+    # each member of {n e_n} has one nonzero coordinate: 1 x 1 blocks at every
+    # size, with no band or guard
+    blockwise = {"backend": "blockwise", "bandwidth": None, "guard_margin": None}
+    assert spectral["truncation"] == blockwise
     assert [r["size"] for r in spectral["ladder"]] == [16, 256, 1000]
-    backends = [r["backend"] for r in spectral["ladder"]]
-    assert backends == ["dense", "diagonal", "diagonal"]
-    margin = spectral["ladder"][2]["guard_margin"]
-    # lambda_min = 1, lambda_max = 1000^2: log10(1 / (1e4 eps 1e6))
-    assert margin == pytest.approx(-np.log10(1e10 * EPS))
+    assert [{**r, "size": None} for r in spectral["ladder"]] == [
+        {**blockwise, "size": None}] * 3
     assert "spectral" not in payload["report"]
     assert payload["report"]["asymptotic"]["upper_bounds"] == [256.0, 65536.0, 1e6]
 
 
 def test_a_split_fallback_is_named_blockwise(tmp_path, capsys):
-    # lambda_min / lambda_max = 1e-14 fails the guard at w = 0, so the rung
-    # falls back to the 256 1 x 1 blocks of its bundle
+    # lambda_min / lambda_max = 1e-14 would fail a guard on S; the 256 1 x 1
+    # blocks of the bundle need none
     weights = [1.0] * 255 + [1e-7]
     rule = {"rule": "diagonal",
             "params": {"weight": {"kind": "table", "values": weights}}}
@@ -200,8 +213,7 @@ def test_a_split_fallback_is_named_blockwise(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     spectral = payload["meta"]["spectral"]["truncation"]
-    assert spectral["backend"] == "blockwise" and spectral["bandwidth"] == 0
-    assert spectral["guard_margin"] < 0
+    assert spectral == {"backend": "blockwise", "bandwidth": None, "guard_margin": None}
     spec = spec_from_json(rule)
     whole = classify_finite(operators.OperatorBundle(spec.materialize(256, 256)))
     assert whole.backend == "dense"

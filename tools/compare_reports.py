@@ -12,10 +12,12 @@ its cap; only at the default tolerances, which reach no rung above 600), a
 fixed list of calls whose matrices split into blocks (see
 _split_calls), one of calls on either side of the real/complex boundary
 (see _dtype_calls), one of calls on either side of the underflow of a
-squared singular value (see _scale_calls) and one of calls whose inf-sup
-cosines come from Cholesky factors (see _cholesky_calls), with rule
-files the tool writes itself. Every dense-pair, class-ladder, scenario,
-split, dtype, scale and cholesky call runs a second time at --tol-rank 0.5,
+squared singular value (see _scale_calls), one of calls whose inf-sup
+cosines come from Cholesky factors (see _cholesky_calls) and one of calls
+on complex matrices with one nonzero entry per column (see
+_one_per_column_calls), with rule files the tool writes itself. Every
+dense-pair, class-ladder, scenario, split, dtype, scale, cholesky and
+one-per-column call runs a second time at --tol-rank 0.5,
 where some forms are no longer 0-closed and some sequences no longer lower
 semi-frames, so the error paths are compared too; every scenario runs a
 third time at --tol-eq 0.6, where the lambda probes at distance 0.5 flip and
@@ -44,9 +46,9 @@ import tempfile
 import numpy as np
 
 
-# The dense-pair, class-ladder, scenario, split, dtype, scale and cholesky
-# calls run once more with this rank cutoff, and the scenarios once more
-# with this equality tolerance.
+# The dense-pair, class-ladder, scenario, split, dtype, scale, cholesky and
+# one-per-column calls run once more with this rank cutoff, and the
+# scenarios once more with this equality tolerance.
 LOOSE_RANK = ["--tol-rank", "0.5"]
 LOOSE_EQ = ["--tol-eq", "0.6"]
 
@@ -205,6 +207,35 @@ def _cholesky_calls(work: str) -> dict:
     return calls
 
 
+def _one_per_column_calls(work: str) -> dict:
+    """{call id: argv} of classify on the ladder 64,128,N, form-assess
+    against itself and reconstruct --spec at dim N of an N x N complex
+    matrix with one nonzero entry per column, at N = 255 and 257, just below
+    and just above 256^2 entries: column j holds its entry on row j, except
+    column 7, whose entry is on row 0, so row 0 is a 1 x 2 block and row 7
+    is zero. Every truncation to its leading N' columns fits in N' rows.
+    The rule files are written into work."""
+    rng = np.random.default_rng(27)
+    rules = {}
+    for n in (255, 257):
+        rows = np.arange(n)
+        rows[7] = 0
+        X = np.zeros((n, n), dtype=complex)
+        X[rows, np.arange(n)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rules[str(n)] = {"rule": "explicit", "params": {
+            "matrix": np.stack([X.real, X.imag], axis=-1).tolist()}}
+    path = _write_rules(work, "one-per-column", rules)
+    calls = {}
+    for n, rule in path.items():
+        size = ["--dim", n]
+        calls[f"{n}/classify"] = ["classify", "--spec", rule, *size,
+                                  "--ladder", f"64,128,{n}"]
+        calls[f"{n}/form-assess"] = [
+            "form-assess", "--left", rule, "--right", rule, *size]
+        calls[f"{n}/reconstruct-spec"] = ["reconstruct", "--spec", rule, *size]
+    return calls
+
+
 def _write_rules(work: str, prefix: str, rules: dict) -> dict:
     """Writes each rule to work/prefix-name.json; {name: path}."""
     path = {}
@@ -260,7 +291,8 @@ def _collect(checkout: str, seeds: list, out: str) -> None:
              ["scenario", "--id", "interleaved-lower", "--ladder",
               "1023,1025,100000", "--out", report])
         fixed = [("split", _split_calls(work)), ("dtype", _dtype_calls(work)),
-                 ("scale", _scale_calls(work)), ("cholesky", _cholesky_calls(work))]
+                 ("scale", _scale_calls(work)), ("cholesky", _cholesky_calls(work)),
+                 ("one-per-column", _one_per_column_calls(work))]
         for prefix, calls in fixed:
             for key, argv in calls.items():
                 argv = argv + ["--out", report]
