@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .classify import classify_finite
 from .core import DEFAULT_TOL, Tolerances, json_pairs, json_scalar
 from .errors import DimensionMismatch
 from .operators import (
     OperatorBundle,
-    blocks_of,
     build_bundle,
     cosines_and_angles,
     direct_sum_verdict,
@@ -57,7 +55,6 @@ def infsup_constants(
     bundle_xi: OperatorBundle,
     bundle_eta: OperatorBundle,
     tol: Tolerances = DEFAULT_TOL,
-    blocks=None,
 ) -> InfSupConstants:
     """Inf-sup constants of the pair form in the graph-equivalent norms
     ||f||_xi = ||C_xi f||, ||g||_eta = ||C_eta g||.
@@ -66,8 +63,8 @@ def infsup_constants(
     singular value of Q_eta^H Q_xi (the cosine of the largest principal
     angle when the ranges have equal dimension); c2 is symmetric. When
     either range is all of l2 (rank = count), every cosine of the other is
-    exactly 1 and no basis is taken; else factor_cosines (given the blocks
-    of C_eta^H C_xi, if known), or QR or SVD bases.
+    exactly 1 and no basis is taken; else factor_cosines, or QR or SVD
+    bases.
     """
     if bundle_xi.count != bundle_eta.count:
         raise DimensionMismatch("bundles must share the l2 truncation (count)")
@@ -77,7 +74,7 @@ def infsup_constants(
     cos, angles = [1.0], [0.0]
     if bundle_xi.count not in (r_xi, r_eta):
         complete = r_xi == r_eta == bundle_xi.dim == bundle_eta.dim
-        cos = factor_cosines(bundle_xi, bundle_eta, blocks) if complete else None
+        cos = factor_cosines(bundle_xi, bundle_eta) if complete else None
         # the arccos of the smallest cosine alone: a larger one may round above 1
         cos, angles = (cos, np.arccos(cos[-1:])) if cos is not None else (
             cosines_and_angles(bundle_xi.range_basis(tol), bundle_eta.range_basis(tol)))
@@ -106,13 +103,11 @@ class FormAssessment:
     lower_bound_eta: float
     dim: int
     count: int
-    associated_blocks: Optional[dict] = None  # of a sparse matrix; not reported
 
     def to_dict(self, include_matrix: bool = True) -> dict:
         """The fields in order, the matrix last and only when asked for."""
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         matrix = d.pop("associated_operator")
-        del d["associated_blocks"]
         d = {"null_dim_left": d.pop("null_dim_left"),
              "null_dim_right": self.null_dim_left, **d}
         d["finite_truncation"] = True  # verdicts hold at this truncation only
@@ -145,10 +140,7 @@ def zero_closed_from_bundles(
     spectrum_eta = classify_finite(bundle_eta, tol)
     r_xi, r_eta = spectrum_xi.rank, spectrum_eta.rank
 
-    # C_eta^H C_xi; its blocks serve route (b)'s cosines, route (a') and inv
-    assoc = bundle_eta.columns @ bundle_xi.C
-    blocks = blocks_of(assoc) if sp.issparse(assoc) else None
-    isc = infsup_constants(bundle_xi, bundle_eta, tol, blocks)
+    isc = infsup_constants(bundle_xi, bundle_eta, tol)
     # route (b): lower semi-frames plus R(C_xi) (+) R(C_eta)^perp = l2. With
     # equal ranks the smallest angle between the summands is pi/2 minus the
     # largest one between R(C_xi) and R(C_eta), whose cosine is c1.
@@ -157,8 +149,9 @@ def zero_closed_from_bundles(
     ds = direct_sum_verdict(r_xi - r_eta, half_tan, tol)
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
-    # route (a'): invertibility of the associated matrix
-    s_assoc = svdvals(assoc, blocks)
+    # route (a'): invertibility of the associated matrix C_eta^H C_xi
+    assoc = bundle_eta.columns @ bundle_xi.C
+    s_assoc = svdvals(assoc)
     rank_assoc = rank(s_assoc, tol)
     assoc_invertible = rank_assoc == dim
     assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
@@ -179,7 +172,6 @@ def zero_closed_from_bundles(
         lower_bound_eta=spectrum_eta.lower_bound,
         dim=dim,
         count=count,
-        associated_blocks=blocks,
     )
 
 
@@ -222,7 +214,7 @@ def lambda_region_weighted(
     for lam in lambdas:
         lam = complex(lam)
         dist = float(np.min(np.abs(spectrum - lam)))
-        s = svdvals(H - lam * sp.eye_array(alpha.size))
+        s = svdvals(H - lam * np.eye(alpha.size))
         out.append(
             LambdaVerdict(
                 lam=lam,

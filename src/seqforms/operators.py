@@ -12,11 +12,11 @@ columns; its rows are the ambient space. Verdicts about a sequence (frame
 bounds, completeness, the class) live in classify.
 
 A matrix is sparse exactly when it splits into independent blocks, as a
-bundle decides once, at its birth, where it also finds its blocks; its C,
-S, Cholesky factor and the products of split operands stay sparse, and S
-and the factor take their blocks from the columns'. The values-only SVD,
-the inverse, the Cholesky factor and solve take one numpy or scipy call on
-a dense matrix and one batched call per block shape on a sparse one, but
+bundle decides once, at its birth, where it keeps the blocks it finds; its
+C, S, Cholesky factor and the products of split operands stay sparse, and
+find their own blocks when a kernel needs them. The values-only SVD, the
+inverse, the Cholesky factor and solve take one numpy or scipy call on a
+dense matrix and one batched call per block shape on a sparse one, but
 none for a 1 x k or k x 1 block, whose singular value is its norm, or a
 1 x 1 one, whose inverse and factor are a reciprocal and a square root.
 Range bases are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
@@ -80,12 +80,21 @@ def blocks_of(M) -> dict:
     entries stored with a nonzero value (inv may store exact zeros), rows
     and columns being the two sides of a bipartite graph (Pothen & Fan, ACM
     TOMS 1990), so a zero row is a 1 x 0 block and a zero column a 0 x 1
-    one."""
+    one. With one entry per row and column at most, each entry is a block:
+    they are read off the pattern, in the same order, with no union-find."""
     M = M.tocoo()
     m, n = M.shape
     live = M.data != 0
+    i, j = M.row[live], M.col[live]
+    in_row, in_col = np.bincount(i, minlength=m), np.bincount(j, minlength=n)
+    if in_row.max(initial=0) <= 1 and in_col.max(initial=0) <= 1:
+        o = np.argsort(i)
+        zr, zc = (np.flatnonzero(k == 0)[:, None] for k in (in_row, in_col))
+        found = {(0, 1): (zc[:, :0], zc), (1, 0): (zr, zr[:, :0]),
+                 (1, 1): (i[o, None], j[o, None])}
+        return {shape: b for shape, b in found.items() if len(b[0])}
     # rows are the vertices 0..m-1 and columns m..m+n-1, one edge per entry
-    labels = _components(M.row[live], M.col[live] + m, m + n)
+    labels = _components(i, j + m, m + n)
     k = labels.max() + 1
     r, c = np.bincount(labels[:m], minlength=k), np.bincount(labels[m:], minlength=k)
     # indices of each block ascending, blocks in label order
@@ -165,15 +174,14 @@ def svdvals(M, blocks: Optional[dict] = None) -> np.ndarray:
     return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
 
 
-def _blockwise(M, fn, one, blocks: Optional[dict] = None):
+def _blockwise(M, fn, one):
     """fn(M) of a dense M; of a sparse one, fn of each k x r x r stack of its
-    square blocks (its blocks_of unless given), and one of the entries of 1 x
-    1 blocks, with no LAPACK call: CSR with block k at rows cols[k] and
-    columns rows[k], as an inverse has it. LinAlgError when a block is not
-    square."""
+    square blocks, and one of the entries of 1 x 1 blocks, with no LAPACK
+    call: CSR with block k at rows cols[k] and columns rows[k], as an
+    inverse has it. LinAlgError when a block is not square."""
     if not sp.issparse(M):
         return fn(M)
-    blocks = blocks_of(M) if blocks is None else blocks
+    blocks = blocks_of(M)
     if any(r != c for r, c in blocks):
         raise np.linalg.LinAlgError("Singular matrix")
     parts = [(one(np.asarray(M[rows[:, 0], cols[:, 0]])) if rows.shape[1] == 1
@@ -184,17 +192,16 @@ def _blockwise(M, fn, one, blocks: Optional[dict] = None):
     return sp.csr_array((vals, (i, j)), M.shape)
 
 
-def inv(M, blocks: Optional[dict] = None):
-    """The inverse of M, CSR of block inverses if sparse (its blocks_of
-    unless given); LinAlgError if singular."""
-    return _blockwise(M, np.linalg.inv, np.reciprocal, blocks)
+def inv(M):
+    """The inverse of M, CSR of block inverses if sparse; LinAlgError if
+    singular."""
+    return _blockwise(M, np.linalg.inv, np.reciprocal)
 
 
-def cho_solve(S, B: np.ndarray, blocks: Optional[dict] = None) -> np.ndarray:
+def cho_solve(S, B: np.ndarray) -> np.ndarray:
     """X with S X = B for a Hermitian positive definite S: dense, scipy's
-    cho_factor and cho_solve; sparse, L^-H L^-1 B with L^-1 assembled from
-    the factors of the blocks (its blocks_of unless given). LinAlgError when
-    S is not positive definite."""
+    cho_factor and cho_solve; sparse, L^-H L^-1 B with L^-1 assembled from the
+    factors of the blocks. LinAlgError when S is not positive definite."""
     if not sp.issparse(S):
         import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
@@ -202,7 +209,7 @@ def cho_solve(S, B: np.ndarray, blocks: Optional[dict] = None) -> np.ndarray:
     if not np.all(S.diagonal().real > 0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     L_inv = _blockwise(S, lambda A: inv(np.linalg.cholesky(A)),
-                       lambda a: 1 / np.sqrt(a), blocks)
+                       lambda a: 1 / np.sqrt(a))
     return L_inv.conj().T @ (L_inv @ B)
 
 
@@ -241,11 +248,6 @@ class OperatorBundle:
     columns: object  # dim x count, column n is xi_n: sparse or dense
     blocks: Optional[dict] = None  # of split columns; None when rows are theirs
 
-    def __post_init__(self):
-        X = self.columns  # sparse columns given no blocks: are the rows theirs?
-        if self.blocks is None and sp.issparse(X) and X.count_nonzero(axis=0).max() > 1:
-            object.__setattr__(self, "blocks", blocks_of(X))
-
     @property
     def dim(self) -> int:
         return self.columns.shape[0]
@@ -262,17 +264,6 @@ class OperatorBundle:
     def S(self):
         """The frame matrix, sparse when the columns are."""
         return self.columns @ self.C
-
-    @cached_property
-    def S_blocks(self) -> Optional[dict]:
-        """The blocks of S and of its Cholesky factor, the row sides of the
-        columns' (each row, when the rows are theirs); None when dense."""
-        if not sp.issparse(self.columns):
-            return None
-        sides = {} if self.blocks else {(1, 1): [np.arange(self.dim)[:, None]]}
-        for (r, _), (rows, _) in (self.blocks or {}).items():
-            sides.setdefault((r, r), []).append(rows)
-        return {k: (np.vstack(v),) * 2 for k, v in sides.items() if k[0]}
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -302,7 +293,7 @@ class OperatorBundle:
         of C (CholeskyQR); None when factor_error >= 1."""
         if self.factor_error >= 1:
             return None
-        return _blockwise(self.S, np.linalg.cholesky, np.sqrt, self.S_blocks)
+        return _blockwise(self.S, np.linalg.cholesky, np.sqrt)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
@@ -414,21 +405,16 @@ def cosines_and_angles(
     return cos, np.sort(angles)
 
 
-def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle, blocks=None):
+def factor_cosines(bundle_xi: OperatorBundle, bundle_eta: OperatorBundle):
     """Cosines of the ranges of two injective C, descending, by CholeskyQR:
-    the singular values of L_eta^-1 (X_eta X_xi^H) L_xi^-H = Q_eta^H Q_xi,
-    which has the blocks of X_eta X_xi^H (blocks, if known) when both L are
-    diagonal. None unless 2 dim <= count and the smallest cosine clears 0
-    and 1/sqrt 2 (where cosines_and_angles turns to sines) by the factors'
-    summed error."""
+    the singular values of L_eta^-1 (X_eta X_xi^H) L_xi^-H = Q_eta^H Q_xi.
+    None unless 2 dim <= count and the smallest cosine clears 0 and 1/sqrt 2
+    (where cosines_and_angles turns to sines) by the factors' summed error."""
     err = bundle_xi.factor_error + bundle_eta.factor_error
     if 2 * bundle_xi.dim > bundle_xi.count or err >= 1:
         return None
-    pair = (bundle_xi, bundle_eta)
-    L_xi, L_eta = (inv(b.cholesky, b.S_blocks) for b in pair)
-    diagonal = all(set(b.S_blocks or ()) == {(1, 1)} for b in pair)
-    cos = svdvals(L_eta @ (bundle_eta.columns @ bundle_xi.C) @ L_xi.conj().T,
-                  blocks if diagonal else None)
+    L_xi, L_eta = (inv(b.cholesky) for b in (bundle_xi, bundle_eta))
+    cos = svdvals(L_eta @ (bundle_eta.columns @ bundle_xi.C) @ L_xi.conj().T)
     return cos if err < min(cos[-1], 0.5**0.5 - cos[-1]) else None
 
 

@@ -79,7 +79,7 @@ def canonical_dual(
         raise NotLowerSemiFrame(
             "frame matrix is singular at this truncation (A = 0)"
         )
-    solve = partial(cho_solve, bundle.S, blocks=bundle.S_blocks)
+    solve = partial(cho_solve, bundle.S)
     return DualSystem(solve, bundle, bundle.C, "canonical_lower",
                       1.0 / spectrum.lower_bound)
 
@@ -147,7 +147,7 @@ def reproducing_pair_duals(
     """
     if not assessment.zero_closed:
         raise NotZeroClosed("the pair form is not 0-closed at this truncation")
-    T_inv = inv(assessment.associated_operator, assessment.associated_blocks)
+    T_inv = inv(assessment.associated_operator)
     solve_left = partial(operator.matmul, T_inv.conj().T)
     solve_right = partial(operator.matmul, T_inv)
     if assessment.count == assessment.dim:

@@ -100,6 +100,70 @@ def test_blockwise_singular_values_match_the_dense_svd(drawn):
         assert np.all(np.abs(s - dense) <= 1e-13 * top)
 
 
+def _components_reference(P):
+    """{(r, c): (rows, cols)} of the boolean pattern P as blocks_of has
+    them, from scipy's connected_components of the bipartite graph of rows
+    and columns: blocks ordered by their smallest vertex (rows first), and
+    shapes ascending."""
+    from scipy.sparse.csgraph import connected_components
+    m, n = P.shape
+    A = np.zeros((m + n, m + n))  # rows are vertices 0..m-1, columns m..m+n-1
+    A[:m, m:] = P
+    k, labels = connected_components(A, directed=False)
+    vertices = sorted((np.flatnonzero(labels == label) for label in range(k)),
+                      key=lambda v: v[0])
+    found = {}
+    for v in vertices:
+        rows, cols = v[v < m], v[v >= m] - m
+        found.setdefault((rows.size, cols.size), []).append((rows, cols))
+    return {(r, c): tuple(np.array(side, dtype=int).reshape(len(side), k)
+                          for side, k in zip(zip(*found[r, c]), (r, c)))
+            for r, c in sorted(found)}
+
+
+@st.composite
+def one_per_row_and_column(draw):
+    """(M, stored): a random m x n matrix, real or complex, with one nonzero
+    entry per row and per column at most, so zero rows and zero columns, and
+    a COO copy of it that also stores exact zeros, in rows and columns that
+    hold an entry too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(m, n)))
+    rows, cols = rng.permutation(m)[:k], rng.permutation(n)[:k]
+    vals = rng.standard_normal(k) * 2.0 ** rng.integers(-3, 4, k)
+    if draw(st.booleans()):
+        vals = vals * np.exp(2j * np.pi * rng.random(k))
+    M = np.zeros((m, n), dtype=vals.dtype)
+    M[rows, cols] = vals
+    zeros = np.flatnonzero(M.ravel() == 0)
+    zeros = rng.choice(zeros, draw(st.integers(0, zeros.size)), replace=False)
+    i, j = np.divmod(np.concatenate([rows * n + cols, zeros]), n)
+    stored = sp.coo_array((np.concatenate([vals, np.zeros(zeros.size)]), (i, j)), M.shape)
+    return M, stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_per_row_and_column())
+def test_one_entry_per_row_and_column_reads_the_blocks_off_the_pattern(drawn):
+    """Each entry is a 1 x 1 block, each zero row a 1 x 0 block and each
+    zero column a 0 x 1 block: blocks_of finds them, shape by shape and in
+    the union-find's order, in CSR, CSC or COO with stored zeros, and never
+    runs the union-find."""
+    M, stored = drawn
+    want = _components_reference(M != 0)
+    unused = mock.patch.object(operators, "_components",
+                               side_effect=AssertionError("ran the union-find"))
+    with unused:
+        found = [blocks_of(X) for X in (sp.csr_array(M), sp.csc_array(M), stored)]
+    for got in found:
+        assert list(got) == list(want)
+        for shape, (rows, cols) in want.items():
+            assert got[shape][0].shape == rows.shape and got[shape][1].shape == cols.shape
+            assert np.array_equal(got[shape][0], rows)
+            assert np.array_equal(got[shape][1], cols)
+
+
 def _fixed(*blocks):
     """Blocks laid out with a fixed row and column permutation."""
     M = scipy.linalg.block_diag(*blocks).astype(complex)

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import seqforms.forms as forms
 import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
@@ -205,43 +204,79 @@ def test_the_triple_pair_takes_no_lapack_call(monkeypatch, dim):
     assert calls == []
 
 
-def test_a_bundle_made_from_sparse_columns_finds_their_blocks():
-    """Sparse columns given without blocks have their rows for blocks only
-    when each column holds one entry at most; else the bundle finds them."""
-    X = sp.csr_array(np.array([[1.0, 1, 0], [1, -1, 0], [0, 0, 2]]))
-    b = operators.OperatorBundle(X)
-    assert b.blocks is not None
-    assert np.allclose(b.singular_values, np.linalg.svd(X.toarray(), compute_uv=False))
-    rows = operators.OperatorBundle(sp.csc_array(np.array([[3.0, 4, 0], [0, 0, 2]])))
-    assert rows.blocks is None and np.array_equal(rows.singular_values, [5.0, 2.0])
-
-
-def _count_blocks_of(monkeypatch):
+def _count_union_finds(monkeypatch):
+    """The graph size of each operators._components call, in order."""
     calls = []
-    blocks_of = operators.blocks_of
+    components = operators._components
 
-    def counted(M):
-        calls.append(M.shape)
-        return blocks_of(M)
+    def counted(u, v, size):
+        calls.append(size)
+        return components(u, v, size)
 
-    for module in (operators, forms):
-        monkeypatch.setattr(module, "blocks_of", counted)
+    monkeypatch.setattr(operators, "_components", counted)
     return calls
 
 
+# name: (arity, rules of xi and eta)
+PAPER_PAIRS = {
+    "triple": (3, [{"rule": "triple", "params": {"kind": k}} for k in ("xi", "eta")]),
+    "paired": (2, [{"rule": "paired_double", "params": {"kind": k}}
+                   for k in ("xi", "eta")]),
+    "diagonal": (1, [{"rule": "diagonal", "params": {"weight": {"kind": k}}}
+                     for k in ("n", "1/n")]),
+}
+
+
+def _pair_calls(tmp_path, rules, size):
+    """The classify calls of both rules, their form-assess and their pair
+    reconstruct, each exiting 0; the reports are dropped."""
+    paths = []
+    for name, rule in zip(("left", "right"), rules):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(rule))
+    left, right = map(str, paths)
+    for argv in (["classify", "--spec", left], ["classify", "--spec", right],
+                 ["form-assess", "--left", left, "--right", right],
+                 ["reconstruct", "--left", left, "--right", right]):
+        assert main([*argv, *size]) == 0
+
+
 @pytest.mark.parametrize("dim", [8, 300, 10**4])
-def test_blocks_are_found_once_per_bundle_and_once_per_pair(monkeypatch, dim):
-    """A family whose members have one nonzero coordinate reads its blocks
-    off the pattern: building and classifying it take no union-find. A
-    triple-pair form takes one, for T, whose blocks serve route (a')'s SVD
-    and, the factors being diagonal, the cosine matrix."""
-    calls = _count_blocks_of(monkeypatch)
-    for spec in (TriplePattern("xi"), DiagonalWeights(ScalarRule("n"))):
-        classify_finite(build_bundle(spec, dim, spec.arity * dim))
-        frame_spectrum(spec, dim, spec.arity * dim)
+@pytest.mark.parametrize("pair", PAPER_PAIRS)
+def test_the_paper_pairs_take_no_union_find(tmp_path, capsys, monkeypatch, pair, dim):
+    """Every member of the triple, paired and diagonal pairs has one nonzero
+    coordinate, so a bundle's blocks are its rows, and S, L, T, the cosine
+    matrix and T^-H L and T^-1 L hold one entry per row and column at most:
+    blocks_of reads their blocks off the pattern. classify, form-assess and
+    pair reconstruct at count = arity * dim (above dim for the triple and
+    paired pairs) take no union-find."""
+    calls = _count_union_finds(monkeypatch)
+    arity, rules = PAPER_PAIRS[pair]
+    _pair_calls(tmp_path, rules, ["--dim", str(dim), "--count", str(arity * dim)])
+    capsys.readouterr()
     assert calls == []
-    zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), dim, 3 * dim)
-    assert calls == [(dim, dim)]
+
+
+def test_only_blocks_larger_than_one_entry_take_a_union_find(tmp_path, capsys,
+                                                             monkeypatch):
+    """The tiled pair X = [I_64 ... I_64] (16 copies) and X diag(1..1024) of
+    tools/compare_reports.py has one entry per column, and diagonal S, L and
+    T: no union-find. The 256 x 256 identity plus e_8 e_9^T, invertible, has
+    two entries in column 9, so rows 8 and 9 are one 2 x 2 block: its
+    bundle's blocks come from the union-find at birth, and so do those of T
+    and S."""
+    calls = _count_union_finds(monkeypatch)
+    tiled = np.tile(np.eye(64), 16)
+    rules = [{"rule": "explicit", "params": {"matrix": X.tolist()}}
+             for X in (tiled, tiled * np.arange(1.0, 1025))]
+    _pair_calls(tmp_path, rules, ["--dim", "64", "--count", "1024"])
+    assert calls == []
+    X = np.eye(256)
+    X[8, 9] = 1
+    _pair_calls(tmp_path, [{"rule": "explicit", "params": {"matrix": X.tolist()}}] * 2,
+                ["--dim", "256"])
+    capsys.readouterr()
+    assert calls and set(calls) == {512}
 
 
 @pytest.mark.parametrize("d_min,factored", [(1e-5, True), (1e-6, False)])

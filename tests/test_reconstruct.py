@@ -381,7 +381,7 @@ def test_reconstruct_above_dim_64_never_forms_the_dual_columns(
 
     rhs = []
 
-    def recorded(S, B, blocks=None):
+    def recorded(S, B):
         rhs.append(np.shape(B))
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
 
