@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances
+from .core import DEFAULT_TOL, GROWTH_MIN, ConvergenceVerdict, Tolerances, sp
 from .core import TruncationLadder, json_scalar, partial_sum_trend
 from .errors import DenseTooLarge, ScaleOutOfRange
 from .operators import BANDED_MIN_SIZE, GUARD_FACTOR, OperatorBundle, build_bundle
@@ -123,7 +122,7 @@ def classify_finite(
     if r and rf_bound == 0:
         raise ScaleOutOfRange(f"singular value {s[r - 1]:.6g} is above the rank "
                               "cutoff, but its square underflowed to 0")
-    backend = "blockwise" if sp.issparse(bundle.columns) else "dense"
+    backend = "blockwise" if bundle.blocks or sp.issparse(bundle.held) else "dense"
     return FrameSpectrum(dim, count, smax**2, sigma_dim**2, r, rf_bound, backend)
 
 
@@ -242,18 +241,22 @@ def _verdict_dict(v: ConvergenceVerdict) -> dict:
 
 
 def diagnose_asymptotic(
-    spec: SequenceSpec, ladder: TruncationLadder, tol: Tolerances = DEFAULT_TOL
+    spec: SequenceSpec, ladder: TruncationLadder, tol: Tolerances = DEFAULT_TOL,
+    known: Optional[FrameSpectrum] = None,
 ) -> AsymptoticDiagnosis:
-    """Track frame bounds with dim = N and count = arity * N along the ladder."""
+    """Track frame bounds with dim = N and count = arity * N along the
+    ladder, reusing known, a spectrum of spec at tol, at the rung it is of."""
     sizes = ladder.sizes
     spectra = []
     for N in sizes:
+        count = spec.arity * N
         try:
-            spectra.append(frame_spectrum(spec, N, spec.arity * N, tol))
+            reuse = known is not None and (known.dim, known.count) == (N, count)
+            spectra.append(known if reuse else frame_spectrum(spec, N, count, tol))
         except DenseTooLarge as exc:
             raise DenseTooLarge(f"ladder rung N={N}: {exc}", rung=N, **exc.details)
-    uppers = [sp.bessel_bound for sp in spectra]
-    lowers = [sp.lower_bound for sp in spectra]
+    uppers = [s.bessel_bound for s in spectra]
+    lowers = [s.lower_bound for s in spectra]
 
     bessel_trend = partial_sum_trend(sizes, [complex(b) for b in uppers])
     lower_trend = partial_sum_trend(sizes, [complex(a) for a in lowers])
@@ -276,7 +279,7 @@ def diagnose_asymptotic(
     elif a_positive and not b_bounded:
         inferred = "LowerSemiFrame"
     elif b_bounded and not a_positive:
-        inferred = "UpperSemiFrame" if all(sp.complete for sp in spectra) else "Bessel"
+        inferred = "UpperSemiFrame" if all(s.complete for s in spectra) else "Bessel"
     else:
         inferred = "None"
 

@@ -151,7 +151,7 @@ def _report_classify(args, tol):
     out = spectrum.to_dict()
     spectral = {"truncation": spectrum.provenance()}
     if args.ladder is not None:
-        diagnosis = diagnose_asymptotic(spec, args.ladder, tol)
+        diagnosis = diagnose_asymptotic(spec, args.ladder, tol, spectrum)
         out["asymptotic"] = diagnosis.to_dict()
         spectral["ladder"] = [
             {"size": N, **sp.provenance()}

@@ -10,11 +10,11 @@ inconclusive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "TruncationLadder",
@@ -47,6 +47,21 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+class _SparseOnFirstUse:
+    """scipy.sparse, imported when one of its names is first read; issparse
+    is False, with no import, while it is unloaded: no sparse matrix exists."""
+
+    def __getattr__(self, name):
+        import scipy.sparse
+        return getattr(scipy.sparse, name)
+
+    def issparse(self, M) -> bool:
+        return "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(M)
+
+
+sp = _SparseOnFirstUse()  # the one handle on scipy.sparse of every module
 
 # Ladder thresholds: a Cauchy gap below CAUCHY_TOL has settled, and
 # GROWTH_MIN is the smallest fitted log-log exponent that counts as growth.

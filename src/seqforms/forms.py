@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -86,33 +87,46 @@ def infsup_constants(
 
 @dataclass(frozen=True)
 class FormAssessment:
-    """Two-sequence form diagnostics at a fixed truncation."""
+    """Two-sequence form diagnostics at a fixed truncation: route (b) when
+    made, route (a') from the singular values of the associated matrix on
+    first read, so that a consumer of route (b) alone never pays for them."""
 
-    null_dim_left: int  # equals the right null dim: the matrix is square
     c1: float
     c2: float
     max_principal_angle: float
     direct_sum: str
     zero_closed: bool
     associated_operator: object  # dense, or sparse when both bundles split
-    assoc_invertible: bool
-    assoc_inverse_norm: Optional[float]
     lower_xi: bool
     lower_eta: bool
     lower_bound_xi: float
     lower_bound_eta: float
     dim: int
     count: int
+    tol: Tolerances  # of route (a')'s rank
+
+    @cached_property
+    def _route_a(self) -> tuple:
+        """The null dim of the associated matrix (left and right: it is
+        square) and the norm of its inverse, None when it is singular."""
+        s = svdvals(self.associated_operator)
+        null = self.dim - rank(s, self.tol)
+        return null, None if null else 1.0 / float(s[-1])
+
+    null_dim_left = property(lambda self: self._route_a[0])
+    assoc_invertible = property(lambda self: self._route_a[0] == 0)
+    assoc_inverse_norm = property(lambda self: self._route_a[1])
 
     def to_dict(self, include_matrix: bool = True) -> dict:
-        """The fields in order, the matrix last and only when asked for."""
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        matrix = d.pop("associated_operator")
-        d = {"null_dim_left": d.pop("null_dim_left"),
-             "null_dim_right": self.null_dim_left, **d}
+        """The reported fields in order, the matrix last and only when asked for."""
+        names = ("c1", "c2", "max_principal_angle", "direct_sum", "zero_closed",
+                 "assoc_invertible", "assoc_inverse_norm", "lower_xi", "lower_eta",
+                 "lower_bound_xi", "lower_bound_eta", "dim", "count")
+        d = {"null_dim_left": self.null_dim_left, "null_dim_right": self.null_dim_left,
+             **{name: getattr(self, name) for name in names}}
         d["finite_truncation"] = True  # verdicts hold at this truncation only
         if include_matrix:
-            d["associated_operator"] = json_pairs(matrix)
+            d["associated_operator"] = json_pairs(self.associated_operator)
         return d
 
 
@@ -149,29 +163,21 @@ def zero_closed_from_bundles(
     ds = direct_sum_verdict(r_xi - r_eta, half_tan, tol)
     route_b = spectrum_xi.frame and spectrum_eta.frame and ds == "holds"
 
-    # route (a'): invertibility of the associated matrix C_eta^H C_xi
-    assoc = bundle_eta.columns @ bundle_xi.C
-    s_assoc = svdvals(assoc)
-    rank_assoc = rank(s_assoc, tol)
-    assoc_invertible = rank_assoc == dim
-    assoc_inverse_norm = 1.0 / float(s_assoc[-1]) if assoc_invertible else None
-
     return FormAssessment(
-        null_dim_left=dim - rank_assoc,
         c1=isc.c1,
         c2=isc.c2,
         max_principal_angle=isc.max_angle,
         direct_sum=ds,
         zero_closed=route_b,
-        associated_operator=assoc,
-        assoc_invertible=assoc_invertible,
-        assoc_inverse_norm=assoc_inverse_norm,
+        # route (a'): invertibility of the associated matrix C_eta^H C_xi
+        associated_operator=bundle_eta.columns @ bundle_xi.C,
         lower_xi=spectrum_xi.frame,
         lower_eta=spectrum_eta.frame,
         lower_bound_xi=spectrum_xi.lower_bound,
         lower_bound_eta=spectrum_eta.lower_bound,
         dim=dim,
         count=count,
+        tol=tol,
     )
 
 

@@ -24,14 +24,14 @@ Range bases are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import DEFAULT_TOL, Tolerances
+from .core import DEFAULT_TOL, Tolerances, sp
 from .errors import DenseTooLarge, DimensionMismatch
 from .sequences import SequenceSpec
 
@@ -139,17 +139,11 @@ def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_norms(M) -> np.ndarray:
-    """The 2-norm of each row of a sparse M, from the squares of its entries,
-    or, where one could under- or overflow, of their ratios to the row's
-    largest modulus."""
-    m = M.shape[0]
-    if M.format == "csc":  # the row of each entry is stored, as in M.T of a CSR M
-        row = M.indices
-    else:
-        M = sp.csr_array(M)
-        row = np.repeat(np.arange(m), np.diff(M.indptr))
-    a, f = np.abs(M.data), np.finfo(float)
+def _row_norms(row: np.ndarray, data: np.ndarray, m: int) -> np.ndarray:
+    """The 2-norm of each of m rows, data[k] in row row[k], from the squares
+    of the entries summed in the order given, or, where one could under- or
+    overflow, of their ratios to the row's largest modulus."""
+    a, f = np.abs(data), np.finfo(float)
     if not a.size or np.sqrt(f.tiny) <= a.min() <= a.max() <= np.sqrt(f.max / a.size):
         return np.sqrt(np.bincount(row, a * a, m))
     top = np.zeros(m)
@@ -167,7 +161,9 @@ def svdvals(M, blocks: Optional[dict] = None) -> np.ndarray:
     groups = (blocks_of(M) if blocks is None else blocks).items()
     rows = [b[0][:, 0] for (r, c), b in groups if r == 1 and c]
     cols = [b[1][:, 0] for (r, c), b in groups if r > 1 and c == 1]
-    vals = [_row_norms(A)[np.concatenate(i)] for A, i in ((M, rows), (M.T, cols)) if i]
+    E = M.tocoo()  # the entries in the order stored, which the norms sum in
+    vals = [_row_norms(k, E.data, n)[np.concatenate(i)]
+            for k, n, i in ((E.row, M.shape[0], rows), (E.col, M.shape[1], cols)) if i]
     vals += [np.linalg.svd(_stack(M, *b), compute_uv=False).ravel()
              for (r, c), b in groups if r > 1 and c > 1]
     vals = np.concatenate([np.zeros(0), *vals])
@@ -234,27 +230,42 @@ def dense(M, dim: int, count: int) -> np.ndarray:
     return M
 
 
+# Dense columns none of which holds two nonzero entries, named as in CSC: the
+# row and value of each such entry in column order, and how many each holds.
+_Entries = namedtuple("_Entries", "shape indices data live")
+
+
 @dataclass(frozen=True)
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    Only the columns are stored, sparse when they split and dense
-    otherwise, with their blocks: bundle_from_columns finds them once. The
-    other operators and the singular values of C are computed on first use
-    and cached, so a verdict that needs singular values alone never pays for
-    singular vectors.
+    The columns are held as blocks says. None: as given, dense, or sparse
+    with unknown blocks. A dict: sparse, with the blocks bundle_from_columns
+    found. "rows": no column holds two nonzero entries, held is CSC or, for
+    dense columns, their _Entries, whose CSC is made on first read; the rows
+    are the blocks. All else is computed on first use and cached, so a
+    verdict that needs singular values alone pays for no singular vectors,
+    nor, for entries whose rows are the blocks, for a sparse matrix.
     """
 
-    columns: object  # dim x count, column n is xi_n: sparse or dense
-    blocks: Optional[dict] = None  # of split columns; None when rows are theirs
+    held: object  # dim x count, column n is xi_n: dense, sparse or _Entries
+    blocks: object = None  # None, the dict of blocks_of(held), or "rows"
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[0]
+        return self.held.shape[0]
 
     @property
     def count(self) -> int:
-        return self.columns.shape[1]
+        return self.held.shape[1]
+
+    @cached_property
+    def columns(self):
+        """The dim x count columns: held, or CSC of the held entries."""
+        if not isinstance(self.held, _Entries):
+            return self.held
+        shape, rows, vals, live = self.held
+        return sp.csc_array((vals, rows, np.concatenate([[0], np.cumsum(live)])), shape)
 
     @cached_property
     def C(self):
@@ -267,10 +278,12 @@ class OperatorBundle:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of C, descending, without singular vectors: those
-        of split columns block by block, or the norms of their rows."""
-        if self.blocks is None and sp.issparse(self.columns):
-            return np.sort(_row_norms(self.columns))[::-1][: min(self.dim, self.count)]
+        """Singular values of C, descending, without singular vectors: the
+        norms of the rows when they are the blocks, else block by block when
+        the columns are sparse."""
+        if self.blocks == "rows":  # CSC or _Entries: each entry's row is stored
+            (dim, count), X = self.held.shape, self.held
+            return np.sort(_row_norms(X.indices, X.data, dim))[::-1][: min(dim, count)]
         return svdvals(self.columns, self.blocks) if self.blocks else svdvals(self.C)
 
     @cached_property
@@ -308,11 +321,12 @@ class OperatorBundle:
 
 def bundle_from_columns(X) -> OperatorBundle:
     """The bundle of the dim x count columns X, dense or sparse, complex
-    when X is, else float; sparse exactly when two or more blocks hold
-    entries and either each column holds one nonzero entry at most (CSC, its
-    rows the blocks, at any size) or X has BANDED_MIN_SIZE entries or more
-    and a zero one (CSR, blocks_of), else dense. DenseTooLarge when a held
-    block, or the dense columns of a sparse X, are above the cap."""
+    when X is, else float. Its rows are its blocks, at any size and with no
+    sparse matrix made from a dense X, when each column holds one nonzero
+    entry at most and two rows hold entries; it is sparse (CSR, blocks_of)
+    when X has BANDED_MIN_SIZE entries or more, a zero one and two or more
+    blocks that hold entries; else dense. DenseTooLarge when a held block,
+    or the dense columns of a sparse X, are above the cap."""
     X = X if sp.issparse(X) else np.atleast_2d(X)
     X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
     dim, count = X.shape
@@ -322,12 +336,11 @@ def bundle_from_columns(X) -> OperatorBundle:
         if nz is None:
             Y = sp.csc_array(X)
             rows = Y.indices[Y.data != 0]
-        else:  # CSC of the one entry of each nonzero column
-            rows, cols = nz.argmax(axis=0)[live > 0], np.flatnonzero(live)
-            indptr = np.concatenate([[0], np.cumsum(live)])
-            Y = sp.csc_array((X[rows, cols], rows, indptr), X.shape)
+        else:  # the entries of the nonzero columns, with no sparse matrix
+            rows = nz.argmax(axis=0)[live > 0]
+            Y = _Entries(X.shape, rows, X[rows, np.flatnonzero(live)], live)
         if rows.min() < rows.max():  # two of them hold entries
-            return OperatorBundle(Y)
+            return OperatorBundle(Y, "rows")
     elif BANDED_MIN_SIZE <= dim * count and live.sum() < dim * count:
         Y = sp.csr_array(X)
         blocks = blocks_of(Y)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from .core import sp
 from .errors import SupportOverflow
 
 __all__ = [

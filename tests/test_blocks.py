@@ -445,3 +445,33 @@ def test_one_per_column_pairs_match_a_dense_reference(pair):
     fa = zero_closed_check(ExplicitColumns(X_xi), ExplicitColumns(X_eta), dim, count)
     assert fa.zero_closed == zero_closed
     assert (fa.null_dim_left, fa.assoc_invertible) == (dim - rank_T, rank_T == dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_per_column())
+def test_one_per_column_bundles_read_their_norms_off_the_entries(X):
+    """Such a bundle, from dense or sparse columns, holds their entries and
+    takes its singular values from them with no sparse matrix: bit for bit
+    the row norms of its CSC columns, summed in their stored order."""
+    bundle = bundle_from_columns(X)
+    assume(bundle.blocks == "rows")
+    assert "columns" not in vars(bundle)  # no CSC made yet
+    s = bundle.singular_values
+    Y = bundle.columns
+    assert Y.format == "csc" and (Y != sp.csc_array(X)).nnz == 0
+    norms = np.sqrt(np.bincount(Y.indices, np.abs(Y.data) ** 2, X.shape[0]))
+    assert np.array_equal(s, np.sort(norms)[::-1][: min(X.shape)])
+    from_sparse = bundle_from_columns(sp.csc_matrix(X))
+    assert from_sparse.blocks == "rows"
+    assert np.array_equal(from_sparse.singular_values, s)
+
+
+def test_a_bundle_of_sparse_columns_with_unknown_blocks_finds_them():
+    """OperatorBundle(X) of a sparse X says nothing of X's blocks, so its
+    singular values come from the blocks of C found then: those of [[1, 1],
+    [0, 1]] are the golden ratio and its inverse, not its row norms."""
+    X = sp.csr_array(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    bundle = operators.OperatorBundle(X)
+    phi = (1 + 5**0.5) / 2
+    np.testing.assert_allclose(bundle.singular_values, [phi, 1 / phi], rtol=1e-15)
+    assert classify_finite(bundle).backend == "blockwise"

@@ -613,27 +613,30 @@ def test_one_parser_serves_a_run_of_calls_like_fresh_processes(spec_file, capsys
 
 _FRESH = """
 import contextlib, io, json, sys
-if {preload}:
-    import scipy.linalg
+for name in {preload}:
+    __import__(name)
 import seqforms.cli
-runs = [(None, None, "scipy.linalg" in sys.modules)]
+def loaded():
+    return ["scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules]
+runs = [(None, None, *loaded())]
 for argv in {calls}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = seqforms.cli.main(argv)
     body = json.loads(out.getvalue())["report"] if code == 0 else None
-    runs.append((code, body, "scipy.linalg" in sys.modules))
+    runs.append((code, body, *loaded()))
 print(json.dumps(runs))
 """
 
 
-def _fresh_process(calls, preload=False):
-    """[(exit, body, scipy.linalg loaded)] in one fresh interpreter: after
-    `import seqforms.cli` (exit and body None), then after each call."""
+def _fresh_process(calls, preload=()):
+    """[(exit, body, scipy.linalg loaded, scipy.sparse loaded)] in one fresh
+    interpreter that first imports the modules preload: after `import
+    seqforms.cli` (exit and body None), then after each call."""
     src = os.path.dirname(os.path.dirname(seqforms.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _FRESH.format(preload=preload, calls=calls)],
+        [sys.executable, "-c", _FRESH.format(preload=list(preload), calls=calls)],
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": path})
     return [tuple(r) for r in json.loads(run.stdout)]
@@ -655,7 +658,7 @@ def test_the_cli_and_its_common_calls_leave_scipy_linalg_unloaded(spec_file):
         ["form-assess", *triple],
         ["reconstruct", *triple],
     ])
-    assert [(code, loaded) for code, _, loaded in runs] == [
+    assert [(code, loaded) for code, _, loaded, _ in runs] == [
         (None, False), (0, False), (0, False), (0, False), (0, False)]
 
 
@@ -714,6 +717,68 @@ def test_the_calls_that_need_scipy_linalg_load_it_on_first_use(spec_file):
         ["reconstruct", "--spec", spec_file("dense.json", dense), "--dim", "8"],
     ]
     lazy = [_fresh_process([argv])[1] for argv in calls]
-    eager = _fresh_process(calls, preload=True)[1:]
-    assert [(code, loaded) for code, _, loaded in lazy] == [(0, True), (0, True)]
-    assert [body for _, body, _ in lazy] == [body for _, body, _ in eager]
+    eager = _fresh_process(calls, preload=["scipy.linalg"])[1:]
+    assert [(code, loaded) for code, _, loaded, _ in lazy] == [(0, True), (0, True)]
+    assert [run[1] for run in lazy] == [run[1] for run in eager]
+
+
+def test_the_cli_dense_calls_and_a_small_classify_leave_scipy_sparse_unloaded(
+    spec_file
+):
+    """scipy.sparse costs about 150 ms and 21 MB to import, and only a
+    sparse matrix needs it: importing the CLI, the class-ladder benchmark's
+    warm-up (a family with one entry per column, whose bundle holds its
+    entries and reads its singular values off them), and form-assess,
+    classify and reconstruct --spec of dense 64 x 64 matrices never load it."""
+    rng = np.random.default_rng(3)
+    left, right = (spec_file(f"{name}.json", _explicit(
+        rng.standard_normal((64, 64)).tolist())) for name in ("a", "b"))
+    wn = spec_file("wn.json", W_N)
+    runs = _fresh_process([
+        ["classify", "--spec", wn, "--dim", "8", "--ladder", "4,8,16"],
+        ["form-assess", "--left", left, "--right", right, "--dim", "64"],
+        ["classify", "--spec", left, "--dim", "64"],
+        ["reconstruct", "--spec", left, "--dim", "64", "--trials", "3"],
+    ])
+    assert [(code, sparse) for code, _, _, sparse in runs] == [
+        (None, False), (0, False), (0, False), (0, False), (0, False)]
+    assert runs[1][1]["asymptotic"]["inferred_class"] == "LowerSemiFrame"
+
+
+def test_a_large_classify_loads_scipy_sparse_on_first_use(spec_file):
+    """classify of {n e_n} at 256 x 256 (256^2 entries) materializes CSC
+    columns, so it loads scipy.sparse, and reports the body of a process
+    that imported it up front."""
+    argv = ["classify", "--spec", spec_file("wn.json", W_N), "--dim", "256"]
+    lazy = _fresh_process([argv])[1]
+    eager = _fresh_process([argv], preload=["scipy.sparse"])[1]
+    assert (lazy[0], lazy[3]) == (0, True)
+    assert lazy[1] == eager[1] and lazy[1]["bessel_bound"] == 256.0**2
+
+
+@pytest.mark.parametrize("dim,count", [(64, 128), (48, 96)])
+def test_a_ladder_reuses_the_spectrum_of_a_truncation_that_is_a_rung(
+    spec_file, tmp_path, monkeypatch, dim, count
+):
+    """classify --ladder 64,128,256,512 of the paired family {e_1, e_1, e_2,
+    2 e_2, ...}, as the class-ladder benchmark calls it: the truncation
+    64 x 128 is the rung N = 64, so its spectrum is computed once, first,
+    and 4 spectra make the report; a truncation off the ladder makes 5."""
+    from seqforms import classify
+
+    calls = []
+    real = classify.frame_spectrum
+
+    def counted(spec, d, c, tol):
+        calls.append((d, c))
+        return real(spec, d, c, tol)
+
+    monkeypatch.setattr(classify, "frame_spectrum", counted)
+    monkeypatch.setattr(seqforms.cli, "frame_spectrum", counted)
+    paired = spec_file("paired.json", {"rule": "paired_double",
+                                       "params": {"kind": "xi"}})
+    argv = ["classify", "--spec", paired, "--dim", str(dim), "--count", str(count),
+            "--ladder", "64,128,256,512", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    rungs = [(64, 128), (128, 256), (256, 512), (512, 1024)]
+    assert calls == [(dim, count)] + [r for r in rungs if r != (dim, count)]

@@ -156,7 +156,7 @@ def test_one_factorization_per_operator(monkeypatch):
     calls = _count_svds(monkeypatch)
     xi = ExplicitColumns(random_columns(6, 9, 10))
     eta = ExplicitColumns(random_columns(6, 9, 11))
-    zero_closed_check(xi, eta, 6, 9)
+    zero_closed_check(xi, eta, 6, 9).to_dict()
     # values-only SVDs of both bundles and of the associated matrix, one SVD
     # of the inf-sup cosines, and a QR per bundle for its range basis (both
     # have full column rank); the direct sum is read off the cosines, so no
@@ -183,7 +183,7 @@ def test_real_pair_factorizes_in_real_arithmetic(monkeypatch):
     onb = DiagonalWeights(ScalarRule("constant", 1.0))
     fa = zero_closed_check(Interleave(onb, FiniteDifference()),
                            Interleave(FiniteDifference(), onb), 6, 12)
-    assert fa.zero_closed
+    assert fa.zero_closed and fa.assoc_invertible
     assert sorted(calls, key=str) == (
         [("numpy.cholesky", False, (6, 6), np.dtype(float))] * 2
         + [("numpy.inv", False, (6, 6), np.dtype(float))] * 2
@@ -381,6 +381,7 @@ def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
     xi = ExplicitColumns(random_columns(7, 7, 15))
     eta = ExplicitColumns(random_columns(7, 7, 16))
     fa = zero_closed_check(xi, eta, 7, 7)
+    assert fa.assoc_invertible  # route (a') is taken on first read
     # both ranges are all of l2: no basis, no QR and no cosine SVD
     assert calls == [("numpy.svd", False, (7, 7), complex)] * 3
     assert fa.c1 == fa.c2 == 1.0 and fa.max_principal_angle == 0.0
@@ -389,8 +390,9 @@ def test_square_full_rank_pair_takes_values_only_svds(monkeypatch):
 def test_square_pair_reconstruct_takes_no_svd_of_dual_columns(
     tmp_path, capsys, monkeypatch
 ):
-    """A square dense pair reconstruct takes the values-only SVDs of C_xi,
-    C_eta and T, and none of its duals: their bounds are 1/A_eta and 1/A_xi."""
+    """A square dense pair reconstruct takes the values-only SVDs of C_xi
+    and C_eta, none of T, whose route (a') the duals do not read, and none
+    of its duals: their bounds are 1/A_eta and 1/A_xi."""
     rng = np.random.default_rng(20)
     paths = []
     for name in ("xi.json", "eta.json"):
@@ -403,7 +405,7 @@ def test_square_pair_reconstruct_takes_no_svd_of_dual_columns(
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["report"]["max_residual"] < 1e-10
     # the real matrices are factorized in real arithmetic
-    assert calls == [("numpy.svd", False, (80, 80), float)] * 3
+    assert calls == [("numpy.svd", False, (80, 80), float)] * 2
 
 
 def test_rank_deficient_bundle_keeps_the_thin_svd(monkeypatch):

@@ -37,8 +37,8 @@ def test_traced_scenario_records_the_series_layers(tmp_path):
 
 def test_traced_classification_records_each_dense_verdict(tmp_path):
     """classify_finite is the one classification from singular values: the
-    tracer sees it once per dense or blockwise rung (and truncation) and once
-    per sequence of a pair."""
+    tracer sees it once per dense or blockwise rung, once more for a
+    truncation that is not a rung, and once per sequence of a pair."""
     rule, inverse = tmp_path / "wn.json", tmp_path / "winv.json"
     for path, kind in ((rule, "n"), (inverse, "1/n")):
         path.write_text(json.dumps(
@@ -60,11 +60,12 @@ def test_traced_classification_records_each_dense_verdict(tmp_path):
     backends = [spectral["truncation"]["backend"]]
     backends += [rung["backend"] for rung in spectral["ladder"]]
     # each member of {n e_n} has one nonzero coordinate: 1 x 1 blocks at
-    # every rung, each classified by classify_finite
+    # every rung, each classified by classify_finite; the truncation 8 x 8
+    # is the rung N = 8, whose spectrum is reused
     assert backends == ["blockwise"] * 4
 
     def verdicts(spans):
         return sum(span[0] == "classify.classify_finite" for span in spans)
 
-    assert verdicts(tracer.spans[:ladder_spans]) == 4
+    assert verdicts(tracer.spans[:ladder_spans]) == 3
     assert verdicts(tracer.spans[ladder_spans:]) == 2
