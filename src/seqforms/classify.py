@@ -122,7 +122,7 @@ def classify_finite(
     if r and rf_bound == 0:
         raise ScaleOutOfRange(f"singular value {s[r - 1]:.6g} is above the rank "
                               "cutoff, but its square underflowed to 0")
-    backend = "blockwise" if bundle.blocks or sp.issparse(bundle.held) else "dense"
+    backend = "dense" if isinstance(bundle.held, np.ndarray) else "blockwise"
     return FrameSpectrum(dim, count, smax**2, sigma_dim**2, r, rf_bound, backend)
 
 
@@ -169,11 +169,9 @@ def frame_spectrum(
 
 
 def _column_spread(Y: sp.csc_matrix) -> int:
-    """Largest (max row - min row) over the nonempty columns of Y: a bound
-    on the bandwidth of Y Y^H."""
+    """Largest (max row - min row) over the nonempty columns of Y (it has
+    one): a bound on the bandwidth of Y Y^H."""
     starts = Y.indptr[:-1][np.diff(Y.indptr) > 0]
-    if starts.size == 0:
-        return 0
     top = np.maximum.reduceat(Y.indices, starts)
     return int((top - np.minimum.reduceat(Y.indices, starts)).max())
 
@@ -233,8 +231,7 @@ def _verdict_dict(v: ConvergenceVerdict) -> dict:
     d = {"kind": v.kind}
     if v.growth_exponent is not None:
         d["growth_exponent"] = v.growth_exponent
-    if v.cauchy_gap is not None:
-        d["cauchy_gap"] = v.cauchy_gap
+    d["cauchy_gap"] = v.cauchy_gap  # partial_sum_trend always sets it
     if v.limit_estimate is not None and np.isscalar(v.limit_estimate):
         d["limit_estimate"] = json_scalar(v.limit_estimate)
     return d
@@ -265,11 +262,8 @@ def diagnose_asymptotic(
     slope_a = lower_trend.growth_exponent
 
     b_bounded = slope_b is not None and slope_b < GROWTH_MIN
-    a_positive = (
-        all(a > 0 for a in lowers)
-        and slope_a is not None
-        and slope_a > -GROWTH_MIN
-    )
+    # a growth exponent is fitted only when every bound is positive
+    a_positive = slope_a is not None and slope_a > -GROWTH_MIN
 
     if slope_a is None and slope_b is None:
         inferred = "Inconclusive"

@@ -87,9 +87,8 @@ def infsup_constants(
 
 @dataclass(frozen=True)
 class FormAssessment:
-    """Two-sequence form diagnostics at a fixed truncation: route (b) when
-    made, route (a') from the singular values of the associated matrix on
-    first read, so that a consumer of route (b) alone never pays for them."""
+    """Two-sequence form diagnostics at a fixed truncation; route (a'), from
+    the associated matrix's singular values, is computed on first read."""
 
     c1: float
     c2: float
@@ -107,8 +106,7 @@ class FormAssessment:
 
     @cached_property
     def _route_a(self) -> tuple:
-        """The null dim of the associated matrix (left and right: it is
-        square) and the norm of its inverse, None when it is singular."""
+        """Its null dim (left and right: it is square), its inverse's norm."""
         s = svdvals(self.associated_operator)
         null = self.dim - rank(s, self.tol)
         return null, None if null else 1.0 / float(s[-1])
@@ -118,12 +116,15 @@ class FormAssessment:
     assoc_inverse_norm = property(lambda self: self._route_a[1])
 
     def to_dict(self, include_matrix: bool = True) -> dict:
-        """The reported fields in order, the matrix last and only when asked for."""
-        names = ("c1", "c2", "max_principal_angle", "direct_sum", "zero_closed",
-                 "assoc_invertible", "assoc_inverse_norm", "lower_xi", "lower_eta",
-                 "lower_bound_xi", "lower_bound_eta", "dim", "count")
-        d = {"null_dim_left": self.null_dim_left, "null_dim_right": self.null_dim_left,
-             **{name: getattr(self, name) for name in names}}
+        """The fields in order but tol, route (a') in the matrix's place,
+        and the matrix last, only when asked for."""
+        d = {"null_dim_left": self.null_dim_left, "null_dim_right": self.null_dim_left}
+        for f in dataclasses.fields(self):
+            if f.name == "associated_operator":
+                d["assoc_invertible"] = self.assoc_invertible
+                d["assoc_inverse_norm"] = self.assoc_inverse_norm
+            elif f.name != "tol":
+                d[f.name] = getattr(self, f.name)
         d["finite_truncation"] = True  # verdicts hold at this truncation only
         if include_matrix:
             d["associated_operator"] = json_pairs(self.associated_operator)

@@ -161,11 +161,12 @@ def svdvals(M, blocks: Optional[dict] = None) -> np.ndarray:
     groups = (blocks_of(M) if blocks is None else blocks).items()
     rows = [b[0][:, 0] for (r, c), b in groups if r == 1 and c]
     cols = [b[1][:, 0] for (r, c), b in groups if r > 1 and c == 1]
-    E = M.tocoo()  # the entries in the order stored, which the norms sum in
-    vals = [_row_norms(k, E.data, n)[np.concatenate(i)]
-            for k, n, i in ((E.row, M.shape[0], rows), (E.col, M.shape[1], cols)) if i]
-    vals += [np.linalg.svd(_stack(M, *b), compute_uv=False).ravel()
-             for (r, c), b in groups if r > 1 and c > 1]
+    vals = [np.linalg.svd(_stack(M, *b), compute_uv=False).ravel()
+            for (r, c), b in groups if r > 1 and c > 1]
+    if rows or cols:  # norms of the entries, summed in the order stored
+        E = M.tocoo()
+        vals += [_row_norms(k, E.data, n)[np.concatenate(i)] for k, n, i in
+                 ((E.row, M.shape[0], rows), (E.col, M.shape[1], cols)) if i]
     vals = np.concatenate([np.zeros(0), *vals])
     return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
 
@@ -230,26 +231,24 @@ def dense(M, dim: int, count: int) -> np.ndarray:
     return M
 
 
-# Dense columns none of which holds two nonzero entries, named as in CSC: the
-# row and value of each such entry in column order, and how many each holds.
-_Entries = namedtuple("_Entries", "shape indices data live")
+# Columns none of which holds two nonzero entries, as their CSC arrays: the
+# matrix is made only when an operator other than the singular values needs it.
+_Entries = namedtuple("_Entries", "data indices indptr shape")
 
 
 @dataclass(frozen=True)
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    The columns are held as blocks says. None: as given, dense, or sparse
-    with unknown blocks. A dict: sparse, with the blocks bundle_from_columns
-    found. "rows": no column holds two nonzero entries, held is CSC or, for
-    dense columns, their _Entries, whose CSC is made on first read; the rows
-    are the blocks. All else is computed on first use and cached, so a
-    verdict that needs singular values alone pays for no singular vectors,
-    nor, for entries whose rows are the blocks, for a sparse matrix.
+    held is dense, sparse, or the _Entries of columns whose rows are their
+    blocks; blocks are those bundle_from_columns found for split sparse
+    columns, None when not looked for. All else is computed on first use
+    and cached, so a verdict that needs singular values alone pays for no
+    singular vectors, nor, for _Entries, for a sparse matrix.
     """
 
-    held: object  # dim x count, column n is xi_n: dense, sparse or _Entries
-    blocks: object = None  # None, the dict of blocks_of(held), or "rows"
+    held: object  # dim x count, column n is xi_n
+    blocks: Optional[dict] = None  # of split sparse columns
 
     @property
     def dim(self) -> int:
@@ -261,11 +260,9 @@ class OperatorBundle:
 
     @cached_property
     def columns(self):
-        """The dim x count columns: held, or CSC of the held entries."""
-        if not isinstance(self.held, _Entries):
-            return self.held
-        shape, rows, vals, live = self.held
-        return sp.csc_array((vals, rows, np.concatenate([[0], np.cumsum(live)])), shape)
+        """The dim x count columns: held, or the CSC matrix of its _Entries."""
+        X = self.held
+        return sp.csc_array(X[:3], X.shape) if isinstance(X, _Entries) else X
 
     @cached_property
     def C(self):
@@ -279,9 +276,8 @@ class OperatorBundle:
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors: the
-        norms of the rows when they are the blocks, else block by block when
-        the columns are sparse."""
-        if self.blocks == "rows":  # CSC or _Entries: each entry's row is stored
+        norms of the rows of _Entries, else block by block when sparse."""
+        if isinstance(self.held, _Entries):
             (dim, count), X = self.held.shape, self.held
             return np.sort(_row_norms(X.indices, X.data, dim))[::-1][: min(dim, count)]
         return svdvals(self.columns, self.blocks) if self.blocks else svdvals(self.C)
@@ -321,9 +317,8 @@ class OperatorBundle:
 
 def bundle_from_columns(X) -> OperatorBundle:
     """The bundle of the dim x count columns X, dense or sparse, complex
-    when X is, else float. Its rows are its blocks, at any size and with no
-    sparse matrix made from a dense X, when each column holds one nonzero
-    entry at most and two rows hold entries; it is sparse (CSR, blocks_of)
+    when X is, else float: the _Entries of X, at any size, when each column
+    holds one nonzero entry at most and two rows hold entries; CSR (blocks_of)
     when X has BANDED_MIN_SIZE entries or more, a zero one and two or more
     blocks that hold entries; else dense. DenseTooLarge when a held block,
     or the dense columns of a sparse X, are above the cap."""
@@ -336,11 +331,13 @@ def bundle_from_columns(X) -> OperatorBundle:
         if nz is None:
             Y = sp.csc_array(X)
             rows = Y.indices[Y.data != 0]
-        else:  # the entries of the nonzero columns, with no sparse matrix
+            Y = _Entries(Y.data, Y.indices, Y.indptr, X.shape)
+        else:  # read off X, with no sparse matrix
             rows = nz.argmax(axis=0)[live > 0]
-            Y = _Entries(X.shape, rows, X[rows, np.flatnonzero(live)], live)
+            indptr = np.concatenate([[0], np.cumsum(live)])
+            Y = _Entries(X[rows, np.flatnonzero(live)], rows, indptr, X.shape)
         if rows.min() < rows.max():  # two of them hold entries
-            return OperatorBundle(Y, "rows")
+            return OperatorBundle(Y)
     elif BANDED_MIN_SIZE <= dim * count and live.sum() < dim * count:
         Y = sp.csr_array(X)
         blocks = blocks_of(Y)

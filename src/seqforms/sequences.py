@@ -172,31 +172,17 @@ class ExplicitColumns(SequenceSpec):
     def full(self, dim: int, count: int) -> bool:
         return dim <= self.matrix.shape[0] and bool(self.matrix[:dim, :count].all())
 
-    def _stored(self, dim: int, count: int) -> np.ndarray:
-        """The first count columns cut to dim rows, -0 parts made +0 and
-        real when every imaginary part is 0, as on the COO path; its
-        SupportOverflow when they do not fit."""
+    def materialize(self, dim: int, count: int) -> np.ndarray:
+        """The first count columns cut or zero-padded to dim rows, -0 parts
+        made +0 and real when every imaginary part is 0: the COO path's
+        matrix and SupportOverflow, without its scatter."""
         if count > self.matrix.shape[1] or self.matrix[dim:, :count].any():
             self._coo(np.arange(1, count + 1), dim)  # raises
         stored = self.matrix[:dim, :count] + 0
-        return stored if stored.imag.any() else stored.real
-
-    def materialize(self, dim: int, count: int) -> np.ndarray:
-        """The stored columns zero-padded to dim rows: the COO path's
-        matrix, without its scatter."""
-        stored = self._stored(dim, count)
+        stored = stored if stored.imag.any() else stored.real
         X = np.zeros((dim, count), dtype=stored.dtype)
         X[: stored.shape[0]] = stored
         return X
-
-    def materialize_sparse(self, dim: int, count: int) -> sp.csc_matrix:
-        """The CSC matrix of materialize, built from the stored columns
-        alone, so a large dim costs no dense dim x count array."""
-        stored = self._stored(dim, count).T  # row n holds column n
-        live = stored != 0
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(live, axis=1))])
-        rows = np.flatnonzero(live) % stored.shape[1]
-        return sp.csc_matrix((stored[live], rows, indptr), shape=(dim, count))
 
 
 @dataclass(frozen=True)

@@ -454,7 +454,7 @@ def test_one_per_column_bundles_read_their_norms_off_the_entries(X):
     takes its singular values from them with no sparse matrix: bit for bit
     the row norms of its CSC columns, summed in their stored order."""
     bundle = bundle_from_columns(X)
-    assume(bundle.blocks == "rows")
+    assume(isinstance(bundle.held, operators._Entries))
     assert "columns" not in vars(bundle)  # no CSC made yet
     s = bundle.singular_values
     Y = bundle.columns
@@ -462,7 +462,7 @@ def test_one_per_column_bundles_read_their_norms_off_the_entries(X):
     norms = np.sqrt(np.bincount(Y.indices, np.abs(Y.data) ** 2, X.shape[0]))
     assert np.array_equal(s, np.sort(norms)[::-1][: min(X.shape)])
     from_sparse = bundle_from_columns(sp.csc_matrix(X))
-    assert from_sparse.blocks == "rows"
+    assert isinstance(from_sparse.held, operators._Entries)
     assert np.array_equal(from_sparse.singular_values, s)
 
 

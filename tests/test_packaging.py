@@ -103,7 +103,7 @@ def test_source_lines_fit_88_columns():
 
 # Lines of src/seqforms/*.py: new code is paid for by deletions, and a change
 # that raises the cap says why in CHANGES.md.
-SOURCE_LINES_CAP = 2697
+SOURCE_LINES_CAP = 2660
 
 
 def test_source_lines_stay_under_the_cap():
