@@ -254,5 +254,6 @@ def probe_series(terms, ladder: TruncationLadder) -> ConvergenceVerdict:
         sums = np.cumsum(terms)[np.array(rungs) - 1].tolist()
     else:
         T = sp.csr_matrix(terms, dtype=complex)
-        sums = [T[:, :N] @ np.ones(N) for N in rungs]
+        ones = np.ones(ladder.top)
+        sums = [T[:, :N] @ ones[:N] for N in rungs]
     return partial_sum_trend(rungs, sums)

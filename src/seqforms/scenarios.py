@@ -292,8 +292,7 @@ def _scenario_telescoping(ladder, tol):
     worst = float(np.max(np.abs(pair - exact)))
 
     # vector series for f = e_1 keeps oscillating at mid-group rungs
-    e1 = np.zeros(dim, dtype=complex)
-    e1[0] = 1.0
+    e1 = np.eye(1, dim, dtype=complex)[0]
     v_e1 = probe_series(Xeta.multiply(XxiH @ e1), mid_rungs)
 
     # ... while a decaying vector orthogonal to e_1 is reproduced
