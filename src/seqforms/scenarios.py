@@ -53,7 +53,7 @@ class ClaimResult:
 
     @property
     def failed(self) -> bool:
-        # _claim says as_expected of a diagnostic claim only
+        # only a diagnostic claim carries as_expected (see _claim)
         return self.status == "fail" or not self.evidence.get("as_expected", True)
 
     def to_dict(self) -> dict:
