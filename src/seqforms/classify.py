@@ -45,9 +45,9 @@ class FrameSpectrum:
 
     bessel_bound is B = sigma_max^2, lower_bound is A = sigma_dim^2 (0 when
     count < dim), riesz_fischer_bound is the smallest squared singular value
-    above the rank cutoff. backend is "dense" or "blockwise" (SVD of C, whole
-    or block by block, 1 x k blocks by their norms) or "banded" (extremes of
-    S or G).
+    above the rank cutoff. backend is "dense" (SVD of C), "blockwise" (the
+    norms of the rows of X or the moduli of the entries of C, no SVD) or
+    "banded" (extremes of S or G).
     bandwidth is the bound w read off the supports and guard_margin is
     log10(lambda_min / (GUARD_FACTOR (w + 1) eps lambda_max)); both are None
     where they were not computed, the margin also when lambda_min <= 0.
@@ -122,7 +122,7 @@ def classify_finite(
     if r and rf_bound == 0:
         raise ScaleOutOfRange(f"singular value {s[r - 1]:.6g} is above the rank "
                               "cutoff, but its square underflowed to 0")
-    backend = "dense" if isinstance(bundle.held, np.ndarray) else "blockwise"
+    backend = "blockwise" if bundle.entrywise else "dense"
     return FrameSpectrum(dim, count, smax**2, sigma_dim**2, r, rf_bound, backend)
 
 
@@ -136,8 +136,8 @@ def frame_spectrum(
     holds the same nonzero eigenvalues) has (M)_ij != 0 only where one
     column of X (of X^H) has entries at both i and j, so its bandwidth w is
     at most the largest spread of rows within a column. When w <=
-    BANDED_MAX_WIDTH and some column of X has two entries (else its rows are
-    its blocks, and their norms its singular values), the extremes of M come
+    BANDED_MAX_WIDTH and some column of X has two entries (else the norms
+    of its rows are its singular values), the extremes of M come
     from LAPACK ?sbevx (?hbevx when M is complex) in band storage, and stand
     when lambda_min clears the accuracy guard and sqrt(lambda_min) the rank
     cutoff (then rank = min(dim, count)). Anything else is classify_finite

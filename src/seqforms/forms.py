@@ -95,7 +95,7 @@ class FormAssessment:
     max_principal_angle: float
     direct_sum: str
     zero_closed: bool
-    associated_operator: object  # dense, or sparse when both bundles split
+    associated_operator: object  # dense, or sparse when both bundles hold entries
     lower_xi: bool
     lower_eta: bool
     lower_bound_xi: float

@@ -11,15 +11,16 @@ is spelled. A basis of a subspace is a plain array with orthonormal
 columns; its rows are the ambient space. Verdicts about a sequence (frame
 bounds, completeness, the class) live in classify.
 
-A matrix is sparse exactly when it splits into independent blocks, as a
-bundle decides once, at its birth, where it keeps the blocks it finds; its
-C, S, Cholesky factor and the products of split operands stay sparse, and
-find their own blocks when a kernel needs them. The values-only SVD, the
-inverse, the Cholesky factor and solve take one numpy or scipy call on a
-dense matrix and one batched call per block shape on a sparse one, but
-none for a 1 x k or k x 1 block, whose singular value is its norm, or a
-1 x 1 one, whose inverse and factor are a reciprocal and a square root.
-Range bases are dense: dense makes them so, under the cap DENSE_MAX_SIZE.
+A sparse operator has one entry per row and column, or it is dense. A
+bundle holds the entries of columns none of which holds two, as it decides
+once, at its birth; its C, S, Cholesky factor and their products stay
+sparse, and in the paper's diagonal, onb, triple and paired pairs S, L,
+L^-1, the associated matrix, the cosine matrix and T^-H L all hold one
+entry per row and column at most. The values-only SVD, the inverse, the
+Cholesky factor and solve take no LAPACK call on such a matrix: its
+singular values are the moduli of its entries, its inverse and factor
+their reciprocals and square roots. Any other matrix takes one numpy or
+scipy call, made dense under the cap DENSE_MAX_SIZE, and so do range bases.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .sequences import SequenceSpec
 __all__ = [
     "OperatorBundle",
     "rank",
-    "blocks_of",
     "svdvals",
     "inv",
     "cho_solve",
@@ -63,80 +63,28 @@ def rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 # Below count * dim = 256^2 a dense factorization is cheaper than a look
-# for structure (a bundle's blocks, a band in classify.frame_spectrum): a
+# for structure (sparse entries, a band in classify.frame_spectrum): a
 # values-only SVD takes 5.2 ms real and 9.8 ms complex at 256 x 256 (one
 # BLAS thread). A family whose members hold one nonzero coordinate each is
-# the exception: its blocks are its rows, read off at every size.
+# the exception: its entries are read off at every size.
 BANDED_MIN_SIZE = 256 * 256
 # S = C^H C squares kappa(C), so a verdict read off S (a banded eigensolve, a
 # Cholesky factor) stands only when GUARD_FACTOR * n * eps * kappa(C)^2 < 1.
 GUARD_FACTOR = 1e4
 
 
-def blocks_of(M) -> dict:
-    """The blocks of a sparse M grouped by shape, {(r, c): (rows, cols)}:
-    row k of the k x r index array rows and of the k x c array cols picks
-    block k. The blocks are the connected components of the pattern of the
-    entries stored with a nonzero value (inv may store exact zeros), rows
-    and columns being the two sides of a bipartite graph (Pothen & Fan, ACM
-    TOMS 1990), so a zero row is a 1 x 0 block and a zero column a 0 x 1
-    one. With one entry per row and column at most, each entry is a block:
-    they are read off the pattern, in the same order, with no union-find."""
+def _entries(M):
+    """(rows, cols, values) of the entries of a sparse M stored with a
+    nonzero value (a product may store exact zeros) when no row or column
+    holds two; None when one does, or when M is dense."""
+    if not sp.issparse(M):
+        return None
     M = M.tocoo()
-    m, n = M.shape
     live = M.data != 0
     i, j = M.row[live], M.col[live]
-    in_row, in_col = np.bincount(i, minlength=m), np.bincount(j, minlength=n)
-    if in_row.max(initial=0) <= 1 and in_col.max(initial=0) <= 1:
-        o = np.argsort(i)
-        zr, zc = (np.flatnonzero(k == 0)[:, None] for k in (in_row, in_col))
-        found = {(0, 1): (zc[:, :0], zc), (1, 0): (zr, zr[:, :0]),
-                 (1, 1): (i[o, None], j[o, None])}
-        return {shape: b for shape, b in found.items() if len(b[0])}
-    # rows are the vertices 0..m-1 and columns m..m+n-1, one edge per entry
-    labels = _components(i, j + m, m + n)
-    k = labels.max() + 1
-    r, c = np.bincount(labels[:m], minlength=k), np.bincount(labels[m:], minlength=k)
-    # indices of each block ascending, blocks in label order
-    row_order = np.argsort(labels[:m], kind="stable")
-    col_order = np.argsort(labels[m:], kind="stable")
-    row_start, col_start = np.cumsum(r) - r, np.cumsum(c) - c
-    shape = r * (c.max() + 1) + c  # one integer per block shape
-    blocks = {}
-    for key in np.unique(shape).tolist():
-        ids = np.flatnonzero(shape == key)[:, None]
-        nr, nc = int(r[ids[0, 0]]), int(c[ids[0, 0]])
-        blocks[nr, nc] = (row_order[row_start[ids] + np.arange(nr)],
-                          col_order[col_start[ids] + np.arange(nc)])
-    return blocks
-
-
-def _components(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
-    """Connected component, numbered from 0, of each vertex of the graph
-    with edges (u, v): union-find by hooking and pointer jumping."""
-    parent = np.arange(size)
-    while True:
-        pu, pv = parent[u], parent[v]
-        if np.array_equal(pu, pv):
-            return np.unique(parent, return_inverse=True)[1]
-        # every vertex points at a root: hook the larger root of each edge
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
-        while not np.array_equal(parent, parent[parent]):
-            parent = parent[parent]
-
-
-def _stack(M, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The blocks M[rows[k]][:, cols[k]] of a sparse M as one k x r x c array
-    (entry (i, j) of M[rows.ravel()][:, cols.ravel()] is in block i // r, and
-    only zeros lie outside); DenseTooLarge, naming M, when a block is above the cap."""
-    (k, r), c = rows.shape, cols.shape[1]
-    _refuse_dense(*M.shape, r * c)
-    sub = M[rows.ravel()][:, cols.ravel()].tocoo()
-    live = sub.data != 0
-    i, j = sub.row[live], sub.col[live]
-    out = np.zeros((k, r, c), dtype=M.dtype)
-    out[i // r, i % r, j % c] = sub.data[live]
-    return out
+    if np.bincount(i).max(initial=0) > 1 or np.bincount(j).max(initial=0) > 1:
+        return None
+    return i, j, M.data[live]
 
 
 def _row_norms(row: np.ndarray, data: np.ndarray, m: int) -> np.ndarray:
@@ -152,81 +100,65 @@ def _row_norms(row: np.ndarray, data: np.ndarray, m: int) -> np.ndarray:
     return top * np.sqrt(np.bincount(row, (a / scale[row]) ** 2, m))
 
 
-def svdvals(M, blocks: Optional[dict] = None) -> np.ndarray:
-    """The singular values of M, descending; of a sparse M, block by block
-    (its blocks_of unless given), a 1 x c or r x 1 block's being the norm of
-    its row or column, with no LAPACK call."""
-    if not sp.issparse(M):
-        return np.linalg.svd(M, compute_uv=False)
-    groups = (blocks_of(M) if blocks is None else blocks).items()
-    rows = [b[0][:, 0] for (r, c), b in groups if r == 1 and c]
-    cols = [b[1][:, 0] for (r, c), b in groups if r > 1 and c == 1]
-    vals = [np.linalg.svd(_stack(M, *b), compute_uv=False).ravel()
-            for (r, c), b in groups if r > 1 and c > 1]
-    if rows or cols:  # norms of the entries, summed in the order stored
-        E = M.tocoo()
-        vals += [_row_norms(k, E.data, n)[np.concatenate(i)] for k, n, i in
-                 ((E.row, M.shape[0], rows), (E.col, M.shape[1], cols)) if i]
-    vals = np.concatenate([np.zeros(0), *vals])
-    return np.sort(np.concatenate([vals, np.zeros(min(M.shape) - vals.size)]))[::-1]
+def svdvals(M) -> np.ndarray:
+    """The singular values of M, descending: of a sparse M with one entry
+    per row and column at most, the moduli of its entries, with no LAPACK
+    call; else numpy's of M, made dense under the cap."""
+    E = _entries(M)
+    if E is None:
+        return np.linalg.svd(dense(M, *M.shape), compute_uv=False)
+    s = np.sort(np.abs(E[2]))[::-1]
+    return np.concatenate([s, np.zeros(min(M.shape) - s.size)])
 
 
-def _blockwise(M, fn, one):
-    """fn(M) of a dense M; of a sparse one, fn of each k x r x r stack of its
-    square blocks, and one of the entries of 1 x 1 blocks, with no LAPACK
-    call: CSR with block k at rows cols[k] and columns rows[k], as an
-    inverse has it. LinAlgError when a block is not square."""
-    if not sp.issparse(M):
-        return fn(M)
-    blocks = blocks_of(M)
-    if any(r != c for r, c in blocks):
+def _entrywise(M, fn, one):
+    """Of a sparse M with one entry per row and column at most, one of each
+    entry, put at its transposed place as an inverse has it, in CSR, with no
+    LAPACK call; else fn of M, made dense under the cap. LinAlgError when
+    such a sparse M has a zero row or column."""
+    E = _entries(M)
+    if E is None:
+        return fn(dense(M, *M.shape))
+    i, j, v = E
+    if (i.size, i.size) != M.shape:
         raise np.linalg.LinAlgError("Singular matrix")
-    parts = [(one(np.asarray(M[rows[:, 0], cols[:, 0]])) if rows.shape[1] == 1
-              else fn(_stack(M, rows, cols)),
-              *np.broadcast_arrays(cols[:, :, None], rows[:, None, :]))
-             for rows, cols in blocks.values()]
-    vals, i, j = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts))
-    return sp.csr_array((vals, (i, j)), M.shape)
+    return sp.csr_array((one(v), (j, i)), M.shape)
 
 
 def inv(M):
-    """The inverse of M, CSR of block inverses if sparse; LinAlgError if
-    singular."""
-    return _blockwise(M, np.linalg.inv, np.reciprocal)
+    """The inverse of M, CSR when M is sparse with one entry per row and
+    column; LinAlgError if singular."""
+    return _entrywise(M, np.linalg.inv, np.reciprocal)
 
 
 def cho_solve(S, B: np.ndarray) -> np.ndarray:
     """X with S X = B for a Hermitian positive definite S: dense, scipy's
-    cho_factor and cho_solve; sparse, L^-H L^-1 B with L^-1 assembled from the
-    factors of the blocks. LinAlgError when S is not positive definite."""
+    cho_factor and cho_solve; sparse, L^-H L^-1 B, L^-1 the reciprocal square
+    roots of its entries, or the inverse factor of S made dense under the cap
+    when S has a row of two entries. LinAlgError unless positive definite."""
     if not sp.issparse(S):
         import scipy.linalg  # here, not at the top: about 50 ms and 8 MB
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), B)
-    # a positive diagonal puts every block of S on it: rows[k] = cols[k]
+    # a positive diagonal puts every entry of a one-entry row on it
     if not np.all(S.diagonal().real > 0):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    L_inv = _blockwise(S, lambda A: inv(np.linalg.cholesky(A)),
+    L_inv = _entrywise(S, lambda A: inv(np.linalg.cholesky(A)),
                        lambda a: 1 / np.sqrt(a))
     return L_inv.conj().T @ (L_inv @ B)
 
 
-# The most entries held dense: all of a truncation's, or those of one block
-# of a bundle that splits (128 MB of float, 256 MB of complex).
+# The most entries held dense (128 MB of float, 256 MB of complex).
 DENSE_MAX_SIZE = 4096 * 4096
-
-
-def _refuse_dense(dim: int, count: int, size: int) -> None:
-    if size > DENSE_MAX_SIZE:
-        raise DenseTooLarge(
-            f"a {dim} x {count} truncation needs a dense factorization of "
-            f"{size} entries, above the cap of {DENSE_MAX_SIZE}",
-            dim=dim, count=count, cap=DENSE_MAX_SIZE)
 
 
 def dense(M, dim: int, count: int) -> np.ndarray:
     """M of a dim x count truncation as an array, refused above the cap."""
     if sp.issparse(M):
-        _refuse_dense(dim, count, M.shape[0] * M.shape[1])
+        if dim * count > DENSE_MAX_SIZE:
+            raise DenseTooLarge(
+                f"a {dim} x {count} truncation needs a dense factorization of "
+                f"{dim * count} entries, above the cap of {DENSE_MAX_SIZE}",
+                dim=dim, count=count, cap=DENSE_MAX_SIZE)
         M = M.toarray()
     return M
 
@@ -240,15 +172,13 @@ _Entries = namedtuple("_Entries", "data indices indptr shape")
 class OperatorBundle:
     """Materialized operators of one sequence at a fixed truncation.
 
-    held is dense, sparse, or the _Entries of columns whose rows are their
-    blocks; blocks are those bundle_from_columns found for split sparse
-    columns, None when not looked for. All else is computed on first use
-    and cached, so a verdict that needs singular values alone pays for no
-    singular vectors, nor, for _Entries, for a sparse matrix.
+    held is dense, the _Entries of columns none of which holds two entries,
+    or, built by hand, sparse. All else is computed on first use and cached,
+    so a verdict that needs singular values alone pays for no singular
+    vectors, nor, for _Entries, for a sparse matrix.
     """
 
     held: object  # dim x count, column n is xi_n
-    blocks: Optional[dict] = None  # of split sparse columns
 
     @property
     def dim(self) -> int:
@@ -276,11 +206,16 @@ class OperatorBundle:
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of C, descending, without singular vectors: the
-        norms of the rows of _Entries, else block by block when sparse."""
+        norms of the rows of _Entries, else svdvals of C."""
         if isinstance(self.held, _Entries):
             (dim, count), X = self.held.shape, self.held
             return np.sort(_row_norms(X.indices, X.data, dim))[::-1][: min(dim, count)]
-        return svdvals(self.columns, self.blocks) if self.blocks else svdvals(self.C)
+        return svdvals(self.C)
+
+    @property
+    def entrywise(self) -> bool:
+        """Whether the singular values are read off entries, with no SVD."""
+        return isinstance(self.held, _Entries) or _entries(self.held) is not None
 
     @cached_property
     def factor_error(self) -> float:
@@ -302,7 +237,7 @@ class OperatorBundle:
         of C (CholeskyQR); None when factor_error >= 1."""
         if self.factor_error >= 1:
             return None
-        return _blockwise(self.S, np.linalg.cholesky, np.sqrt)
+        return _entrywise(self.S, np.linalg.cholesky, np.sqrt)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal columns spanning R(C): Q of a reduced QR when C has
@@ -318,16 +253,14 @@ class OperatorBundle:
 def bundle_from_columns(X) -> OperatorBundle:
     """The bundle of the dim x count columns X, dense or sparse, complex
     when X is, else float: the _Entries of X, at any size, when each column
-    holds one nonzero entry at most and two rows hold entries; CSR (blocks_of)
-    when X has BANDED_MIN_SIZE entries or more, a zero one and two or more
-    blocks that hold entries; else dense. DenseTooLarge when a held block,
-    or the dense columns of a sparse X, are above the cap."""
+    holds one nonzero entry at most and two rows hold entries; else dense,
+    and DenseTooLarge when that is above the cap."""
     X = X if sp.issparse(X) else np.atleast_2d(X)
     X = X.astype(complex if np.iscomplexobj(X) else float, copy=False)
     dim, count = X.shape
     nz = None if sp.issparse(X) else X != 0
     live = X.count_nonzero(axis=0) if nz is None else nz.sum(axis=0)
-    if live.max(initial=0) <= 1 < live.sum():  # the rows are the blocks
+    if live.max(initial=0) <= 1 < live.sum():
         if nz is None:
             Y = sp.csc_array(X)
             rows = Y.indices[Y.data != 0]
@@ -338,13 +271,6 @@ def bundle_from_columns(X) -> OperatorBundle:
             Y = _Entries(X[rows, np.flatnonzero(live)], rows, indptr, X.shape)
         if rows.min() < rows.max():  # two of them hold entries
             return OperatorBundle(Y)
-    elif BANDED_MIN_SIZE <= dim * count and live.sum() < dim * count:
-        Y = sp.csr_array(X)
-        blocks = blocks_of(Y)
-        held = [(len(b), r * c) for (r, c), (b, _) in blocks.items() if r * c]
-        if sum(k for k, _ in held) >= 2:
-            _refuse_dense(dim, count, max(size for _, size in held))
-            return OperatorBundle(Y, blocks)
     return OperatorBundle(dense(X, dim, count))
 
 

@@ -3,7 +3,8 @@
 A canonical dual of a truncated lower semi-frame is {S^{-1} xi_n}; for a
 0-closed two-sequence form with associated matrix T the left/right duals
 {(T^{-1})^H xi_n} and {T^{-1} eta_n} reconstruct the identity against eta
-and xi respectively. S, T and T^-1 are sparse when the families split (see
+and xi respectively. S is sparse when a family is held as its entries, T
+when both are, and T^-1 when T has one entry per row and column (see
 operators).
 """
 
@@ -70,7 +71,7 @@ def canonical_dual(
 ) -> DualSystem:
     """The canonical dual S^{-1} xi_n of a truncated lower semi-frame.
 
-    Its solve is a Cholesky solve with S, block by block when S is sparse. The
+    Its solve is a Cholesky solve with S, entry by entry when S is sparse. The
     reported Bessel bound of the dual is sigma_max(C S^{-1})^2, which equals
     1/sigma_dim(C)^2 = 1/A.
     """

@@ -1,9 +1,10 @@
-"""Block-by-block factorization against the whole-matrix numpy and scipy
+"""Entry-by-entry factorization against the whole-matrix numpy and scipy
 calls: property tests of operators.svdvals, inv and cho_solve on sparse
 copies of block-diagonal matrices under random row and column
-permutations, of the representation a bundle is born with, and the
+permutations (read off the entries when every block is one entry, made
+dense otherwise), of the representation a bundle is born with, and the
 {n e_n}/{e_n/n} form, pair reconstruction and canonical dual of {n e_n}
-at dims 256 and 300 against the one-block path."""
+at dims 256 and 300 against the dense path."""
 
 import json
 import math
@@ -21,7 +22,7 @@ from seqforms.classify import classify_finite, frame_spectrum
 from seqforms.cli import main
 from seqforms.forms import zero_closed_check
 from seqforms.sequences import ExplicitColumns, SequenceSpec
-from seqforms.operators import blocks_of, bundle_from_columns, cho_solve, inv, svdvals
+from seqforms.operators import bundle_from_columns, cho_solve, inv, svdvals
 
 # gaussian blocks are r x c; a square one is made diagonally dominant, so
 # well conditioned. rank_one blocks are u v^T with entries +-1, +-2, exactly
@@ -59,66 +60,48 @@ def block_matrices(draw, kinds=KINDS, square_blocks=False):
     return M, blocks
 
 
-def _holds_entries(blocks):
-    return sum(b.size > 0 for b in blocks)
-
-
-def _splitting():
-    """Every matrix is looked at for blocks, however small."""
-    return mock.patch.object(operators, "BANDED_MIN_SIZE", 0)
-
-
 def _every_entry_stored(M):
     """A CSR copy of M that stores its zero entries too."""
     return sp.coo_array((M.ravel(), np.indices(M.shape).reshape(2, -1)),
                         M.shape).tocsr()
 
 
+def _one_entry_per_line(M):
+    """Whether no row and no column of M holds two nonzero entries."""
+    P = M != 0
+    return P.sum(axis=0).max(initial=0) <= 1 and P.sum(axis=1).max(initial=0) <= 1
+
+
+def _no_lapack():
+    """np.linalg.svd, inv and cholesky raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("took a LAPACK call")
+
+    return mock.patch.multiple(np.linalg, svd=refuse, inv=refuse, cholesky=refuse)
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_matrices())
 def test_blockwise_singular_values_match_the_dense_svd(drawn):
-    M, blocks = drawn
-    # dense, CSR or CSC columns: one representation, one spectrum
-    with _splitting():
-        bundles = [bundle_from_columns(X)
-                   for X in (M, sp.csr_array(M), sp.csc_matrix(M))]
+    """Dense, CSR or CSC columns: one representation, one spectrum. A bundle
+    holds the entries of columns none of which holds two, when two rows
+    hold entries, and is dense otherwise; svdvals of a sparse matrix matches
+    numpy's SVD, with stored zeros or without."""
+    M, _ = drawn
+    bundles = [bundle_from_columns(X) for X in (M, sp.csr_array(M), sp.csc_matrix(M))]
+    P = M != 0
+    entries = P.sum(axis=0).max(initial=0) <= 1 and np.count_nonzero(P.any(axis=1)) >= 2
     for bundle in bundles:
-        assert sp.issparse(bundle.columns) == (_holds_entries(blocks) >= 2)
+        assert isinstance(bundle.held, operators._Entries) == entries
+        assert isinstance(bundle.held, np.ndarray) != entries
         assert np.array_equal(bundle.singular_values, bundles[0].singular_values)
     dense = np.linalg.svd(M, compute_uv=False)
     top = dense[0] if dense.size else 0.0
-    # stored zeros are no entries: they neither join blocks nor fill them
-    stored = _every_entry_stored(M)
-    found, found_stored = blocks_of(sp.csr_array(M)), blocks_of(stored)
-    assert found_stored.keys() == found.keys()
-    for key, (rows, cols) in found_stored.items():
-        assert np.array_equal(rows, found[key][0])
-        assert np.array_equal(cols, found[key][1])
-    for sparse in (sp.csr_array(M), stored):
+    # stored zeros are no entries: they neither add to a row nor fill it
+    for sparse in (sp.csr_array(M), _every_entry_stored(M)):
         s = svdvals(sparse)
         assert s.shape == dense.shape
         assert np.all(np.abs(s - dense) <= 1e-13 * top)
-
-
-def _components_reference(P):
-    """{(r, c): (rows, cols)} of the boolean pattern P as blocks_of has
-    them, from scipy's connected_components of the bipartite graph of rows
-    and columns: blocks ordered by their smallest vertex (rows first), and
-    shapes ascending."""
-    from scipy.sparse.csgraph import connected_components
-    m, n = P.shape
-    A = np.zeros((m + n, m + n))  # rows are vertices 0..m-1, columns m..m+n-1
-    A[:m, m:] = P
-    k, labels = connected_components(A, directed=False)
-    vertices = sorted((np.flatnonzero(labels == label) for label in range(k)),
-                      key=lambda v: v[0])
-    found = {}
-    for v in vertices:
-        rows, cols = v[v < m], v[v >= m] - m
-        found.setdefault((rows.size, cols.size), []).append((rows, cols))
-    return {(r, c): tuple(np.array(side, dtype=int).reshape(len(side), k)
-                          for side, k in zip(zip(*found[r, c]), (r, c)))
-            for r, c in sorted(found)}
 
 
 @st.composite
@@ -146,22 +129,27 @@ def one_per_row_and_column(draw):
 @settings(max_examples=300, deadline=None)
 @given(one_per_row_and_column())
 def test_one_entry_per_row_and_column_reads_the_blocks_off_the_pattern(drawn):
-    """Each entry is a 1 x 1 block, each zero row a 1 x 0 block and each
-    zero column a 0 x 1 block: blocks_of finds them, shape by shape and in
-    the union-find's order, in CSR, CSC or COO with stored zeros, and never
-    runs the union-find."""
+    """In CSR, CSC or COO with stored zeros, the singular values of such a
+    matrix are the moduli of its entries and zeros, descending, with no
+    LAPACK call; one more entry, in a row or column that holds one, sends
+    it to numpy's SVD of the dense matrix."""
     M, stored = drawn
-    want = _components_reference(M != 0)
-    unused = mock.patch.object(operators, "_components",
-                               side_effect=AssertionError("ran the union-find"))
-    with unused:
-        found = [blocks_of(X) for X in (sp.csr_array(M), sp.csc_array(M), stored)]
-    for got in found:
-        assert list(got) == list(want)
-        for shape, (rows, cols) in want.items():
-            assert got[shape][0].shape == rows.shape and got[shape][1].shape == cols.shape
-            assert np.array_equal(got[shape][0], rows)
-            assert np.array_equal(got[shape][1], cols)
+    want = np.sort(np.abs(M[M != 0]))[::-1]
+    want = np.concatenate([want, np.zeros(min(M.shape) - want.size)])
+    with _no_lapack():
+        for X in (sp.csr_array(M), sp.csc_array(M), stored):
+            assert np.array_equal(svdvals(X), want)
+    i, j = np.argwhere(M != 0)[0] if np.any(M != 0) else (0, 0)
+    for extra in ((i, (j + 1) % M.shape[1]), ((i + 1) % M.shape[0], j)):
+        N = M.copy()
+        N[extra] += 1.0
+        if _one_entry_per_line(N):  # a 1 x 1 or 1 x n matrix
+            continue
+        with _no_lapack(), pytest.raises(AssertionError, match="LAPACK"):
+            svdvals(sp.csr_array(N))
+        dense = np.linalg.svd(N, compute_uv=False)
+        np.testing.assert_allclose(svdvals(sp.csr_array(N)), dense, rtol=0,
+                                   atol=1e-13 * dense[0])
 
 
 def _fixed(*blocks):
@@ -192,10 +180,11 @@ def test_blockwise_inverse_matches_and_fails_where_the_dense_one_does(drawn):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             inv(sp.csr_array(M))
         return
-    # the inverse of a sparse matrix is assembled sparse, never held dense
+    # the inverse is assembled sparse exactly when M has one entry per row
+    # and column, else taken of the dense matrix
     blockwise = inv(sp.csr_array(M))
-    assert sp.issparse(blockwise)
-    blockwise = blockwise.toarray()
+    assert sp.issparse(blockwise) == _one_entry_per_line(M)
+    blockwise = blockwise.toarray() if sp.issparse(blockwise) else blockwise
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(blockwise - dense)) <= 1e-12 * scale
 
@@ -467,11 +456,29 @@ def test_one_per_column_bundles_read_their_norms_off_the_entries(X):
 
 
 def test_a_bundle_of_sparse_columns_with_unknown_blocks_finds_them():
-    """OperatorBundle(X) of a sparse X says nothing of X's blocks, so its
-    singular values come from the blocks of C found then: those of [[1, 1],
-    [0, 1]] are the golden ratio and its inverse, not its row norms."""
+    """OperatorBundle(X) of a sparse X built by hand takes the singular
+    values of C as svdvals does: those of [[1, 1], [0, 1]], with a row of two
+    entries, from a dense SVD, the golden ratio and its inverse, not its row
+    norms, and its backend is "dense"; those of a sparse diagonal off its
+    entries, and its backend is "blockwise"."""
     X = sp.csr_array(np.array([[1.0, 1.0], [0.0, 1.0]]))
     bundle = operators.OperatorBundle(X)
     phi = (1 + 5**0.5) / 2
     np.testing.assert_allclose(bundle.singular_values, [phi, 1 / phi], rtol=1e-15)
-    assert classify_finite(bundle).backend == "blockwise"
+    assert classify_finite(bundle).backend == "dense"
+    diagonal = operators.OperatorBundle(sp.diags_array([3.0, -4.0]).tocsr())
+    assert np.array_equal(diagonal.singular_values, [4.0, 3.0])
+    assert classify_finite(diagonal).backend == "blockwise"
+
+
+def test_sparse_columns_with_a_column_of_two_entries_are_held_dense():
+    """At 256^2 entries and more, sparse columns one of which holds two
+    entries, here the 256 x 256 identity plus e_8 e_9^T, are not split: the
+    bundle holds them as an array, and its S is dense."""
+    X = sp.eye_array(256, format="lil")
+    X[8, 9] = 1.0
+    bundle = bundle_from_columns(X.tocsr())
+    assert isinstance(bundle.held, np.ndarray)
+    assert np.array_equal(bundle.held, X.toarray())
+    assert isinstance(bundle.S, np.ndarray)
+    assert classify_finite(bundle).backend == "dense"

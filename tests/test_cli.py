@@ -481,12 +481,14 @@ def test_dense_cap_is_a_domain_error_before_materializing(
 def test_a_held_block_above_the_cap_is_refused_at_birth(
     spec_file, capsys, monkeypatch
 ):
-    """With factor 0 at n = 2, {t_n xi_n} of the finite differences splits
-    into e_1 and one 255 x 254 block at dim 256. Under a cap of 10^4 that
-    block is refused when the bundle is born, before any factorization,
-    while the diagonal {n e_n}, whose blocks are 1 x 1, is assessed."""
+    """With factor 0 at n = 2, {t_n xi_n} of the finite differences has
+    columns of two entries at dim 256, so its bundle is dense, though the
+    matrix is e_1 beside one 255 x 254 block. Under a cap of 10^4 the whole
+    256 x 256 array is refused when the bundle is born, before any
+    factorization, while the diagonal {n e_n}, held as its entries, is
+    assessed."""
     def refuse(*args, **kwargs):
-        raise AssertionError("factorized a block")
+        raise AssertionError("factorized a matrix")
 
     monkeypatch.setattr("seqforms.operators.DENSE_MAX_SIZE", 10**4)
     cut = {"rule": "scaled", "params": {
@@ -501,8 +503,8 @@ def test_a_held_block_above_the_cap_is_refused_at_birth(
     error = json.loads(captured.err)["error"]
     assert error["type"] == "DenseTooLarge"
     assert error["details"] == {"dim": 256, "count": 256, "cap": 10**4}
-    # the message states the refused block, 255 x 254, not the truncation
-    assert "dense factorization of 64770 entries" in error["message"]
+    # the message states the whole truncation, 256 x 256
+    assert "dense factorization of 65536 entries" in error["message"]
     code, payload = run_json(
         capsys, ["form-assess", "--left", wn, "--right", wn, "--dim", "256"])
     assert code == 0 and payload["report"]["zero_closed"] is True

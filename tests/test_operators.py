@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import seqforms.operators as operators
 from seqforms import (
     DEFAULT_TOL,
     DiagonalWeights,
@@ -195,26 +194,13 @@ def test_real_pair_factorizes_in_real_arithmetic(monkeypatch):
 @pytest.mark.parametrize("dim", [6, 300])
 def test_the_triple_pair_takes_no_lapack_call(monkeypatch, dim):
     """Each member of the triple pair has one nonzero coordinate, so its C
-    splits into r x 1 blocks, S and L are diagonal and T = I at every dim:
+    holds one entry per row, S and L are diagonal and T = I at every dim:
     their singular values are norms, the factors square roots and the
     inverses reciprocals, with no SVD, QR, Cholesky or inverse taken."""
     calls = _count_lapack(monkeypatch)
     fa = zero_closed_check(TriplePattern("xi"), TriplePattern("eta"), dim, 3 * dim)
     assert fa.zero_closed and fa.c1 == pytest.approx(1 / np.sqrt(3 * (2 * dim + 1)))
     assert calls == []
-
-
-def _count_union_finds(monkeypatch):
-    """The graph size of each operators._components call, in order."""
-    calls = []
-    components = operators._components
-
-    def counted(u, v, size):
-        calls.append(size)
-        return components(u, v, size)
-
-    monkeypatch.setattr(operators, "_components", counted)
-    return calls
 
 
 # name: (arity, rules of xi and eta)
@@ -245,38 +231,43 @@ def _pair_calls(tmp_path, rules, size):
 @pytest.mark.parametrize("pair", PAPER_PAIRS)
 def test_the_paper_pairs_take_no_union_find(tmp_path, capsys, monkeypatch, pair, dim):
     """Every member of the triple, paired and diagonal pairs has one nonzero
-    coordinate, so a bundle's blocks are its rows, and S, L, T, the cosine
+    coordinate, so a bundle holds its entries, and S, L, T, the cosine
     matrix and T^-H L and T^-1 L hold one entry per row and column at most:
-    blocks_of reads their blocks off the pattern. classify, form-assess and
-    pair reconstruct at count = arity * dim (above dim for the triple and
-    paired pairs) take no union-find."""
-    calls = _count_union_finds(monkeypatch)
+    their kernels read them off the entries. classify, form-assess and pair
+    reconstruct at count = arity * dim (above dim for the triple and paired
+    pairs) take no SVD, QR, Cholesky factor or inverse from numpy or scipy."""
+    calls = _count_lapack(monkeypatch)
     arity, rules = PAPER_PAIRS[pair]
     _pair_calls(tmp_path, rules, ["--dim", str(dim), "--count", str(arity * dim)])
     capsys.readouterr()
     assert calls == []
 
 
-def test_only_blocks_larger_than_one_entry_take_a_union_find(tmp_path, capsys,
-                                                             monkeypatch):
+def test_only_a_column_of_two_entries_takes_dense_lapack_calls(tmp_path, capsys,
+                                                               monkeypatch):
     """The tiled pair X = [I_64 ... I_64] (16 copies) and X diag(1..1024) of
     tools/compare_reports.py has one entry per column, and diagonal S, L and
-    T: no union-find. The 256 x 256 identity plus e_8 e_9^T, invertible, has
-    two entries in column 9, so rows 8 and 9 are one 2 x 2 block: its
-    bundle's blocks come from the union-find at birth, and so do those of T
-    and S."""
-    calls = _count_union_finds(monkeypatch)
+    T, read off their entries. Its cosines sit above 1/sqrt 2, so the
+    factors' gate declines them: its only LAPACK calls are route (b)'s two
+    QR bases and the SVD of their cosines, in form-assess and in
+    reconstruct. The 256 x 256 identity plus e_8 e_9^T, invertible, has
+    two entries in column 9, so its bundle is dense at birth, and so are T
+    and S: every factorization is a LAPACK call on a 256 x 256 array."""
+    calls = _count_lapack(monkeypatch)
     tiled = np.tile(np.eye(64), 16)
     rules = [{"rule": "explicit", "params": {"matrix": X.tolist()}}
              for X in (tiled, tiled * np.arange(1.0, 1025))]
     _pair_calls(tmp_path, rules, ["--dim", "64", "--count", "1024"])
-    assert calls == []
+    route_b = ([("numpy.qr", True, (1024, 64), np.dtype(float))] * 2
+               + [("numpy.svd", True, (64, 64), np.dtype(float))])
+    assert calls == route_b * 2
+    calls.clear()
     X = np.eye(256)
     X[8, 9] = 1
     _pair_calls(tmp_path, [{"rule": "explicit", "params": {"matrix": X.tolist()}}] * 2,
                 ["--dim", "256"])
     capsys.readouterr()
-    assert calls and set(calls) == {512}
+    assert calls and {shape for _, _, shape, _ in calls} == {(256, 256)}
 
 
 @pytest.mark.parametrize("d_min,factored", [(1e-5, True), (1e-6, False)])
@@ -343,8 +334,8 @@ def _diagonal_columns(weights, count):
 
 
 def test_factor_error_of_a_diagonal_frame_matrix_is_guard_eps_per_row_entry():
-    """S = diag(w_i^2 + 1) splits into 1 x 1 blocks, each with kappa 1; the
-    bound grows with the longest row of X, 2 entries here."""
+    """S = diag(w_i^2 + 1) holds one entry per row and column, each with
+    kappa 1; the bound grows with the longest row of X, 2 entries here."""
     b = bundle_from_columns(_diagonal_columns(np.arange(1.0, 301), 600))
     assert sp.issparse(b.S)
     assert b.factor_error == GUARD_FACTOR * 2 * np.finfo(float).eps
@@ -353,18 +344,19 @@ def test_factor_error_of_a_diagonal_frame_matrix_is_guard_eps_per_row_entry():
 
 
 def test_factor_error_of_a_split_frame_matrix_with_a_2x2_block_is_the_whole_bound():
-    """One 2 x 2 block in S: the whole-matrix bound GUARD_FACTOR dim eps
-    kappa(C)^2, and the CSR factor holds that block's lower triangle."""
+    """One 2 x 2 block in S: column 1 of X holds two entries, so the bundle
+    is dense, its bound is the whole-matrix GUARD_FACTOR dim eps kappa(C)^2,
+    and its factor holds that block's lower triangle."""
     X = _diagonal_columns(np.arange(1.0, 301), 600).tolil()
     X[0, 1] = 0.5
     b = bundle_from_columns(X.tocsr())
-    assert sp.issparse(b.S)
+    assert isinstance(b.held, np.ndarray) and isinstance(b.S, np.ndarray)
     s = b.singular_values
     want = GUARD_FACTOR * 300 * np.finfo(float).eps * (s[0] / s[-1]) ** 2
     assert b.factor_error == pytest.approx(want, rel=1e-15)
-    L = b.cholesky.toarray()
+    L = b.cholesky
     assert np.array_equal(L, np.tril(L)) and L[1, 0] != 0
-    assert np.allclose(L @ L.T, b.S.toarray(), rtol=0, atol=1e-10)
+    assert np.allclose(L @ L.T, b.S, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("X", [
@@ -438,7 +430,7 @@ def test_bundle_bases_match_standalone_bases(dim, count, rank):
 def test_a_singular_value_at_the_cutoff_counts_as_zero(tol, above):
     """diag(big, ..., big, small) at 256 x 256 with small at rank_tol * big,
     or one ulp above it: every verdict that reads the rank cutoff agrees.
-    frame_spectrum reads the singular values off the 1 x 1 blocks as their
+    frame_spectrum reads the singular values off the entries as their
     moduli, exactly, and accepts one ulp above."""
     big = 4 / tol.rank_tol
     cut = tol.rank_tol * big

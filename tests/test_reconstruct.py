@@ -145,7 +145,7 @@ def test_reproducing_pair_duals_small_redundant_pair():
                  for _ in range(2)],
     lambda rng: [rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
                  for _ in range(2)],
-    # {n e_n} / {e_n / n}: T = I, the blocks split, the bounds are 256^2 and 1
+    # {n e_n} / {e_n / n}: T = I, one entry per column, the bounds are 256^2 and 1
     lambda rng: [np.diag(np.arange(1.0, 257)), np.diag(1 / np.arange(1.0, 257))],
 ], ids=["square", "redundant", "weights-256"])
 def test_reproducing_dual_bounds_match_the_analysis_products(pair):
@@ -163,7 +163,7 @@ def test_reproducing_dual_bounds_match_the_analysis_products(pair):
     assert left.bessel_bound_of_dual == pytest.approx(want_left, rel=1e-12)
     assert right.bessel_bound_of_dual == pytest.approx(want_right, rel=1e-12)
     if b_xi.dim == 256:
-        assert sp.issparse(b_xi.columns)  # the blockwise path
+        assert sp.issparse(b_xi.columns)  # the entrywise path
         assert (want_left, want_right) == pytest.approx((256.0**2, 1.0), rel=1e-12)
 
 
@@ -186,8 +186,8 @@ def _random_pair(dim, count):
 ])
 def test_count_above_dim_bounds_match_the_formed_dual_columns(pair):
     """Above count = dim a dual bound comes from the dim x dim product with
-    the Cholesky factor, CSR for a split bundle (the triple pair, whose
-    members have one nonzero coordinate each, at every dim); each is
+    the Cholesky factor, CSR for a bundle held as its entries (the triple
+    pair, whose members have one nonzero coordinate each, at every dim); each is
     sigma_max of the formed dual columns, squared, to 1e-12 relative."""
     b_xi, b_eta = pair()
     assert sp.issparse(b_xi.columns) == (b_xi.count == 3 * b_xi.dim)
@@ -291,8 +291,8 @@ def square_pairs(draw):
 
 
 def _blocked_pair(rng):
-    """{n e_n} at dim 256 against 128 diagonally dominant 2 x 2 blocks:
-    both split, and so does T."""
+    """{n e_n} at dim 256, held as its entries, against 128 diagonally
+    dominant 2 x 2 blocks, held dense, and so is T."""
     blocks = _gaussian(rng, 128, 2, 2) + 3 * np.eye(2)
     return [np.diag(np.arange(1.0, 257)).astype(complex),
             scipy.linalg.block_diag(*blocks)]
@@ -319,8 +319,8 @@ def test_square_pair_bounds_are_one_over_the_partners_lower_bound(pair):
     assert [s.bessel_bound_of_dual for s in swapped] == [
         right.bessel_bound_of_dual, left.bessel_bound_of_dual]
     if b_xi.dim == 256:
-        assert sp.issparse(b_xi.columns) and sp.issparse(b_eta.columns)
-        assert sp.issparse(fa.associated_operator)
+        assert sp.issparse(b_xi.columns) and isinstance(b_eta.columns, np.ndarray)
+        assert isinstance(fa.associated_operator, np.ndarray)
 
 
 PAIRS = {

@@ -54,9 +54,11 @@ LOOSE_EQ = ["--tol-eq", "0.6"]
 
 
 def _split_calls(work: str) -> dict:
-    """{call id: argv} of the calls whose matrices split, which the benchmark
-    reaches only at dims 256-384 and never prints: form-assess, pair
-    reconstruct and reconstruct --spec of {n e_n}/{e_n/n} at dim 1024 and of
+    """{call id: argv} of the calls whose matrices are block diagonal (a
+    bundle holds them as their entries when every block is one entry, and
+    dense otherwise), which the benchmark reaches only at dims 256-384 and
+    never prints: form-assess, pair reconstruct and reconstruct --spec of
+    {n e_n}/{e_n/n} at dim 1024 and of
     the tiled pair X = [I_64 ... I_64] (16 copies) and X diag(1..1024) at
     dim 64, count 1024, whose matrix and dual columns are printed; classify,
     form-assess against itself and reconstruct --spec of a 256 x 256
@@ -67,11 +69,11 @@ def _split_calls(work: str) -> dict:
     backend accepts the second alone; and the weight-inverse-pair scenario
     on 128,256,512. Above the dense cap of 4096^2 entries: form-assess, pair
     reconstruct and reconstruct --spec of {n e_n}/{e_n/n} at dims 4097 and
-    10^5, which split into 1 x 1 blocks, and at dim 5000 of {n^-1 xi_n}
-    with xi the finite differences (scaled-fd, one chain of entries) and of
-    {t_n xi_n} with t_2 = 0 and t_n = 1 otherwise (cut, which splits off
-    e_1 from one 4999 x 4998 block), each paired with itself. The rule files
-    are written into work."""
+    10^5, held as their entries, and at dim 5000 of {n^-1 xi_n} with xi the
+    finite differences (scaled-fd, one chain of entries) and of {t_n xi_n}
+    with t_2 = 0 and t_n = 1 otherwise (cut, e_1 beside one 4999 x 4998
+    block, which is dense as a whole and so refused whole), each paired
+    with itself. The rule files are written into work."""
     tiled = np.tile(np.eye(64), 16)
     zero_row = np.diag(np.arange(1.0, 257))
     zero_row[7, 7] = 0
@@ -187,9 +189,9 @@ def _cholesky_calls(work: str) -> dict:
     at dim 1024, count 3072, and of the paired pair at dim 256, count 512,
     whose largest cosine is exactly 1/sqrt 2 and whose smallest clears the
     gate; and of both pairs at dims 10^4 and 10^5, with count 3 dim and 2
-    dim, above the dense cap. Both pairs split into blocks with diagonal
-    frame matrices, so their inf-sup cosines come from blockwise Cholesky
-    factors. The rule files are written into work."""
+    dim, above the dense cap. Both pairs are held as their entries, with
+    diagonal frame matrices, so their inf-sup cosines come from Cholesky
+    factors read off those entries. The rule files are written into work."""
     path = _write_rules(work, "cholesky", {
         f"{rule}-{kind}": {"rule": rule, "params": {"kind": kind}}
         for rule in ("triple", "paired_double") for kind in ("xi", "eta")})
